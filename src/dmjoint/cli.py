@@ -13,6 +13,7 @@ import json
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -31,10 +32,11 @@ from .prep import preprocess
 from .sampler import SamplerConfig, run_chain
 from .simulate import SimConfig, gen_replicate, replicate_rng
 
-HYPER_FLAGS = ["h_alpha0", "h_beta", "a0", "b0", "r2", "sigma_alpha2",
-               "a", "b", "a_m", "b_m", "proposal_sd", "delta"]
-SAMPLER_FLAGS = ["iterations", "burn_in", "thin", "seed", "init_zeta_frac",
-                 "init_xi_frac", "between_moves_per_iter", "mode"]
+HYPER_FLAGS = [f.name for f in fields(Hyperparams)]
+SAMPLER_FLAGS = [f.name for f in fields(SamplerConfig)]
+# The balance partition a fit used, in PartitionSpec's file format; predict
+# rebuilds the training and test balances from it.
+PARTITION_FILE = "partition.txt"
 
 
 def _flag(name: str) -> str:
@@ -129,18 +131,17 @@ def _fit_one(repdir: Path, outdir: Path, model: str, hyper: Hyperparams,
         yhat = two_step_fitted_y(two, train, spec, hyper)
         with open(outdir / "summary.json", "w") as f:
             json.dump({"model": model, **extra,
-                       "hyperparams": {k: getattr(hyper, k) for k in HYPER_FLAGS},
-                       "config": {k: getattr(config, k) for k in SAMPLER_FLAGS}},
+                       "hyperparams": asdict(hyper), "config": asdict(config)},
                       f, indent=2, sort_keys=True)
             f.write("\n")
+    spec.to_file(outdir / PARTITION_FILE)
     dio.write_matrix(outdir / "selected_zeta.csv", sel_zeta, "zeta", integer=True)
     dio.write_matrix(outdir / "selected_xi.csv", sel_xi[:, None], "xi", integer=True)
     dio.write_matrix(outdir / "fitted_y.csv", yhat[:, None] + prep_stats["y_mean"], "yhat")
     dio.write_manifest(
         outdir, "fit",
         {"model": model, "dataset": str(repdir),
-         "hyperparams": {k: getattr(hyper, k) for k in HYPER_FLAGS},
-         "sampler": {k: getattr(config, k) for k in SAMPLER_FLAGS}},
+         "hyperparams": asdict(hyper), "sampler": asdict(config)},
         config.seed, [repdir], started)
     n_cov = int(sel_zeta.sum())
     n_bal = int(sel_xi.sum())
@@ -186,7 +187,7 @@ def _fit_one_star(t):
 # ---------------------------------------------------------------------------
 
 
-def _load_two_step(rundir: Path, hyper: Hyperparams) -> TwoStepOutput:
+def _load_two_step(rundir: Path) -> TwoStepOutput:
     stage1, _, _ = dio.read_chain(rundir / "stage1")
     stage2, _, _ = dio.read_chain(rundir / "stage2")
     psi_bar = dio.read_matrix(rundir / "psi_bar.csv")
@@ -201,12 +202,16 @@ def cmd_predict(args) -> int:
     with open(summary_path) as f:
         summary = json.load(f)
     hyper = Hyperparams(**summary["hyperparams"])
+    if two_step:
+        two = _load_two_step(rundir)
+    else:
+        chain, _, _ = dio.read_chain(rundir)
+    spec = PartitionSpec.from_file(rundir / PARTITION_FILE)
     train_dir = Path(args.train_dir or summary["dataset"])
     test_dir = Path(args.test_dir or train_dir)
     train_raw = dio.read_train(train_dir)
     test_raw = dio.read_test(test_dir)
     train, test, prep_stats = preprocess(train_raw, test_raw)
-    spec = sbp_pivot(train.n_taxa)
     if test.Z_test.shape[1] != train.n_taxa or test.X_test.shape[1] != train.n_covariates:
         print(
             f"error: test dimensions (J={test.Z_test.shape[1]}, "
@@ -214,11 +219,9 @@ def cmd_predict(args) -> int:
             f"(J={train.n_taxa}, P={train.n_covariates})", file=sys.stderr)
         return 1
     if two_step:
-        two = _load_two_step(rundir, hyper)
         yhat = two_step_predict_y(two, train, test, spec, hyper)
         loglik = None
     else:
-        chain, _, _ = dio.read_chain(rundir)
         yhat = predict_y(chain, train, test, spec, hyper)
         loglik = pointwise_loglik(chain, train, spec, hyper)
     out = Path(args.out or rundir / "predictions")
@@ -410,7 +413,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, FileNotFoundError, RuntimeError) as e:
+    except (ValueError, FileNotFoundError, RuntimeError, FloatingPointError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

@@ -1,14 +1,18 @@
-"""Delimited-file persistence for datasets, chains, and reports.
+"""File persistence for datasets, chains, and reports.
 
-All files are UTF-8 CSV with a header row; reals are written with 17
-significant digits so write -> read -> write round-trips byte-wise, counts as
-plain integers.
+Datasets, selections, predictions and reports are UTF-8 CSV with a header
+row; reals are written with 17 significant digits so write -> read -> write
+round-trips byte-wise, counts as plain integers. MCMC chain blocks are raw
+``.npy`` arrays (``np.load`` reads them) in their in-memory shape and dtype,
+so a chain round-trips bitwise; settings, acceptance counts and provenance
+are JSON.
 """
 
 from __future__ import annotations
 
 import json
 import time
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -48,7 +52,7 @@ def write_manifest(outdir, command: str, config: dict, seed, inputs, started: fl
         "output": str(outdir),
         "duration_s": round(time.time() - started, 3),
         "version": __version__,
-        "schema_version": 1,
+        "schema_version": 2,
     }
     with open(outdir / "manifest.json", "w") as f:
         json.dump(manifest, f, indent=2, sort_keys=True)
@@ -119,35 +123,27 @@ def read_truth(repdir) -> GroundTruth:
 # ---------------------------------------------------------------------------
 
 
+# An xi-only (stage-2) chain has empty count blocks; they are not written, and
+# read_chain gives them back the empty shapes the sampler gives such a chain.
+_COUNT_BLOCKS = ("alpha", "phi", "zeta", "psi", "u", "mppi_zeta")
+_LM_BLOCKS = ("xi", "log_posterior", "mppi_xi")
+
+
 def write_chain(outdir, chain: ChainOutput, hyper: Hyperparams, extra: dict | None = None):
-    """One row per retained sample for every block, plus a JSON summary."""
+    """One ``<block>.npy`` per chain block, plus a JSON summary."""
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    S = chain.n_samples
-    if chain.alpha.size:
-        write_matrix(outdir / "alpha.csv", chain.alpha, "alpha")
-        write_matrix(outdir / "phi.csv", chain.phi.reshape(S, -1), "phi")
-        write_matrix(outdir / "zeta.csv", chain.zeta.reshape(S, -1), "zeta",
-                     integer=True)
-        write_matrix(outdir / "psi.csv", chain.psi.reshape(S, -1), "psi")
-        write_matrix(outdir / "u.csv", chain.u, "u")
-    write_matrix(outdir / "xi.csv", chain.xi, "xi", integer=True)
-    write_matrix(outdir / "log_posterior.csv", chain.log_posterior[:, None], "lp")
-    if chain.mppi_zeta.size:
-        write_matrix(outdir / "mppi_zeta.csv", chain.mppi_zeta, "mppi")
-    write_matrix(outdir / "mppi_xi.csv", chain.mppi_xi[:, None], "mppi")
+    names = _COUNT_BLOCKS + _LM_BLOCKS if chain.alpha.size else _LM_BLOCKS
+    for name in names:
+        np.save(outdir / f"{name}.npy", getattr(chain, name))
     summary = {
         "seed": int(chain.seed),
-        "config": {k: getattr(chain.config, k) for k in (
-            "iterations", "burn_in", "thin", "seed", "init_zeta_frac",
-            "init_xi_frac", "between_moves_per_iter", "mode")},
-        "hyperparams": {k: getattr(hyper, k) for k in (
-            "h_alpha0", "h_beta", "a0", "b0", "r2", "sigma_alpha2",
-            "a", "b", "a_m", "b_m", "proposal_sd", "delta")},
+        "config": asdict(chain.config),
+        "hyperparams": asdict(hyper),
         "acceptance": {k: {"accepted": int(v[0]), "proposed": int(v[1]),
                            "rate": (v[0] / v[1]) if v[1] else None}
                        for k, v in chain.accept.items()},
-        "n_samples": S,
+        "n_samples": chain.n_samples,
     }
     if extra:
         summary.update(extra)
@@ -158,42 +154,23 @@ def write_chain(outdir, chain: ChainOutput, hyper: Hyperparams, extra: dict | No
 
 def read_chain(rundir) -> tuple[ChainOutput, Hyperparams, dict]:
     rundir = Path(rundir)
+    if (rundir / "xi.csv").exists() and not (rundir / "xi.npy").exists():
+        raise ValueError(f"{rundir} holds a chain in the old CSV format; "
+                         "re-run fit to rewrite it")
     with open(rundir / "summary.json") as f:
         summary = json.load(f)
-    cfg = SamplerConfig(**summary["config"])
-    hyper = Hyperparams(**summary["hyperparams"])
-    xi = read_matrix(rundir / "xi.csv", integer=True).astype(np.uint8)
-    S = xi.shape[0]
-    if (rundir / "alpha.csv").exists():
-        alpha = read_matrix(rundir / "alpha.csv")
-        J = alpha.shape[1]
-        phi = read_matrix(rundir / "phi.csv")
-        P = phi.shape[1] // J
-        zeta = read_matrix(rundir / "zeta.csv", integer=True).astype(np.uint8)
-        psi = read_matrix(rundir / "psi.csv")
-        n = psi.shape[1] // J
-        u = read_matrix(rundir / "u.csv")
-    else:
-        J = P = n = 0
-        alpha = np.empty((S, 0))
-        phi = np.empty((S, 0))
-        zeta = np.empty((S, 0), dtype=np.uint8)
-        psi = np.empty((S, 0))
-        u = np.empty((S, 0))
+    names = (_COUNT_BLOCKS + _LM_BLOCKS if (rundir / "alpha.npy").exists()
+             else _LM_BLOCKS)
+    blocks = {name: np.load(rundir / f"{name}.npy", allow_pickle=False)
+              for name in names}
+    if "alpha" not in blocks:
+        S = blocks["xi"].shape[0]
+        blocks.update(alpha=np.empty((S, 0)), phi=np.empty((S, 0, 0)),
+                      zeta=np.empty((S, 0, 0), dtype=np.uint8),
+                      psi=np.empty((S, 0, 0)), u=np.empty((S, 0)),
+                      mppi_zeta=np.empty((0, 0)))
     accept = {k: (v["accepted"], v["proposed"])
               for k, v in summary["acceptance"].items()}
-    chain = ChainOutput(
-        alpha=alpha,
-        phi=phi.reshape(S, J, P),
-        zeta=zeta.reshape(S, J, P),
-        xi=xi,
-        psi=psi.reshape(S, n, J),
-        u=u,
-        log_posterior=read_matrix(rundir / "log_posterior.csv").ravel(),
-        accept=accept,
-        mppi_zeta=read_matrix(rundir / "mppi_zeta.csv")
-        if (rundir / "mppi_zeta.csv").exists() else np.empty((0, 0)),
-        mppi_xi=read_matrix(rundir / "mppi_xi.csv").ravel(),
-        config=cfg,
-    )
-    return chain, hyper, summary
+    chain = ChainOutput(**blocks, accept=accept,
+                        config=SamplerConfig(**summary["config"]))
+    return chain, Hyperparams(**summary["hyperparams"]), summary

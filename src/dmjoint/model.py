@@ -15,7 +15,7 @@ exact:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 from scipy.special import gammaln
@@ -67,13 +67,10 @@ class Hyperparams:
     delta: float = 6.67e-5
 
     def __post_init__(self):
-        for name in (
-            "h_alpha0", "h_beta", "a0", "b0", "r2", "sigma_alpha2",
-            "a", "b", "a_m", "b_m", "proposal_sd", "delta",
-        ):
-            v = getattr(self, name)
+        for f in fields(self):
+            v = getattr(self, f.name)
             if not np.isfinite(v) or v <= 0:
-                raise ValueError(f"hyperparameter {name} must be > 0, got {v}")
+                raise ValueError(f"hyperparameter {f.name} must be > 0, got {v}")
 
 
 @dataclass

@@ -5,9 +5,10 @@ import pytest
 
 from dmjoint import io as dio
 from dmjoint.cli import main
-from dmjoint.model import Dataset, Hyperparams, sbp_pivot
+from dmjoint.model import Dataset, Hyperparams, PartitionSpec, sbp_pivot
+from dmjoint.predict import predict_y
 from dmjoint.prep import preprocess
-from dmjoint.sampler import SamplerConfig, run_chain
+from dmjoint.sampler import SamplerConfig, run_balance_selection, run_chain
 from dmjoint.simulate import SimConfig, gen_replicate, replicate_rng
 
 
@@ -65,15 +66,27 @@ def test_chain_round_trip(tmp_path):
     rundir = tmp_path / "run"
     dio.write_chain(rundir, chain, Hyperparams(), extra={"note": "test"})
     back, hyper, summary = dio.read_chain(rundir)
-    assert np.array_equal(back.alpha, chain.alpha)
-    assert np.array_equal(back.phi, chain.phi)
-    assert np.array_equal(back.zeta, chain.zeta)
-    assert np.array_equal(back.xi, chain.xi)
-    assert np.array_equal(back.psi, chain.psi)
-    assert np.array_equal(back.u, chain.u)
+    assert_chains_equal(back, chain)
+    assert back.zeta.dtype == back.xi.dtype == np.uint8
     assert hyper == Hyperparams()
     assert summary["note"] == "test"
-    assert np.array_equal(back.mppi_zeta, chain.mppi_zeta)
+
+    # an xi-only (stage-2) chain writes no count blocks and reads back empty ones
+    lm_only = run_balance_selection(
+        np.random.default_rng(2).normal(size=(10, 4)), train.Y, Hyperparams(),
+        SamplerConfig(iterations=40, burn_in=20, thin=2, seed=2, mode="lm_only"))
+    dio.write_chain(tmp_path / "lm", lm_only, Hyperparams())
+    assert not (tmp_path / "lm" / "alpha.npy").exists()
+    assert_chains_equal(dio.read_chain(tmp_path / "lm")[0], lm_only)
+
+
+def assert_chains_equal(back, chain):
+    for name in ("alpha", "phi", "zeta", "xi", "psi", "u", "log_posterior",
+                 "mppi_zeta", "mppi_xi"):
+        a, b = getattr(back, name), getattr(chain, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b), name
+    assert back.accept == chain.accept
+    assert back.config == chain.config
 
 
 def test_manifest_round_trip(tmp_path):
@@ -130,8 +143,9 @@ def test_cli_fit_predict_evaluate_joint(sim_dir, tmp_path):
                  "--seed", "5", *FAST_FIT]) == 0
     for r in range(2):
         run = fit_dir / f"rep{r:03d}"
-        for name in ("alpha", "phi", "zeta", "xi", "psi", "selected_zeta",
-                     "selected_xi", "fitted_y"):
+        for name in ("alpha", "phi", "zeta", "xi", "psi"):
+            assert (run / f"{name}.npy").exists()
+        for name in ("selected_zeta", "selected_xi", "fitted_y"):
             assert (run / f"{name}.csv").exists()
         assert (run / "summary.json").exists()
         assert (run / "manifest.json").exists()
@@ -161,9 +175,9 @@ def test_cli_fit_two_step(sim_dir, tmp_path):
     fit_dir = tmp_path / "two"
     assert main(["fit", str(sim_dir / "rep000"), "--out", str(fit_dir),
                  "--model", "dmlm-bayes", "--seed", "6", *FAST_FIT]) == 0
-    assert (fit_dir / "stage1" / "alpha.csv").exists()
-    assert (fit_dir / "stage2" / "xi.csv").exists()
-    assert not (fit_dir / "stage2" / "alpha.csv").exists()
+    assert (fit_dir / "stage1" / "alpha.npy").exists()
+    assert (fit_dir / "stage2" / "xi.npy").exists()
+    assert not (fit_dir / "stage2" / "alpha.npy").exists()
     assert (fit_dir / "psi_bar.csv").exists()
     assert main(["predict", str(fit_dir),
                  "--test-dir", str(sim_dir / "rep000")]) == 0
@@ -181,7 +195,7 @@ def test_cli_fit_deterministic(sim_dir, tmp_path):
     args = ["fit", str(sim_dir / "rep000"), "--seed", "9", *FAST_FIT]
     assert main(args + ["--out", str(a)]) == 0
     assert main(args + ["--out", str(b)]) == 0
-    for name in ("alpha.csv", "zeta.csv", "xi.csv", "selected_zeta.csv"):
+    for name in ("alpha.npy", "zeta.npy", "xi.npy", "selected_zeta.csv"):
         assert (a / name).read_bytes() == (b / name).read_bytes()
 
 
@@ -219,4 +233,46 @@ def test_cli_fit_respects_partition_file(sim_dir, tmp_path):
     assert main(["fit", str(sim_dir / "rep000"), "--out", str(ref),
                  "--seed", "5", *FAST_FIT]) == 0
     # pivot file reproduces the default partition bitwise
-    assert (out / "xi.csv").read_bytes() == (ref / "xi.csv").read_bytes()
+    assert (out / "xi.npy").read_bytes() == (ref / "xi.npy").read_bytes()
+
+
+def test_cli_predict_uses_fitted_partition(sim_dir, tmp_path):
+    # a balanced partition of 5 taxa, unlike the default pivot one
+    spec = PartitionSpec([((0, 1, 2), (3, 4)), ((0,), (1, 2)), ((1,), (2,)),
+                          ((3,), (4,))])
+    pfile = tmp_path / "sbp.txt"
+    spec.to_file(pfile)
+    run, rep = tmp_path / "o", sim_dir / "rep000"
+    assert main(["fit", str(rep), "--out", str(run), "--partition-file", str(pfile),
+                 "--seed", "5", "--init-xi-frac", "0.5", *FAST_FIT]) == 0
+    assert main(["predict", str(run)]) == 0
+    got = dio.read_matrix(run / "predictions" / "predictions.csv").ravel()
+
+    chain, hyper, _ = dio.read_chain(run)
+    train, test, stats = preprocess(dio.read_train(rep), dio.read_test(rep))
+    want = predict_y(chain, train, test, spec, hyper) + stats["y_mean"]
+    pivot = predict_y(chain, train, test, sbp_pivot(5), hyper) + stats["y_mean"]
+    assert np.array_equal(got, want)
+    assert not np.allclose(got, pivot)
+
+
+def test_cli_overflow_exits_1(sim_dir, tmp_path, monkeypatch, capsys):
+    def overflow(*args, **kwargs):
+        raise FloatingPointError("gamma overflow at subject 0, taxon 0")
+
+    monkeypatch.setattr("dmjoint.cli.run_chain", overflow)
+    assert main(["fit", str(sim_dir / "rep000"), "--out", str(tmp_path / "o"),
+                 *FAST_FIT]) == 1
+    assert "error: gamma overflow" in capsys.readouterr().err
+
+
+def test_cli_predict_old_csv_chain_exits_1(sim_dir, tmp_path, capsys):
+    run = tmp_path / "o"
+    assert main(["fit", str(sim_dir / "rep000"), "--out", str(run), *FAST_FIT]) == 0
+    chain, _, _ = dio.read_chain(run)
+    for block in run.glob("*.npy"):
+        block.unlink()
+    dio.write_matrix(run / "xi.csv", chain.xi, "xi", integer=True)
+    assert main(["predict", str(run)]) == 1
+    err = capsys.readouterr().err
+    assert str(run) in err and "re-run fit" in err

@@ -1,9 +1,13 @@
 """Two-step Bayesian comparator: count-model selection first, then balance
-selection on balances frozen at the posterior-mean composition."""
+selection on balances frozen at the posterior-mean composition.
+
+Both stages run ``sampler.run_chain`` and both prediction functions run
+``predict.averaged_response``, so the comparator differs from the joint model
+only in freezing the composition."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -11,13 +15,13 @@ from .model import (
     Dataset,
     Hyperparams,
     PartitionSpec,
+    log_balances,
     standardize_columns,
-    zero_replace,
 )
-from .predict import TestSet, _alpha0_hat, _ridge_beta, estimate_lambda_test, estimate_psi_test
-from .sampler import ChainOutput, SamplerConfig, run_balance_selection, run_chain
+from .predict import TestSet, averaged_response, estimate_lambda_test, estimate_psi_test
+from .sampler import ChainOutput, SamplerConfig, run_chain
 
-__all__ = ["TwoStepOutput", "run_dm_only", "run_lm_balance_selection", "run_two_step",
+__all__ = ["TwoStepOutput", "run_dm_only", "run_balance_selection", "run_two_step",
            "two_step_fitted_y", "two_step_predict_y"]
 
 
@@ -31,20 +35,15 @@ class TwoStepOutput:
 def run_dm_only(data: Dataset, hyper: Hyperparams, spec: PartitionSpec,
                 config: SamplerConfig) -> ChainOutput:
     """Count-side selection alone: the joint sweep with the response block disabled."""
-    if config.mode != "dm_only":
-        config = SamplerConfig(
-            iterations=config.iterations, burn_in=config.burn_in, thin=config.thin,
-            seed=config.seed, init_zeta_frac=config.init_zeta_frac,
-            init_xi_frac=config.init_xi_frac,
-            between_moves_per_iter=config.between_moves_per_iter, mode="dm_only",
-        )
-    return run_chain(data, hyper, spec, config)
+    return run_chain(data, hyper, spec, replace(config, mode="dm_only"))
 
 
-def run_lm_balance_selection(B_fixed, Y, hyper: Hyperparams,
-                             config: SamplerConfig) -> ChainOutput:
-    """Balance selection on a fixed, column-standardized balance matrix."""
-    return run_balance_selection(B_fixed, Y, hyper, config)
+def run_balance_selection(data: Dataset, psi_bar: np.ndarray, hyper: Hyperparams,
+                          spec: PartitionSpec, config: SamplerConfig) -> ChainOutput:
+    """Stage two: balance selection on the column-standardized balances of psi_bar."""
+    B_std, _, _ = standardize_columns(
+        log_balances(psi_bar, spec.contrast_matrix(), hyper.delta))
+    return run_chain(data, hyper, spec, replace(config, mode="lm_only"), balances=B_std)
 
 
 def run_two_step(data: Dataset, hyper: Hyperparams, spec: PartitionSpec,
@@ -53,52 +52,29 @@ def run_two_step(data: Dataset, hyper: Hyperparams, spec: PartitionSpec,
     stage1 = run_dm_only(data, hyper, spec, config)
     psi_bar = stage1.psi.mean(axis=0)
     psi_bar /= psi_bar.sum(axis=1, keepdims=True)
-    B = np.log(zero_replace(psi_bar, hyper.delta)) @ spec.contrast_matrix()
-    B_std, _, _ = standardize_columns(B)
-    cfg2 = SamplerConfig(
-        iterations=config.iterations, burn_in=config.burn_in, thin=config.thin,
-        seed=config.seed + stage2_seed_offset, init_xi_frac=config.init_xi_frac,
-        between_moves_per_iter=config.between_moves_per_iter, mode="lm_only",
-    )
-    stage2 = run_lm_balance_selection(B_std, data.Y, hyper, cfg2)
+    stage2 = run_balance_selection(data, psi_bar, hyper, spec,
+                                   replace(config, seed=config.seed + stage2_seed_offset))
     return TwoStepOutput(stage1=stage1, psi_bar=psi_bar, stage2=stage2)
 
 
-def _frozen_balance_stats(two_step: TwoStepOutput, spec, hyper):
-    B = np.log(zero_replace(two_step.psi_bar, hyper.delta)) @ spec.contrast_matrix()
-    return standardize_columns(B)
+def _frozen_psi(two_step: TwoStepOutput) -> np.ndarray:
+    """psi_bar repeated for every stage-two sample."""
+    psi_bar = two_step.psi_bar
+    return np.broadcast_to(psi_bar, (two_step.stage2.n_samples, *psi_bar.shape))
 
 
 def two_step_fitted_y(two_step: TwoStepOutput, data: Dataset, spec: PartitionSpec,
                       hyper: Hyperparams) -> np.ndarray:
     """In-sample estimates averaged over stage-two selections on the frozen balances."""
-    B_std, _, _ = _frozen_balance_stats(two_step, spec, hyper)
-    S = two_step.stage2.n_samples
-    total = np.zeros(data.n_subjects)
-    for s in range(S):
-        sel = two_step.stage2.xi[s] == 1
-        if not sel.any():
-            continue
-        beta = _ridge_beta(B_std[:, sel], data.Y, hyper)
-        total += B_std[:, sel] @ beta
-    return _alpha0_hat(data.Y, hyper) + total / S
+    return averaged_response(_frozen_psi(two_step), two_step.stage2.xi, data.Y, spec, hyper)
 
 
 def two_step_predict_y(two_step: TwoStepOutput, data: Dataset, test: TestSet,
                        spec: PartitionSpec, hyper: Hyperparams) -> np.ndarray:
     """Test predictions: test compositions from the stage-one chain, coefficients
     from ridge fits on the frozen training balances."""
-    B_std, means, sds = _frozen_balance_stats(two_step, spec, hyper)
     psi_test = estimate_psi_test(
         estimate_lambda_test(two_step.stage1, test.X_test), test.Z_test
     )
-    B_test = np.log(zero_replace(psi_test, hyper.delta)) @ spec.contrast_matrix()
-    S = two_step.stage2.n_samples
-    total = np.zeros(test.X_test.shape[0])
-    for s in range(S):
-        sel = two_step.stage2.xi[s] == 1
-        if not sel.any():
-            continue
-        beta = _ridge_beta(B_std[:, sel], data.Y, hyper)
-        total += ((B_test[:, sel] - means[sel]) / sds[sel]) @ beta
-    return _alpha0_hat(data.Y, hyper) + total / S
+    return averaged_response(_frozen_psi(two_step), two_step.stage2.xi, data.Y, spec,
+                             hyper, psi_test)

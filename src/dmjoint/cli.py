@@ -13,7 +13,7 @@ import json
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, fields
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -26,14 +26,15 @@ from .baselines import (
     two_step_predict_y,
 )
 from .metrics import confusion, median_model, squared_error
-from .model import Dataset, Hyperparams, PartitionSpec, sbp_pivot, zero_replace
+from .model import Hyperparams, PartitionSpec, sbp_pivot
 from .predict import fitted_y, pointwise_loglik, predict_y
 from .prep import preprocess
 from .sampler import SamplerConfig, run_chain
 from .simulate import SimConfig, gen_replicate, replicate_rng
 
 HYPER_FLAGS = [f.name for f in fields(Hyperparams)]
-SAMPLER_FLAGS = [f.name for f in fields(SamplerConfig)]
+# --model decides the sampler modes, so mode is recorded but not a flag.
+SAMPLER_FLAGS = [f.name for f in fields(SamplerConfig) if f.name != "mode"]
 # The balance partition a fit used, in PartitionSpec's file format; predict
 # rebuilds the training and test balances from it.
 PARTITION_FILE = "partition.txt"
@@ -62,13 +63,8 @@ def _hyper_from(args) -> Hyperparams:
     return Hyperparams(**{k: getattr(args, k) for k in HYPER_FLAGS})
 
 
-def _config_from(args, seed=None, mode=None) -> SamplerConfig:
-    kw = {k: getattr(args, k) for k in SAMPLER_FLAGS}
-    if seed is not None:
-        kw["seed"] = seed
-    if mode is not None:
-        kw["mode"] = mode
-    return SamplerConfig(**kw)
+def _config_from(args) -> SamplerConfig:
+    return SamplerConfig(**{k: getattr(args, k) for k in SAMPLER_FLAGS})
 
 
 def _derived_seed(master: int, index: int) -> int:
@@ -153,11 +149,10 @@ def cmd_fit(args) -> int:
     if not repdir.exists():
         print(f"error: dataset directory {repdir} not found", file=sys.stderr)
         return 1
-    hyper = _hyper_from(args)
+    hyper, config = _hyper_from(args), _config_from(args)
     out = Path(args.out)
     if (repdir / "train_y.csv").exists():
-        _fit_one(repdir, out, args.model, hyper, _config_from(args),
-                 args.partition_file)
+        _fit_one(repdir, out, args.model, hyper, config, args.partition_file)
         return 0
     reps = sorted(d for d in repdir.iterdir()
                   if d.is_dir() and (d / "train_y.csv").exists())
@@ -166,7 +161,7 @@ def cmd_fit(args) -> int:
         return 1
     tasks = [
         (rep, out / rep.name, args.model, hyper,
-         _config_from(args, seed=_derived_seed(args.seed, r)), args.partition_file)
+         replace(config, seed=_derived_seed(args.seed, r)), args.partition_file)
         for r, rep in enumerate(reps)
     ]
     if args.jobs > 1:
@@ -211,13 +206,23 @@ def cmd_predict(args) -> int:
     test_dir = Path(args.test_dir or train_dir)
     train_raw = dio.read_train(train_dir)
     test_raw = dio.read_test(test_dir)
-    train, test, prep_stats = preprocess(train_raw, test_raw)
-    if test.Z_test.shape[1] != train.n_taxa or test.X_test.shape[1] != train.n_covariates:
+    counts = two.stage1 if two_step else chain
+    _, n_fit, j_fit = counts.psi.shape
+    for dim, fitted, given in (("N", n_fit, train_raw.n_subjects),
+                               ("J", j_fit, train_raw.n_taxa),
+                               ("J", spec.n_taxa, train_raw.n_taxa),
+                               ("P", counts.phi.shape[2], train_raw.n_covariates)):
+        if fitted != given:
+            print(f"error: the fit in {rundir} has {dim}={fitted} but the training "
+                  f"data in {train_dir} has {dim}={given}", file=sys.stderr)
+            return 1
+    n_taxa, n_cov = test_raw.Z_test.shape[1], test_raw.X_test.shape[1]
+    if n_taxa != train_raw.n_taxa or n_cov != train_raw.n_covariates:
         print(
-            f"error: test dimensions (J={test.Z_test.shape[1]}, "
-            f"P={test.X_test.shape[1]}) do not match training "
-            f"(J={train.n_taxa}, P={train.n_covariates})", file=sys.stderr)
+            f"error: test dimensions (J={n_taxa}, P={n_cov}) do not match training "
+            f"(J={train_raw.n_taxa}, P={train_raw.n_covariates})", file=sys.stderr)
         return 1
+    train, test, prep_stats = preprocess(train_raw, test_raw)
     if two_step:
         yhat = two_step_predict_y(two, train, test, spec, hyper)
         loglik = None
@@ -383,7 +388,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="generate data with no true signals")
     p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("fit", help="fit the joint model or the two-step baseline")
+    # no prefix matching: "--mode" must not be read as "--model"
+    p = sub.add_parser("fit", help="fit the joint model or the two-step baseline",
+                       allow_abbrev=False)
     p.add_argument("dataset", help="replicate directory or root of rep*/ dirs")
     p.add_argument("--out", required=True)
     p.add_argument("--model", choices=["joint", "dmlm-bayes"], default="joint")

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, fields
 
 import numpy as np
-from scipy.special import gammaln
+from scipy.special import betaln, gammaln
 
 __all__ = [
     "Dataset",
@@ -31,6 +31,7 @@ __all__ = [
     "sbp_pivot",
     "balance_value",
     "balance_matrix",
+    "log_balances",
     "standardize_columns",
     "zero_replace",
     "log_marginal_y",
@@ -246,7 +247,8 @@ def build_gamma(alpha, phi, zeta, X) -> GammaField:
     alpha = np.asarray(alpha, dtype=float)
     effect = np.asarray(phi, dtype=float) * np.asarray(zeta)
     lam = alpha[None, :] + np.asarray(X, dtype=float) @ effect.T
-    gamma = np.exp(lam)
+    with np.errstate(over="ignore"):  # reported below with its location
+        gamma = np.exp(lam)
     if not np.all(np.isfinite(gamma)):
         i, j = np.argwhere(~np.isfinite(gamma))[0]
         raise FloatingPointError(f"gamma overflow at subject {i}, taxon {j}")
@@ -305,6 +307,15 @@ def balance_matrix(Psi, spec: PartitionSpec, standardize: bool = False) -> np.nd
     if standardize:
         B, _, _ = standardize_columns(B)
     return B
+
+
+def log_balances(psi, contrast, delta: float) -> np.ndarray:
+    """Balances ``log(psi) @ contrast`` of compositions after zero replacement.
+
+    ``contrast`` is a ``PartitionSpec.contrast_matrix()`` built once by the
+    caller, so a per-iteration call does no partition work.
+    """
+    return np.log(zero_replace(psi, delta)) @ contrast
 
 
 def standardize_columns(B):
@@ -392,6 +403,4 @@ def beta_binomial_logprior(included: int, a: float, b: float) -> float:
     """Log marginal prior of one inclusion indicator after integrating its Beta mean."""
     if a <= 0 or b <= 0:
         raise ValueError("a and b must be positive")
-    from scipy.special import betaln
-
     return float(betaln(included + a, 1 - included + b) - betaln(a, b))

@@ -17,8 +17,8 @@ from .model import (
     Dataset,
     Hyperparams,
     PartitionSpec,
+    log_balances,
     standardize_columns,
-    zero_replace,
 )
 from .sampler import ChainOutput
 
@@ -29,6 +29,7 @@ __all__ = [
     "predict_y",
     "fitted_y",
     "pointwise_loglik",
+    "averaged_response",
 ]
 
 
@@ -53,7 +54,8 @@ def estimate_lambda_test(chain: ChainOutput, X_test) -> np.ndarray:
     alpha_bar = chain.alpha.mean(axis=0)
     phi_bar = chain.phi.mean(axis=0)
     lam = alpha_bar[None, :] + X_test @ phi_bar.T
-    out = np.exp(lam)
+    with np.errstate(over="ignore"):  # reported below with its location
+        out = np.exp(lam)
     if not np.all(np.isfinite(out)):
         i, j = np.argwhere(~np.isfinite(out))[0]
         raise FloatingPointError(f"lambda overflow at test subject {i}, taxon {j}")
@@ -80,19 +82,39 @@ def _ridge_beta(B_sel, Y, hyper: Hyperparams) -> np.ndarray:
     return np.linalg.solve(A, B_sel.T @ Y)
 
 
-def _per_sample_fit(chain, data_train, spec, hyper):
-    """Yield (sel, beta_hat, col_means, col_sds, B_train_std_sel) per retained sample."""
-    contrast = spec.contrast_matrix()
-    for s in range(chain.n_samples):
-        psi_s = zero_replace(chain.psi[s], hyper.delta)
-        B = np.log(psi_s) @ contrast
-        B_std, means, sds = standardize_columns(B)
-        sel = chain.xi[s] == 1
+def _per_sample_fit(psi, xi, Y, contrast, hyper):
+    """Yield (sel, beta_hat, col_means, col_sds, B_train_std_sel) per sample s,
+    from its training compositions ``psi[s]`` and balance selection ``xi[s]``."""
+    for psi_s, xi_s in zip(psi, xi):
+        B_std, means, sds = standardize_columns(log_balances(psi_s, contrast, hyper.delta))
+        sel = xi_s == 1
         if not sel.any():
             yield sel, None, means, sds, None
             continue
-        beta = _ridge_beta(B_std[:, sel], data_train.Y, hyper)
+        beta = _ridge_beta(B_std[:, sel], Y, hyper)
         yield sel, beta, means, sds, B_std[:, sel]
+
+
+def averaged_response(psi, xi, Y, spec: PartitionSpec, hyper: Hyperparams,
+                      psi_test=None) -> np.ndarray:
+    """Response averaged over samples of training compositions ``psi`` (S x N x J)
+    and balance selections ``xi`` (S x M).
+
+    In-sample when ``psi_test`` is None; otherwise at the test compositions,
+    whose balances are standardized with each sample's training statistics.
+    """
+    contrast = spec.contrast_matrix()
+    if psi_test is not None:
+        B_test = log_balances(psi_test, contrast, hyper.delta)
+    total = np.zeros(len(Y) if psi_test is None else len(psi_test))
+    for sel, beta, means, sds, B_sel in _per_sample_fit(psi, xi, Y, contrast, hyper):
+        if beta is None:
+            continue
+        if psi_test is None:
+            total += B_sel @ beta
+        else:
+            total += ((B_test[:, sel] - means[sel]) / sds[sel]) @ beta
+    return _alpha0_hat(Y, hyper) + total / len(xi)
 
 
 def predict_y(
@@ -105,18 +127,10 @@ def predict_y(
     """Posterior-averaged predictions for the test responses."""
     if chain.psi.shape[1] == 0:
         raise ValueError("chain does not retain composition samples")
-    contrast = spec.contrast_matrix()
     psi_test = estimate_psi_test(
         estimate_lambda_test(chain, test.X_test), test.Z_test
     )
-    B_test = np.log(zero_replace(psi_test, hyper.delta)) @ contrast
-    total = np.zeros(test.X_test.shape[0])
-    for sel, beta, means, sds, _ in _per_sample_fit(chain, data_train, spec, hyper):
-        if beta is None:
-            continue
-        B_test_std = (B_test[:, sel] - means[sel]) / sds[sel]
-        total += B_test_std @ beta
-    return _alpha0_hat(data_train.Y, hyper) + total / chain.n_samples
+    return averaged_response(chain.psi, chain.xi, data_train.Y, spec, hyper, psi_test)
 
 
 def fitted_y(
@@ -126,12 +140,7 @@ def fitted_y(
     hyper: Hyperparams,
 ) -> np.ndarray:
     """In-sample analogue of predict_y, using each sample's own training balances."""
-    total = np.zeros(data_train.n_subjects)
-    for sel, beta, _, _, B_sel in _per_sample_fit(chain, data_train, spec, hyper):
-        if beta is None:
-            continue
-        total += B_sel @ beta
-    return _alpha0_hat(data_train.Y, hyper) + total / chain.n_samples
+    return averaged_response(chain.psi, chain.xi, data_train.Y, spec, hyper)
 
 
 def pointwise_loglik(
@@ -152,7 +161,7 @@ def pointwise_loglik(
     out = np.empty((n, S))
     a0_hat = _alpha0_hat(data.Y, hyper)
     for s, (sel, beta, _, _, B_sel) in enumerate(
-        _per_sample_fit(chain, data, spec, hyper)
+        _per_sample_fit(chain.psi, chain.xi, data.Y, spec.contrast_matrix(), hyper)
     ):
         mu = np.full(n, a0_hat)
         if beta is not None:

@@ -5,8 +5,9 @@ covariate-inclusion pairs ``(zeta, phi)`` (between-model add/delete moves
 followed by a within-model refresh of every included coefficient); the
 latent ``c`` and ``u`` blocks via exact Gibbs draws; and the
 balance-inclusion indicators ``xi``. The ``dm_only`` mode skips the response
-block, ``lm_only`` skips the count blocks and keeps the composition frozen at
-its initial value.
+block. The ``lm_only`` mode runs the ``xi`` block alone on a fixed balance
+matrix given by the caller (stage two of the two-step comparator) and keeps
+no count samples.
 
 All acceptance ratios are exact because the augmented log likelihood drops
 only terms constant in (c, gamma, u); see ``model.log_augmented_dm``.
@@ -22,23 +23,22 @@ from scipy.special import gammaln
 from .model import (
     ChainState,
     Dataset,
-    GammaField,
     Hyperparams,
     PartitionSpec,
-    balance_matrix,
     beta_binomial_logprior,
     build_gamma,
+    log_balances,
     log_marginal_y,
     spike_slab_logprior,
     standardize_columns,
-    zero_replace,
 )
+# perfbench/tracer.py patches sampler.zero_replace, so the name stays here.
+from .model import zero_replace  # noqa: F401
 
 __all__ = [
     "SamplerConfig",
     "ChainOutput",
     "run_chain",
-    "run_balance_selection",
     "mppi",
     "update_alpha",
     "update_zeta_phi",
@@ -47,9 +47,7 @@ __all__ = [
     "update_xi",
     "initial_state",
     "alpha_log_mh_ratio",
-    "phi_log_mh_ratio",
-    "add_log_mh_ratio",
-    "delete_log_mh_ratio",
+    "pair_log_mh_ratio",
     "xi_log_mh_ratio",
 ]
 
@@ -111,85 +109,66 @@ class ChainOutput:
 
 
 # ---------------------------------------------------------------------------
-# MH log acceptance ratios (single-move, exact)
+# MH log acceptance ratios (single-move, exact). The block updates below take
+# every ratio from these kernels, on the chain's cached N x J arrays
+# logc = log(c), gamma and lgam = lgamma(gamma).
 # ---------------------------------------------------------------------------
 
 
-def _column_loglik_diff(c_col, logc_col, lgam_col, gamma_col, lam_new):
-    """log p(c_j | gamma_j') - log p(c_j | gamma_j) for one taxon column."""
-    gamma_new = np.exp(lam_new)
-    if not np.isfinite(gamma_new.sum()):
-        return -np.inf, gamma_new, None
+def alpha_log_mh_ratio(logc, gamma, lgam, alpha, step, hyper: Hyperparams):
+    """Log MH ratios of the intercept proposals ``alpha + step``, one per taxon.
+
+    Returns (ratios, proposed gamma, proposed lgamma(gamma)).
+    """
+    gamma_new = gamma * np.exp(step)[None, :]
     lgam_new = gammaln(gamma_new)
-    diff = ((gamma_new - gamma_col) * logc_col).sum() - (lgam_new - lgam_col).sum()
+    diff = np.sum((gamma_new - gamma) * logc, axis=0) - np.sum(lgam_new - lgam, axis=0)
+    alpha_new = alpha + step
+    diff += (alpha**2 - alpha_new**2) / (2.0 * hyper.sigma_alpha2)
     return diff, gamma_new, lgam_new
 
 
-def alpha_log_mh_ratio(c_col, lam_col, alpha_old, alpha_new, hyper: Hyperparams):
-    """Log MH ratio for an intercept random-walk proposal on one taxon."""
-    logc = np.log(c_col)
-    lgam = gammaln(np.exp(lam_col))
-    diff, _, _ = _column_loglik_diff(
-        c_col, logc, lgam, np.exp(lam_col), lam_col + (alpha_new - alpha_old)
-    )
-    prior = (alpha_old**2 - alpha_new**2) / (2.0 * hyper.sigma_alpha2)
-    return diff + prior
+def pair_log_mh_ratio(move, logc_col, gamma_col, lgam_col, lam_col, x_col,
+                      phi_old, phi_new, hyper: Hyperparams, log_odds_on):
+    """Log MH ratio of one covariate-taxon pair move on taxon column j.
+
+    ``move`` is ``"add"`` (phi 0 -> phi_new), ``"delete"`` (phi_old -> 0) or
+    ``"within"`` (phi_old -> phi_new); ``x_col`` is the covariate column and
+    ``log_odds_on`` the prior log odds of inclusion. Returns (ratio, proposed
+    lam, gamma and lgamma columns); a proposal whose gamma overflows has
+    ratio -inf, so it is rejected. Call under ``np.errstate(over="ignore")``,
+    as ``update_zeta_phi`` does, to keep that overflow silent.
+    """
+    if move == "add":
+        prior = log_odds_on + spike_slab_logprior(phi_new, 1, hyper.r2)
+    elif move == "delete":
+        prior = -log_odds_on - spike_slab_logprior(phi_old, 1, hyper.r2)
+    else:
+        prior = spike_slab_logprior(phi_new, 1, hyper.r2) - spike_slab_logprior(
+            phi_old, 1, hyper.r2
+        )
+    lam_new = lam_col + (phi_new - phi_old) * x_col
+    gamma_new = np.exp(lam_new)
+    if not np.isfinite(gamma_new.sum()):
+        return -np.inf, lam_new, gamma_new, None
+    lgam_new = gammaln(gamma_new)
+    diff = ((gamma_new - gamma_col) * logc_col).sum() - (lgam_new - lgam_col).sum()
+    return diff + prior, lam_new, gamma_new, lgam_new
 
 
-def phi_log_mh_ratio(c_col, lam_col, x_p, phi_old, phi_new, hyper: Hyperparams):
-    """Log MH ratio for a within-model coefficient refresh."""
-    logc = np.log(c_col)
-    lgam = gammaln(np.exp(lam_col))
-    diff, _, _ = _column_loglik_diff(
-        c_col, logc, lgam, np.exp(lam_col), lam_col + (phi_new - phi_old) * x_p
-    )
-    prior = spike_slab_logprior(phi_new, 1, hyper.r2) - spike_slab_logprior(
-        phi_old, 1, hyper.r2
-    )
-    return diff + prior
+def xi_log_mh_ratio(Y, B_std, xi, m, logml_cur, hyper: Hyperparams):
+    """Log MH ratio of flipping balance indicator m against the collapsed Y marginal.
 
-
-def add_log_mh_ratio(c_col, lam_col, x_p, phi_new, hyper: Hyperparams):
-    """Log MH ratio for adding one covariate-taxon pair with coefficient phi_new."""
-    logc = np.log(c_col)
-    lgam = gammaln(np.exp(lam_col))
-    diff, _, _ = _column_loglik_diff(
-        c_col, logc, lgam, np.exp(lam_col), lam_col + phi_new * x_p
-    )
-    prior = (
-        spike_slab_logprior(phi_new, 1, hyper.r2)
-        + beta_binomial_logprior(1, hyper.a, hyper.b)
-        - beta_binomial_logprior(0, hyper.a, hyper.b)
-    )
-    return diff + prior
-
-
-def delete_log_mh_ratio(c_col, lam_col, x_p, phi_old, hyper: Hyperparams):
-    """Log MH ratio for deleting one currently included covariate-taxon pair."""
-    logc = np.log(c_col)
-    lgam = gammaln(np.exp(lam_col))
-    diff, _, _ = _column_loglik_diff(
-        c_col, logc, lgam, np.exp(lam_col), lam_col - phi_old * x_p
-    )
-    prior = (
-        beta_binomial_logprior(0, hyper.a, hyper.b)
-        - beta_binomial_logprior(1, hyper.a, hyper.b)
-        - spike_slab_logprior(phi_old, 1, hyper.r2)
-    )
-    return diff + prior
-
-
-def xi_log_mh_ratio(Y, B_std, xi, m, hyper: Hyperparams):
-    """Log MH ratio for flipping balance indicator m against the collapsed Y marginal."""
-    xi = np.asarray(xi)
-    cur = log_marginal_y(Y, B_std[:, xi == 1], hyper)
+    ``logml_cur`` is the log marginal of the current selection ``xi``.
+    Returns (ratio, flipped indicators, their log marginal).
+    """
     flipped = xi.copy()
     flipped[m] = 1 - flipped[m]
-    new = log_marginal_y(Y, B_std[:, flipped == 1], hyper)
+    logml_new = log_marginal_y(Y, B_std[:, flipped == 1], hyper)
     prior = beta_binomial_logprior(
         int(flipped[m]), hyper.a_m, hyper.b_m
     ) - beta_binomial_logprior(int(xi[m]), hyper.a_m, hyper.b_m)
-    return new - cur + prior
+    return logml_new - logml_cur + prior, flipped, logml_new
 
 
 # ---------------------------------------------------------------------------
@@ -198,11 +177,14 @@ def xi_log_mh_ratio(Y, B_std, xi, m, hyper: Hyperparams):
 
 
 def initial_state(data: Dataset, config: SamplerConfig, rng) -> ChainState:
-    """Overdispersion-safe starting point: c matched to counts, sparse random supports."""
+    """Overdispersion-safe starting point: c matched to counts, sparse random supports.
+
+    The ``lm_only`` mode draws no covariate support, only balance indicators.
+    """
     n, J, P = data.n_subjects, data.n_taxa, data.n_covariates
     M = J - 1
     zeta = np.zeros((J, P), dtype=np.uint8)
-    n_on = int(round(config.init_zeta_frac * J * P))
+    n_on = 0 if config.mode == "lm_only" else int(round(config.init_zeta_frac * J * P))
     if n_on:
         flat = rng.choice(J * P, size=n_on, replace=False)
         zeta.ravel()[flat] = 1
@@ -220,79 +202,63 @@ def initial_state(data: Dataset, config: SamplerConfig, rng) -> ChainState:
     )
 
 
-def update_alpha(state, data, field, hyper, rng, logc=None, lgam=None):
-    """Random-walk MH on every intercept; proposals are independent across taxa."""
-    if logc is None:
-        logc = np.log(state.c)
-    if lgam is None:
-        lgam = gammaln(field.gamma)
+def update_alpha(state, data, field, hyper, rng, logc, lgam):
+    """Random-walk MH on every intercept; proposals are independent across taxa.
+
+    ``logc`` and ``lgam`` are the chain's caches of log(c) and lgamma(gamma);
+    accepted moves update ``field`` and ``lgam`` in place.
+    """
     J = state.alpha.shape[0]
     step = rng.normal(0.0, hyper.proposal_sd, size=J)
-    gamma_new = field.gamma * np.exp(step)[None, :]
-    lgam_new = gammaln(gamma_new)
-    diff = np.sum((gamma_new - field.gamma) * logc, axis=0) - np.sum(
-        lgam_new - lgam, axis=0
+    diff, gamma_new, lgam_new = alpha_log_mh_ratio(
+        logc, field.gamma, lgam, state.alpha, step, hyper
     )
-    alpha_new = state.alpha + step
-    diff += (state.alpha**2 - alpha_new**2) / (2.0 * hyper.sigma_alpha2)
     ok = np.isfinite(diff) & (np.log(rng.uniform(size=J)) < diff)
     if np.any(ok):
-        state.alpha[ok] = alpha_new[ok]
+        state.alpha[ok] += step[ok]
         field.lam[:, ok] += step[ok][None, :]
         field.gamma[:, ok] = gamma_new[:, ok]
         lgam[:, ok] = lgam_new[:, ok]
     return int(ok.sum())
 
 
-def update_zeta_phi(state, data, field, hyper, rng, n_between=1, logc=None, lgam=None):
-    """Between-model add/delete moves followed by a within-model refresh."""
-    if logc is None:
-        logc = np.log(state.c)
-    if lgam is None:
-        lgam = gammaln(field.gamma)
+def update_zeta_phi(state, data, field, hyper, rng, logc, lgam, n_between=1):
+    """Between-model add/delete moves followed by a within-model refresh.
+
+    Takes and updates the same caches as ``update_alpha``.
+    """
     J, P = state.zeta.shape
     counts = {"add": 0, "add_prop": 0, "delete": 0, "delete_prop": 0,
               "within": 0, "within_prop": 0}
-    log_prior_odds_on = beta_binomial_logprior(1, hyper.a, hyper.b) - \
+    log_odds_on = beta_binomial_logprior(1, hyper.a, hyper.b) - \
         beta_binomial_logprior(0, hyper.a, hyper.b)
 
-    def try_move(j, p, phi_new, prior_term, kind):
-        lam_new = field.lam[:, j] + (phi_new - state.phi[j, p]) * data.X[:, p]
-        diff, gamma_new, lgam_new = _column_loglik_diff(
-            state.c[:, j], logc[:, j], lgam[:, j], field.gamma[:, j], lam_new
+    def try_move(move, j, p, phi_new):
+        ratio, lam_new, gamma_new, lgam_new = pair_log_mh_ratio(
+            move, logc[:, j], field.gamma[:, j], lgam[:, j], field.lam[:, j],
+            data.X[:, p], state.phi[j, p], phi_new, hyper, log_odds_on,
         )
-        counts[kind + "_prop"] += 1
-        if np.log(rng.uniform()) < diff + prior_term:
+        counts[move + "_prop"] += 1
+        if np.log(rng.uniform()) < ratio:
             state.phi[j, p] = phi_new
+            state.zeta[j, p] = move != "delete"
             field.lam[:, j] = lam_new
             field.gamma[:, j] = gamma_new
             lgam[:, j] = lgam_new
-            counts[kind] += 1
-            return True
-        return False
+            counts[move] += 1
 
-    for _ in range(n_between):
-        j = int(rng.integers(J))
-        p = int(rng.integers(P))
-        if state.zeta[j, p]:
-            prior = -log_prior_odds_on - spike_slab_logprior(
-                state.phi[j, p], 1, hyper.r2
-            )
-            if try_move(j, p, 0.0, prior, "delete"):
-                state.zeta[j, p] = 0
-        else:
-            phi_new = rng.normal(state.phi[j, p], hyper.proposal_sd)
-            prior = log_prior_odds_on + spike_slab_logprior(phi_new, 1, hyper.r2)
-            if try_move(j, p, phi_new, prior, "add"):
-                state.zeta[j, p] = 1
+    # an overflowing proposal is rejected by its -inf ratio
+    with np.errstate(over="ignore"):
+        for _ in range(n_between):
+            j = int(rng.integers(J))
+            p = int(rng.integers(P))
+            if state.zeta[j, p]:
+                try_move("delete", j, p, 0.0)
+            else:
+                try_move("add", j, p, rng.normal(state.phi[j, p], hyper.proposal_sd))
 
-    for j, p in np.argwhere(state.zeta == 1):
-        phi_old = state.phi[j, p]
-        phi_new = rng.normal(phi_old, hyper.proposal_sd)
-        prior = spike_slab_logprior(phi_new, 1, hyper.r2) - spike_slab_logprior(
-            phi_old, 1, hyper.r2
-        )
-        try_move(j, p, phi_new, prior, "within")
+        for j, p in np.argwhere(state.zeta == 1):
+            try_move("within", j, p, rng.normal(state.phi[j, p], hyper.proposal_sd))
     return counts
 
 
@@ -314,21 +280,18 @@ def update_u(state, data, rng):
     state.u = rng.gamma(data.row_totals.astype(float), 1.0 / state.T)
 
 
-def update_xi(state, Y, hyper, rng, B_std, n_moves=1, logml_cur=None):
-    """Add/delete flips of balance indicators against the collapsed Y marginal."""
-    if logml_cur is None:
-        logml_cur = log_marginal_y(Y, B_std[:, state.xi == 1], hyper)
+def update_xi(state, Y, hyper, rng, B_std, logml_cur, n_moves=1):
+    """Add/delete flips of balance indicators against the collapsed Y marginal.
+
+    ``logml_cur`` is the log marginal of the current selection; returns the
+    number of accepted flips and the log marginal of the final selection.
+    """
     M = state.xi.shape[0]
     accepted = 0
     for _ in range(n_moves):
         m = int(rng.integers(M))
-        flipped = state.xi.copy()
-        flipped[m] = 1 - flipped[m]
-        logml_new = log_marginal_y(Y, B_std[:, flipped == 1], hyper)
-        prior = beta_binomial_logprior(
-            int(flipped[m]), hyper.a_m, hyper.b_m
-        ) - beta_binomial_logprior(int(state.xi[m]), hyper.a_m, hyper.b_m)
-        if np.log(rng.uniform()) < logml_new - logml_cur + prior:
+        ratio, flipped, logml_new = xi_log_mh_ratio(Y, B_std, state.xi, m, logml_cur, hyper)
+        if np.log(rng.uniform()) < ratio:
             state.xi = flipped
             logml_cur = logml_new
             accepted += 1
@@ -338,13 +301,6 @@ def update_xi(state, Y, hyper, rng, B_std, n_moves=1, logml_cur=None):
 # ---------------------------------------------------------------------------
 # Full chain
 # ---------------------------------------------------------------------------
-
-
-def _standardized_balances(state, contrast, delta):
-    psi = zero_replace(state.psi, delta)
-    B = np.log(psi) @ contrast
-    B_std, _, _ = standardize_columns(B)
-    return B_std
 
 
 def _log_posterior(state, data, field, hyper, lgam, logc, logml, mode):
@@ -377,17 +333,27 @@ def run_chain(
     hyper: Hyperparams,
     spec: PartitionSpec,
     config: SamplerConfig,
+    balances: np.ndarray | None = None,
 ) -> ChainOutput:
     """Run the full MH-within-Gibbs sweep and return thinned post-burn-in samples.
 
+    ``balances`` is the fixed, column-standardized N x M balance matrix of the
+    ``lm_only`` mode, which samples ``xi`` alone and returns empty count
+    blocks. It is required in that mode and rejected in the others, which
+    rebuild the balances from the sampled composition every iteration.
     Bitwise reproducible given (seed, config, data) on a fixed platform.
     """
     if spec.n_taxa != data.n_taxa:
         raise ValueError("partition spec and data disagree on number of taxa")
     mode = config.mode
+    if (mode == "lm_only") != (balances is not None):
+        raise ValueError("balances are required in lm_only mode and rejected in "
+                         f"the others (mode {mode!r})")
     rng = np.random.default_rng(config.seed)
     n, J, P = data.n_subjects, data.n_taxa, data.n_covariates
     M = spec.M
+    if balances is not None and np.shape(balances) != (n, M):
+        raise ValueError(f"balances must be {n} x {M}, got {np.shape(balances)}")
     state = initial_state(data, config, rng)
     field = build_gamma(state.alpha, state.phi, state.zeta, data.X)
     lgam = gammaln(field.gamma)
@@ -395,21 +361,22 @@ def run_chain(
     contrast = spec.contrast_matrix()
 
     S = config.n_retained
-    out_alpha = np.empty((S, J))
-    out_phi = np.empty((S, J, P))
-    out_zeta = np.empty((S, J, P), dtype=np.uint8)
+    # lm_only keeps no count samples: its count blocks have zero width
+    nk, Jk, Pk = (0, 0, 0) if mode == "lm_only" else (n, J, P)
+    out_alpha = np.empty((S, Jk))
+    out_phi = np.empty((S, Jk, Pk))
+    out_zeta = np.empty((S, Jk, Pk), dtype=np.uint8)
     out_xi = np.empty((S, M), dtype=np.uint8)
-    out_psi = np.empty((S, n, J))
-    out_u = np.empty((S, n))
+    out_psi = np.empty((S, nk, Jk))
+    out_u = np.empty((S, nk))
     log_post = np.empty(config.iterations)
-    accept = {
-        "alpha": [0, 0], "add": [0, 0], "delete": [0, 0],
-        "within": [0, 0], "xi": [0, 0],
-    }
+    moves = ("xi",) if mode == "lm_only" else ("alpha", "add", "delete", "within", "xi")
+    accept = {k: [0, 0] for k in moves}
 
     s = 0
-    B_std = None
-    logml = 0.0
+    B_std = balances
+    logml = 0.0 if balances is None else log_marginal_y(
+        data.Y, balances[:, state.xi == 1], hyper)
     for it in range(config.iterations):
         if mode != "lm_only":
             acc = update_alpha(state, data, field, hyper, rng, logc=logc, lgam=lgam)
@@ -426,9 +393,10 @@ def run_chain(
             logc = np.log(state.c)
             update_u(state, data, rng)
         if mode != "dm_only":
-            if mode != "lm_only" or B_std is None:
-                B_std = _standardized_balances(state, contrast, hyper.delta)
-            logml = log_marginal_y(data.Y, B_std[:, state.xi == 1], hyper)
+            if balances is None:
+                B_std, _, _ = standardize_columns(
+                    log_balances(state.psi, contrast, hyper.delta))
+                logml = log_marginal_y(data.Y, B_std[:, state.xi == 1], hyper)
             acc, logml = update_xi(
                 state, data.Y, hyper, rng, B_std,
                 n_moves=config.between_moves_per_iter, logml_cur=logml,
@@ -443,12 +411,13 @@ def run_chain(
 
         t = it + 1
         if t > config.burn_in and (t - config.burn_in) % config.thin == 0:
-            out_alpha[s] = state.alpha
-            out_phi[s] = state.phi
-            out_zeta[s] = state.zeta
+            if mode != "lm_only":
+                out_alpha[s] = state.alpha
+                out_phi[s] = state.phi
+                out_zeta[s] = state.zeta
+                out_psi[s] = state.psi
+                out_u[s] = state.u
             out_xi[s] = state.xi
-            out_psi[s] = state.psi
-            out_u[s] = state.u
             s += 1
 
     assert s == S
@@ -462,76 +431,6 @@ def run_chain(
         log_posterior=log_post,
         accept={k: tuple(v) for k, v in accept.items()},
         mppi_zeta=mppi(out_zeta),
-        mppi_xi=mppi(out_xi),
-        config=config,
-    )
-
-
-def run_balance_selection(
-    B_fixed: np.ndarray,
-    Y: np.ndarray,
-    hyper: Hyperparams,
-    config: SamplerConfig,
-) -> ChainOutput:
-    """Add/delete balance selection on a fixed, column-standardized balance matrix.
-
-    Used as stage two of the two-step comparator; equivalent to the joint
-    sampler's xi block with the composition frozen.
-    """
-    B_std = np.asarray(B_fixed, dtype=float)
-    Y = np.asarray(Y, dtype=float).ravel()
-    n, M = B_std.shape
-    rng = np.random.default_rng(config.seed)
-    xi = np.zeros(M, dtype=np.uint8)
-    n_bal = int(round(config.init_xi_frac * M))
-    if n_bal:
-        xi[rng.choice(M, size=n_bal, replace=False)] = 1
-
-    S = config.n_retained
-    out_xi = np.empty((S, M), dtype=np.uint8)
-    log_post = np.empty(config.iterations)
-    accept = {"xi": [0, 0]}
-    logml = log_marginal_y(Y, B_std[:, xi == 1], hyper)
-
-    class _XiState:
-        pass
-
-    st = _XiState()
-    st.xi = xi
-    s = 0
-    for it in range(config.iterations):
-        acc, logml = update_xi(
-            st, Y, hyper, rng, B_std,
-            n_moves=config.between_moves_per_iter, logml_cur=logml,
-        )
-        accept["xi"][0] += acc
-        accept["xi"][1] += config.between_moves_per_iter
-        n_on = int(st.xi.sum())
-        lp = (
-            logml
-            + n_on * beta_binomial_logprior(1, hyper.a_m, hyper.b_m)
-            + (M - n_on) * beta_binomial_logprior(0, hyper.a_m, hyper.b_m)
-        )
-        if not np.isfinite(lp):
-            raise RuntimeError(f"non-finite log posterior at iteration {it}")
-        log_post[it] = lp
-        t = it + 1
-        if t > config.burn_in and (t - config.burn_in) % config.thin == 0:
-            out_xi[s] = st.xi
-            s += 1
-
-    empty2 = np.empty((S, 0))
-    empty3 = np.empty((S, 0, 0))
-    return ChainOutput(
-        alpha=empty2,
-        phi=empty3,
-        zeta=empty3.astype(np.uint8),
-        xi=out_xi,
-        psi=empty3,
-        u=empty2,
-        log_posterior=log_post,
-        accept={k: tuple(v) for k, v in accept.items()},
-        mppi_zeta=np.empty((0, 0)),
         mppi_xi=mppi(out_xi),
         config=config,
     )

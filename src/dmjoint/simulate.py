@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Dataset, balance_matrix, sbp_pivot, zero_replace
+from .model import Dataset, log_balances, sbp_pivot
 from .predict import TestSet
 
 __all__ = ["SimConfig", "GroundTruth", "gen_covariates", "gen_dm_counts",
@@ -117,8 +117,7 @@ def gen_dm_counts(X, truth: GroundTruth, cfg: SimConfig, rng):
 
 def gen_response(psi_star, truth: GroundTruth, cfg: SimConfig, rng) -> np.ndarray:
     """Response built from the pivot-SBP balances of the true compositions."""
-    spec = sbp_pivot(cfg.J)
-    B = balance_matrix(zero_replace(psi_star, cfg.delta), spec)
+    B = log_balances(psi_star, sbp_pivot(cfg.J).contrast_matrix(), cfg.delta)
     eps = rng.normal(0.0, cfg.sigma_eps, size=psi_star.shape[0]) \
         if cfg.sigma_eps > 0 else 0.0
     return B @ truth.beta_true + eps

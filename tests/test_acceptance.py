@@ -29,6 +29,7 @@ from dmjoint.model import (
     Hyperparams,
     PartitionSpec,
     balance_matrix,
+    beta_binomial_logprior,
     build_gamma,
     log_marginal_y,
     sbp_pivot,
@@ -38,11 +39,9 @@ from dmjoint.predict import TestSet, fitted_y, predict_y
 from dmjoint.prep import preprocess
 from dmjoint.sampler import (
     SamplerConfig,
-    add_log_mh_ratio,
     alpha_log_mh_ratio,
-    delete_log_mh_ratio,
     initial_state,
-    phi_log_mh_ratio,
+    pair_log_mh_ratio,
     run_chain,
     update_c,
     update_u,
@@ -146,26 +145,45 @@ def test_criterion_a4_dirichlet_multinomial_conjugacy():
 
 
 def test_criterion_a5_mh_reversibility():
+    # each forward ratio comes from the chain's kernel on the chain's cached
+    # (log c, gamma, lgamma(gamma)); the reverse ratio starts from the state
+    # the kernel proposed
     hyper = Hyperparams()
     rng = np.random.default_rng(3)
     c = rng.gamma(2.0, size=6)
     lam = rng.normal(size=6)
     x = rng.normal(size=6)
+    logc, gamma = np.log(c), np.exp(lam)
+    lgam = gammaln(gamma)
+    odds = beta_binomial_logprior(1, hyper.a, hyper.b) - beta_binomial_logprior(
+        0, hyper.a, hyper.b)
+
+    def alpha_round_trip(a_old, a_new):
+        step = np.array([a_new - a_old])
+        fwd, g, lg = alpha_log_mh_ratio(logc[:, None], gamma[:, None], lgam[:, None],
+                                        np.array([a_old]), step, hyper)
+        bwd, _, _ = alpha_log_mh_ratio(logc[:, None], g, lg, np.array([a_old]) + step,
+                                       -step, hyper)
+        return fwd[0] + bwd[0]
+
+    def pair_round_trip(move, back, phi_old, phi_new):
+        fwd, lam2, g, lg = pair_log_mh_ratio(move, logc, gamma, lgam, lam, x,
+                                             phi_old, phi_new, hyper, odds)
+        bwd, _, _, _ = pair_log_mh_ratio(back, logc, g, lg, lam2, x, phi_new, phi_old,
+                                         hyper, odds)
+        return fwd + bwd
+
     checks = {
-        "alpha": alpha_log_mh_ratio(c, lam, 0.3, -0.9, hyper)
-        + alpha_log_mh_ratio(c, lam - 1.2, -0.9, 0.3, hyper),
-        "add/delete": add_log_mh_ratio(c, lam, x, 0.8, hyper)
-        + delete_log_mh_ratio(c, lam + 0.8 * x, x, 0.8, hyper),
-        "within": phi_log_mh_ratio(c, lam, x, 0.5, 1.2, hyper)
-        + phi_log_mh_ratio(c, lam + 0.7 * x, x, 1.2, 0.5, hyper),
+        "alpha": alpha_round_trip(0.3, -0.9),
+        "add/delete": pair_round_trip("add", "delete", 0.0, 0.8),
+        "within": pair_round_trip("within", "within", 0.5, 1.2),
     }
     Y = rng.normal(size=8)
     B = rng.normal(size=(8, 3))
     xi = np.array([1, 0, 1], dtype=np.uint8)
-    flipped = xi.copy()
-    flipped[1] = 1
-    checks["xi"] = xi_log_mh_ratio(Y, B, xi, 1, hyper) + xi_log_mh_ratio(
-        Y, B, flipped, 1, hyper)
+    fwd, flipped, logml = xi_log_mh_ratio(
+        Y, B, xi, 1, log_marginal_y(Y, B[:, xi == 1], hyper), hyper)
+    checks["xi"] = fwd + xi_log_mh_ratio(Y, B, flipped, 1, logml, hyper)[0]
     for name, val in checks.items():
         assert abs(val) < 1e-10, f"{name}: {val}"
     report("criterion 5", "forward+reverse log ratios cancel for all move types")

@@ -1,14 +1,16 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from dmjoint.baselines import (
     run_dm_only,
-    run_lm_balance_selection,
     run_two_step,
     two_step_fitted_y,
     two_step_predict_y,
 )
 from dmjoint.model import (
+    Dataset,
     Hyperparams,
     beta_binomial_logprior,
     log_marginal_y,
@@ -32,6 +34,14 @@ def small_fixture(seed=0, **kw):
 def standardized_design(rng, n, M):
     B = rng.normal(size=(n, M))
     return (B - B.mean(0)) / B.std(0, ddof=1)
+
+
+def xi_only_chain(B, Y, hyper, cfg):
+    """run_chain's lm_only mode on the fixed balances B, with a minimal Dataset around Y."""
+    n, M = B.shape
+    data = Dataset(Y=Y, Z=np.ones((n, M + 1), dtype=int), X=np.zeros((n, 1)))
+    return run_chain(data, hyper, sbp_pivot(M + 1), replace(cfg, mode="lm_only"),
+                     balances=B)
 
 
 def enumeration_mppi(Y, B, hyper):
@@ -60,7 +70,7 @@ def test_lm_selection_null_response_prior_dominated():
     oracle = enumeration_mppi(Y, B, hyper)
     cfg = SamplerConfig(iterations=4000, burn_in=1000, thin=1, seed=1,
                         between_moves_per_iter=3, init_xi_frac=0.0)
-    out = run_lm_balance_selection(B, Y, hyper, cfg)
+    out = xi_only_chain(B, Y, hyper, cfg)
     assert np.all(np.abs(out.mppi_xi - oracle) < 0.05)
     assert out.mppi_xi.max() < 0.5
 
@@ -75,7 +85,7 @@ def test_lm_selection_strong_signal_matches_enumeration():
     assert oracle[2] > 0.95
     cfg = SamplerConfig(iterations=5000, burn_in=1000, thin=1, seed=2,
                         between_moves_per_iter=4, init_xi_frac=0.0)
-    out = run_lm_balance_selection(B, Y, hyper, cfg)
+    out = xi_only_chain(B, Y, hyper, cfg)
     assert np.all(np.abs(out.mppi_xi - oracle) < 0.05)
     assert out.mppi_xi[2] > 0.9
 
@@ -94,7 +104,7 @@ def test_lm_selection_huge_prior_keeps_null():
     hyper = Hyperparams(b_m=float(np.exp(min(log_bf + 10.0, 700.0))))
     cfg = SamplerConfig(iterations=2000, burn_in=500, thin=1, seed=3,
                         between_moves_per_iter=4, init_xi_frac=0.0)
-    out = run_lm_balance_selection(B, Y, hyper, cfg)
+    out = xi_only_chain(B, Y, hyper, cfg)
     assert out.mppi_xi.max() < 0.05
 
 
@@ -150,3 +160,4 @@ def test_two_step_deterministic():
     assert np.array_equal(a.stage1.zeta, b.stage1.zeta)
     assert np.array_equal(a.stage2.xi, b.stage2.xi)
     assert np.array_equal(a.psi_bar, b.psi_bar)
+

@@ -8,7 +8,7 @@ from dmjoint.cli import main
 from dmjoint.model import Dataset, Hyperparams, PartitionSpec, sbp_pivot
 from dmjoint.predict import predict_y
 from dmjoint.prep import preprocess
-from dmjoint.sampler import SamplerConfig, run_balance_selection, run_chain
+from dmjoint.sampler import SamplerConfig, run_chain
 from dmjoint.simulate import SimConfig, gen_replicate, replicate_rng
 
 
@@ -72,9 +72,10 @@ def test_chain_round_trip(tmp_path):
     assert summary["note"] == "test"
 
     # an xi-only (stage-2) chain writes no count blocks and reads back empty ones
-    lm_only = run_balance_selection(
-        np.random.default_rng(2).normal(size=(10, 4)), train.Y, Hyperparams(),
-        SamplerConfig(iterations=40, burn_in=20, thin=2, seed=2, mode="lm_only"))
+    lm_only = run_chain(
+        train, Hyperparams(), sbp_pivot(5),
+        SamplerConfig(iterations=40, burn_in=20, thin=2, seed=2, mode="lm_only"),
+        balances=np.random.default_rng(2).normal(size=(10, 4)))
     dio.write_chain(tmp_path / "lm", lm_only, Hyperparams())
     assert not (tmp_path / "lm" / "alpha.npy").exists()
     assert_chains_equal(dio.read_chain(tmp_path / "lm")[0], lm_only)
@@ -213,6 +214,42 @@ def test_cli_exit_codes(tmp_path):
                  str(tmp_path / "o")]) == 1
     assert main(["evaluate", str(tmp_path / "missing"), "--out",
                  str(tmp_path / "o")]) == 1
+
+
+def test_cli_fit_has_no_mode_flag(sim_dir, tmp_path):
+    # --model decides the sampler modes; --mode is a usage error
+    for mode in ("dm_only", "lm_only", "joint"):
+        with pytest.raises(SystemExit) as e:
+            main(["fit", str(sim_dir / "rep000"), "--out", str(tmp_path / "o"),
+                  "--mode", mode, *FAST_FIT])
+        assert e.value.code == 2
+    # the mode a fit ran in is still recorded
+    out = tmp_path / "ok"
+    assert main(["fit", str(sim_dir / "rep000"), "--out", str(out), *FAST_FIT]) == 0
+    assert json.loads((out / "summary.json").read_text())["config"]["mode"] == "joint"
+    assert dio.read_manifest(out)["config"]["sampler"]["mode"] == "joint"
+
+
+def test_cli_predict_rejects_train_dir_of_other_size(sim_dir, tmp_path, capsys):
+    other = tmp_path / "j6"
+    assert main(["simulate", "--out", str(other), "--seed", "3", "--n", "12",
+                 "--p", "3", "--j", "6", "--n-true-cov", "2", "--n-true-bal", "1"]) == 0
+    for model in ("joint", "dmlm-bayes"):
+        run = tmp_path / model
+        assert main(["fit", str(sim_dir / "rep000"), "--out", str(run),
+                     "--model", model, *FAST_FIT]) == 0
+        capsys.readouterr()
+        assert main(["predict", str(run), "--train-dir", str(other / "rep000")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "J=5" in err and "J=6" in err
+        assert str(run) in err and str(other / "rep000") in err
+
+    # a test set with another covariate count is caught before preprocessing
+    wide = tmp_path / "p4"
+    assert main(["simulate", "--out", str(wide), "--seed", "3", "--n", "12",
+                 "--p", "4", "--j", "5", "--n-true-cov", "2", "--n-true-bal", "1"]) == 0
+    assert main(["predict", str(tmp_path / "joint"), "--test-dir", str(wide / "rep000")]) == 1
+    assert "test dimensions (J=5, P=4)" in capsys.readouterr().err
 
 
 def test_cli_invalid_hyperparameter_is_runtime_error(sim_dir, tmp_path):

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -55,6 +57,15 @@ def test_build_gamma_overflow_reports_location():
     with pytest.raises(FloatingPointError, match="taxon 0"):
         build_gamma(np.array([1e4, 0.0]), np.zeros((2, 1)), np.zeros((2, 1)),
                     np.ones((1, 1)))
+
+
+def test_build_gamma_overflow_raises_without_warning():
+    # the overflow is reported by the FloatingPointError alone
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(FloatingPointError, match="taxon 0"):
+            build_gamma(np.array([1e4, 0.0]), np.zeros((2, 1)), np.zeros((2, 1)),
+                        np.ones((1, 1)))
 
 
 # ---------------------------------------------------------------------------

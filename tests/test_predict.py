@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -70,6 +72,16 @@ def test_lambda_test_averages_before_exponentiating():
                        np.zeros((2, 1)), psi)
     lam = estimate_lambda_test(chain, np.zeros((4, 1)))
     assert np.allclose(lam, 2.0)
+
+
+def test_lambda_test_overflow_raises_without_warning():
+    psi = np.full((1, 3, 2), 0.5)
+    chain = make_chain(np.array([[1e4, 0.0]]), np.zeros((1, 2, 1)), np.zeros((1, 2, 1)),
+                       np.zeros((1, 1)), psi)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(FloatingPointError, match="taxon 0"):
+            estimate_lambda_test(chain, np.zeros((4, 1)))
 
 
 def test_psi_test_examples():

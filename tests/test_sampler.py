@@ -16,13 +16,10 @@ from dmjoint.model import (
 from dmjoint.prep import preprocess
 from dmjoint.sampler import (
     SamplerConfig,
-    add_log_mh_ratio,
     alpha_log_mh_ratio,
-    delete_log_mh_ratio,
     initial_state,
     mppi,
-    phi_log_mh_ratio,
-    run_balance_selection,
+    pair_log_mh_ratio,
     run_chain,
     update_c,
     update_u,
@@ -30,6 +27,14 @@ from dmjoint.sampler import (
     xi_log_mh_ratio,
 )
 from dmjoint.simulate import SimConfig, gen_replicate, replicate_rng
+
+
+def xi_only_inputs(Y, B):
+    """A minimal Dataset around Y, and a partition with as many balances as B has
+    columns, for run_chain(mode="lm_only", balances=B)."""
+    n, M = B.shape
+    data = Dataset(Y=Y, Z=np.ones((n, M + 1), dtype=int), X=np.zeros((n, 1)))
+    return data, sbp_pivot(M + 1)
 
 
 def small_fixture(seed=0, **kw):
@@ -45,6 +50,17 @@ def small_fixture(seed=0, **kw):
 # ---------------------------------------------------------------------------
 
 
+def column_caches(c, lam):
+    """The chain's cached (logc, gamma, lgam) for one taxon column."""
+    gamma = np.exp(lam)
+    return np.log(c), gamma, gammaln(gamma)
+
+
+def log_odds_on(hyper):
+    return beta_binomial_logprior(1, hyper.a, hyper.b) - beta_binomial_logprior(
+        0, hyper.a, hyper.b)
+
+
 def test_alpha_ratio_matches_augmented_likelihood():
     # 2-taxon, 1-subject fixture: the ratio must equal the difference of the
     # full augmented log density plus the intercept prior difference
@@ -54,14 +70,17 @@ def test_alpha_ratio_matches_augmented_likelihood():
     u = 0.9
     alpha = np.array([0.2, -0.4])
     a_new = 0.75
-    got = alpha_log_mh_ratio(c[:1], alpha[:1], alpha[0], a_new, hyper)
+    logc, gamma, lgam = column_caches(c[None, :], alpha[None, :])
+    got, _, _ = alpha_log_mh_ratio(logc, gamma, lgam, alpha,
+                                   np.array([a_new - alpha[0], 0.0]), hyper)
     # oracle: whole-subject augmented density with only taxon 0 perturbed
     g_old = np.exp(alpha)
     g_new = np.exp(np.array([a_new, alpha[1]]))
     lik_old = log_augmented_dm(z, c, g_old, u)
     lik_new = log_augmented_dm(z, c, g_new, u)
     prior = (alpha[0] ** 2 - a_new**2) / (2 * hyper.sigma_alpha2)
-    assert got == pytest.approx(lik_new - lik_old + prior, abs=1e-10)
+    assert got[0] == pytest.approx(lik_new - lik_old + prior, abs=1e-10)
+    assert got[1] == 0.0
 
 
 def test_reversibility_alpha():
@@ -69,9 +88,24 @@ def test_reversibility_alpha():
     rng = np.random.default_rng(1)
     c = rng.gamma(2.0, size=5)
     lam = rng.normal(size=5)
-    fwd = alpha_log_mh_ratio(c, lam, 0.3, -0.9, hyper)
-    bwd = alpha_log_mh_ratio(c, lam + (-0.9 - 0.3), -0.9, 0.3, hyper)
-    assert fwd + bwd == pytest.approx(0.0, abs=1e-10)
+    logc, gamma, lgam = column_caches(c[:, None], lam[:, None])
+    step = np.array([-0.9 - 0.3])
+    fwd, gamma_new, lgam_new = alpha_log_mh_ratio(logc, gamma, lgam, np.array([0.3]),
+                                                  step, hyper)
+    bwd, _, _ = alpha_log_mh_ratio(logc, gamma_new, lgam_new, np.array([0.3]) + step,
+                                   -step, hyper)
+    assert fwd[0] + bwd[0] == pytest.approx(0.0, abs=1e-10)
+
+
+def pair_ratio_round_trip(move, back, c, lam, x, phi_old, phi_new, hyper):
+    """Forward ratio from (lam, phi_old) and reverse ratio from the accepted state."""
+    logc, gamma, lgam = column_caches(c, lam)
+    odds = log_odds_on(hyper)
+    fwd, lam_new, gamma_new, lgam_new = pair_log_mh_ratio(
+        move, logc, gamma, lgam, lam, x, phi_old, phi_new, hyper, odds)
+    bwd, _, _, _ = pair_log_mh_ratio(
+        back, logc, gamma_new, lgam_new, lam_new, x, phi_new, phi_old, hyper, odds)
+    return fwd, bwd
 
 
 def test_reversibility_add_delete():
@@ -80,9 +114,7 @@ def test_reversibility_add_delete():
     c = rng.gamma(2.0, size=6)
     lam = rng.normal(size=6)
     x = rng.normal(size=6)
-    phi_new = 0.8
-    add = add_log_mh_ratio(c, lam, x, phi_new, hyper)
-    delete = delete_log_mh_ratio(c, lam + phi_new * x, x, phi_new, hyper)
+    add, delete = pair_ratio_round_trip("add", "delete", c, lam, x, 0.0, 0.8, hyper)
     assert add + delete == pytest.approx(0.0, abs=1e-10)
 
 
@@ -92,9 +124,19 @@ def test_reversibility_within():
     c = rng.gamma(2.0, size=6)
     lam = rng.normal(size=6)
     x = rng.normal(size=6)
-    fwd = phi_log_mh_ratio(c, lam, x, 0.5, 1.2, hyper)
-    bwd = phi_log_mh_ratio(c, lam + (1.2 - 0.5) * x, x, 1.2, 0.5, hyper)
+    fwd, bwd = pair_ratio_round_trip("within", "within", c, lam, x, 0.5, 1.2, hyper)
     assert fwd + bwd == pytest.approx(0.0, abs=1e-10)
+
+
+def test_pair_ratio_rejects_overflowing_proposal():
+    hyper = Hyperparams()
+    c = np.array([1.0, 2.0])
+    logc, gamma, lgam = column_caches(c, np.zeros(2))
+    with np.errstate(over="ignore"):
+        ratio, _, _, lgam_new = pair_log_mh_ratio(
+            "add", logc, gamma, lgam, np.zeros(2), np.array([1.0, 800.0]), 0.0, 1.0,
+            hyper, log_odds_on(hyper))
+    assert ratio == -np.inf and lgam_new is None
 
 
 def test_reversibility_xi():
@@ -103,12 +145,12 @@ def test_reversibility_xi():
     Y = rng.normal(size=8)
     B = rng.normal(size=(8, 3))
     xi = np.array([1, 0, 1], dtype=np.uint8)
+    logml = log_marginal_y(Y, B[:, xi == 1], hyper)
     for m in range(3):
-        flipped = xi.copy()
-        flipped[m] = 1 - flipped[m]
-        fwd = xi_log_mh_ratio(Y, B, xi, m, hyper)
-        bwd = xi_log_mh_ratio(Y, B, flipped, m, hyper)
+        fwd, flipped, logml_new = xi_log_mh_ratio(Y, B, xi, m, logml, hyper)
+        bwd, back, _ = xi_log_mh_ratio(Y, B, flipped, m, logml_new, hyper)
         assert fwd + bwd == pytest.approx(0.0, abs=1e-10)
+        assert np.array_equal(back, xi)
 
 
 def test_xi_ratio_on_centered_y_is_determinant_only():
@@ -117,7 +159,8 @@ def test_xi_ratio_on_centered_y_is_determinant_only():
     hyper = Hyperparams(h_alpha0=0.5, h_beta=2.0, a0=2.0, b0=2.0)
     Y = np.zeros(2)
     B = np.array([[1.0], [-1.0]])
-    got = xi_log_mh_ratio(Y, B, np.array([0], dtype=np.uint8), 0, hyper)
+    got, _, _ = xi_log_mh_ratio(Y, B, np.array([0], dtype=np.uint8), 0,
+                                log_marginal_y(Y, B[:, []], hyper), hyper)
     omega0 = np.eye(2) + hyper.h_alpha0 * np.ones((2, 2))
     omega1 = omega0 + hyper.h_beta * B @ B.T
     det_part = -0.5 * (np.linalg.slogdet(omega1)[1] - np.linalg.slogdet(omega0)[1])
@@ -226,6 +269,39 @@ def test_run_chain_preserves_state_invariants():
     assert np.all(np.abs(out.psi.sum(axis=2) - 1.0) < 1e-10)
 
 
+def test_run_chain_balances_only_in_lm_only_mode():
+    train, _, _ = small_fixture()
+    hyper = Hyperparams()
+    spec = sbp_pivot(train.n_taxa)
+    B = np.zeros((train.n_subjects, spec.M))
+    for mode in ("joint", "dm_only"):
+        cfg = SamplerConfig(iterations=4, burn_in=2, thin=1, mode=mode)
+        with pytest.raises(ValueError, match="lm_only"):
+            run_chain(train, hyper, spec, cfg, balances=B)
+    cfg = SamplerConfig(iterations=4, burn_in=2, thin=1, mode="lm_only")
+    with pytest.raises(ValueError, match="lm_only"):
+        run_chain(train, hyper, spec, cfg)
+    with pytest.raises(ValueError, match="balances must be"):
+        run_chain(train, hyper, spec, cfg, balances=B[:, 1:])
+
+
+def test_lm_only_chain_keeps_xi_alone():
+    # the xi-only chain keeps empty count blocks and only the xi counter
+    rng = np.random.default_rng(11)
+    B = rng.normal(size=(12, 4))
+    Y = B[:, 0] + 0.1 * rng.normal(size=12)
+    data, spec = xi_only_inputs(Y - Y.mean(), B)
+    cfg = SamplerConfig(iterations=30, burn_in=10, thin=2, seed=1, mode="lm_only",
+                        between_moves_per_iter=2, init_xi_frac=0.5)
+    out = run_chain(data, Hyperparams(), spec, cfg, balances=B)
+    assert out.alpha.shape == (10, 0) and out.u.shape == (10, 0)
+    assert out.phi.shape == out.zeta.shape == out.psi.shape == (10, 0, 0)
+    assert out.zeta.dtype == np.uint8 and out.mppi_zeta.shape == (0, 0)
+    assert out.xi.shape == (10, 4) and out.accept.keys() == {"xi"}
+    assert out.accept["xi"][1] == 60
+    assert np.all(np.isfinite(out.log_posterior))
+
+
 def test_run_chain_rejects_bad_config():
     with pytest.raises(ValueError):
         SamplerConfig(iterations=10, burn_in=10)
@@ -317,8 +393,9 @@ def test_xi_selection_matches_enumeration_oracle():
     assert oracle_mppi[1] < 0.3 and oracle_mppi[2] < 0.3
 
     cfg = SamplerConfig(iterations=4000, burn_in=1000, thin=1, seed=7,
-                        between_moves_per_iter=3, init_xi_frac=0.0)
-    out = run_balance_selection(B, Y, hyper, cfg)
+                        between_moves_per_iter=3, init_xi_frac=0.0, mode="lm_only")
+    data, spec = xi_only_inputs(Y, B)
+    out = run_chain(data, hyper, spec, cfg, balances=B)
     assert np.all(np.abs(out.mppi_xi - oracle_mppi) < 0.05)
     assert out.mppi_xi[0] > 0.9
 

@@ -34,6 +34,8 @@ __all__ = [
     "log_balances",
     "standardize_columns",
     "zero_replace",
+    "marginal_gram",
+    "flip_log_marginals",
     "log_marginal_y",
     "spike_slab_logprior",
     "beta_binomial_logprior",
@@ -355,47 +357,81 @@ def zero_replace(psi, delta: float) -> np.ndarray:
     return P[0] if single else P
 
 
-def log_marginal_y(Y, B_sel, hyper: Hyperparams) -> float:
-    """Collapsed multivariate-t log density of Y given the selected balances.
+def marginal_gram(Y, B, hyper: Hyperparams):
+    """(U, diag G, U'Y, Y'Y) for the Gram matrix ``G = I + U'U`` of the Y marginal.
 
-    Y ~ t_{2 a0}(0, (b0/a0)(I + h_alpha0 11' + h_beta B B')). Uses the
-    low-rank structure: cost O(n k^2 + k^3) for k selected balances.
+    ``U = [sqrt(h_alpha0) 1, sqrt(h_beta) B]``: index 0 is the intercept,
+    index m + 1 balance m; B's columns need not be centred. The rows of G a
+    selection needs are formed from U when it is scored, never all of G.
     """
     Y = np.asarray(Y, dtype=float).ravel()
     n = Y.shape[0]
-    B = np.asarray(B_sel, dtype=float).reshape(n, -1)
-    k = B.shape[1]
-    U = np.empty((n, k + 1))
+    B = np.asarray(B, dtype=float).reshape(n, -1)
+    U = np.empty((n, B.shape[1] + 1))
     U[:, 0] = np.sqrt(hyper.h_alpha0)
-    if k:
-        U[:, 1:] = np.sqrt(hyper.h_beta) * B
-    K = np.eye(k + 1) + U.T @ U
+    U[:, 1:] = np.sqrt(hyper.h_beta) * B
+    return U, 1.0 + np.sum(U * U, axis=0), U.T @ Y, float(Y @ Y)
+
+
+def flip_log_marginals(gram, xi, hyper: Hyperparams):
+    """Log marginal of the selection ``xi`` and of each of its M single flips.
+
+    ``gram`` is a ``marginal_gram``. Y ~ t_{2 a0}(0, (b0/a0) Omega) with
+    Omega = I + U_S U_S', S the intercept plus the selected balances. By
+    Woodbury, log|Omega| = log|K| and Y' Omega^{-1} Y = Y'Y - b'K^{-1}b for
+    K = G[S, S], b = (U'Y)[S]. From one Cholesky K = LL', adding column m
+    changes them by its Schur complement and deleting it by the m-th diagonal
+    of K^{-1} (Brown, Vannucci & Fearn 1998). Returns (log marginal of xi,
+    length-M array of flipped ones).
+    """
+    U, G_diag, Uty, yty = gram
+    on = np.flatnonzero(np.concatenate(([1], xi)))
+    off = np.flatnonzero(np.asarray(xi) == 0) + 1
+    rows = U[:, on].T @ U  # G[S, :]
+    rows[np.arange(len(on)), on] += 1.0
     try:
-        L = np.linalg.cholesky(K)
+        L = np.linalg.cholesky(rows[:, on])
     except np.linalg.LinAlgError as e:
         raise ValueError("covariance not positive definite") from e
-    logdet_omega = 2.0 * np.sum(np.log(np.diag(L)))
-    Uty = U.T @ Y
-    w = np.linalg.solve(L, Uty)
-    quad_omega = Y @ Y - w @ w  # Y' Omega^{-1} Y via Woodbury
-    nu = 2.0 * hyper.a0
-    scale = hyper.b0 / hyper.a0
-    Q = quad_omega / scale
-    return float(
-        gammaln((nu + n) / 2.0)
-        - gammaln(nu / 2.0)
-        - 0.5 * n * np.log(nu * np.pi)
-        - 0.5 * (n * np.log(scale) + logdet_omega)
-        - 0.5 * (nu + n) * np.log1p(Q / nu)
-    )
+    L_inv = np.linalg.inv(L)
+    w = L_inv @ Uty[on]
+    # add m: Schur complement s = G_mm - |L^{-1} g|^2, residual r = b_m - v'w
+    V = L_inv @ rows[:, off]
+    schur = G_diag[off] - np.sum(V * V, axis=0)
+    resid = Uty[off] - V.T @ w
+    # delete m: (K^{-1})_mm and (K^{-1} b)_m, skipping the intercept
+    k_inv_diag = np.sum(L_inv * L_inv, axis=0)[1:]
+    k_inv_b = (L_inv.T @ w)[1:]
+    quad = yty - w @ w
+    logdet = 2.0 * np.sum(np.log(np.diag(L))) + np.log(
+        np.concatenate(([1.0], schur, k_inv_diag)))
+    quad = np.concatenate(([quad], quad - resid**2 / schur, quad + k_inv_b**2 / k_inv_diag))
+    # multivariate-t log density of Y, current selection first
+    n, nu, scale = U.shape[0], 2.0 * hyper.a0, hyper.b0 / hyper.a0
+    logml = (gammaln((nu + n) / 2.0) - gammaln(nu / 2.0) - 0.5 * n * np.log(nu * np.pi)
+             - 0.5 * (n * np.log(scale) + logdet)
+             - 0.5 * (nu + n) * np.log1p(quad / scale / nu))
+    flips = np.empty(len(xi))
+    flips[np.concatenate((off, on[1:])) - 1] = logml[1:]
+    return float(logml[0]), flips
 
 
-def spike_slab_logprior(value: float, included: int, slab_var: float) -> float:
-    """Log prior of one coefficient under the spike-and-slab mixture."""
+def log_marginal_y(Y, B_sel, hyper: Hyperparams) -> float:
+    """Collapsed multivariate-t log density of Y given the selected balances.
+
+    Y ~ t_{2 a0}(0, (b0/a0)(I + h_alpha0 11' + h_beta B B')); the Gram form of
+    ``flip_log_marginals`` with every column of ``B_sel`` selected.
+    """
+    gram = marginal_gram(Y, B_sel, hyper)
+    return flip_log_marginals(gram, np.ones(len(gram[2]) - 1, np.uint8), hyper)[0]
+
+
+def spike_slab_logprior(value, included: int, slab_var: float):
+    """Log prior of a coefficient (or an included array) under the spike-and-slab."""
     if slab_var <= 0:
         raise ValueError("slab variance must be positive")
     if included:
-        return float(-0.5 * (np.log(2.0 * np.pi * slab_var) + value * value / slab_var))
+        return -0.5 * (np.log(2.0 * np.pi * slab_var) + value * value / slab_var)
     return 0.0 if value == 0 else -np.inf
 
 

@@ -11,6 +11,12 @@ no count samples.
 
 All acceptance ratios are exact because the augmented log likelihood drops
 only terms constant in (c, gamma, u); see ``model.log_augmented_dm``.
+
+Draw order is part of the contract: the batched blocks take every draw in the
+order of a one-move-at-a-time scan (the within-model refresh: a standard
+normal then a uniform per included pair, in ``np.argwhere`` order), so chains
+stay bitwise identical to it. Moving a draw changes every chain and the cached
+Part B numbers.
 """
 
 from __future__ import annotations
@@ -27,13 +33,14 @@ from .model import (
     PartitionSpec,
     beta_binomial_logprior,
     build_gamma,
+    flip_log_marginals,
     log_balances,
-    log_marginal_y,
+    marginal_gram,
     spike_slab_logprior,
     standardize_columns,
 )
-# perfbench/tracer.py patches sampler.zero_replace, so the name stays here.
-from .model import zero_replace  # noqa: F401
+# perfbench/tracer.py patches these names on this module, so they stay here.
+from .model import log_marginal_y, zero_replace  # noqa: F401
 
 __all__ = [
     "SamplerConfig",
@@ -73,6 +80,9 @@ class SamplerConfig:
             raise ValueError("burn_in must be < iterations")
         if self.thin < 1:
             raise ValueError("thin must be >= 1")
+        if self.n_retained < 1:
+            raise ValueError(f"iterations={self.iterations}, burn_in={self.burn_in} and "
+                             f"thin={self.thin} keep no samples")
         if self.between_moves_per_iter < 1:
             raise ValueError("between_moves_per_iter must be >= 1")
         if not (0 <= self.init_zeta_frac < 1) or not (0 <= self.init_xi_frac < 1):
@@ -138,6 +148,9 @@ def pair_log_mh_ratio(move, logc_col, gamma_col, lgam_col, lam_col, x_col,
     lam, gamma and lgamma columns); a proposal whose gamma overflows has
     ratio -inf, so it is rejected. Call under ``np.errstate(over="ignore")``,
     as ``update_zeta_phi`` does, to keep that overflow silent.
+
+    It also scores K pairs in K distinct taxa at once (C-contiguous K x N rows,
+    length-K phi), each row with the bits of the one-pair call.
     """
     if move == "add":
         prior = log_odds_on + spike_slab_logprior(phi_new, 1, hyper.r2)
@@ -147,28 +160,34 @@ def pair_log_mh_ratio(move, logc_col, gamma_col, lgam_col, lam_col, x_col,
         prior = spike_slab_logprior(phi_new, 1, hyper.r2) - spike_slab_logprior(
             phi_old, 1, hyper.r2
         )
-    lam_new = lam_col + (phi_new - phi_old) * x_col
+    lam_new = lam_col + np.asarray(phi_new - phi_old)[..., None] * x_col
     gamma_new = np.exp(lam_new)
-    if not np.isfinite(gamma_new.sum()):
-        return -np.inf, lam_new, gamma_new, None
+    ok = np.isfinite(gamma_new.sum(axis=-1))
+    if not ok.all():
+        if gamma_new.ndim == 1:
+            return -np.inf, lam_new, gamma_new, None
+        ratio = np.full(ok.shape, -np.inf)
+        lgam_new = np.full_like(gamma_new, np.inf)
+        ratio[ok], _, _, lgam_new[ok] = pair_log_mh_ratio(
+            move, logc_col[ok], gamma_col[ok], lgam_col[ok], lam_col[ok], x_col[ok],
+            phi_old[ok], phi_new[ok], hyper, log_odds_on)
+        return ratio, lam_new, gamma_new, lgam_new
     lgam_new = gammaln(gamma_new)
-    diff = ((gamma_new - gamma_col) * logc_col).sum() - (lgam_new - lgam_col).sum()
+    diff = ((gamma_new - gamma_col) * logc_col).sum(axis=-1) - (
+        lgam_new - lgam_col).sum(axis=-1)
     return diff + prior, lam_new, gamma_new, lgam_new
 
 
-def xi_log_mh_ratio(Y, B_std, xi, m, logml_cur, hyper: Hyperparams):
+def xi_log_mh_ratio(xi, m, logml_cur, flips, log_odds_on):
     """Log MH ratio of flipping balance indicator m against the collapsed Y marginal.
 
-    ``logml_cur`` is the log marginal of the current selection ``xi``.
-    Returns (ratio, flipped indicators, their log marginal).
+    ``logml_cur`` and ``flips`` are ``model.flip_log_marginals`` of ``xi``.
+    Returns (ratio, flipped indicators).
     """
     flipped = xi.copy()
     flipped[m] = 1 - flipped[m]
-    logml_new = log_marginal_y(Y, B_std[:, flipped == 1], hyper)
-    prior = beta_binomial_logprior(
-        int(flipped[m]), hyper.a_m, hyper.b_m
-    ) - beta_binomial_logprior(int(xi[m]), hyper.a_m, hyper.b_m)
-    return logml_new - logml_cur + prior, flipped, logml_new
+    prior = log_odds_on if flipped[m] else -log_odds_on
+    return flips[m] - logml_cur + prior, flipped
 
 
 # ---------------------------------------------------------------------------
@@ -222,16 +241,17 @@ def update_alpha(state, data, field, hyper, rng, logc, lgam):
     return int(ok.sum())
 
 
-def update_zeta_phi(state, data, field, hyper, rng, logc, lgam, n_between=1):
+def update_zeta_phi(state, data, field, hyper, rng, logc, lgam, log_odds_on,
+                    n_between=1):
     """Between-model add/delete moves followed by a within-model refresh.
 
-    Takes and updates the same caches as ``update_alpha``.
+    Takes and updates the same caches as ``update_alpha``. After the scan's
+    draws, the refresh scores the r-th included pair of every taxon at once:
+    pairs in different taxa are independent given c.
     """
     J, P = state.zeta.shape
     counts = {"add": 0, "add_prop": 0, "delete": 0, "delete_prop": 0,
               "within": 0, "within_prop": 0}
-    log_odds_on = beta_binomial_logprior(1, hyper.a, hyper.b) - \
-        beta_binomial_logprior(0, hyper.a, hyper.b)
 
     def try_move(move, j, p, phi_new):
         ratio, lam_new, gamma_new, lgam_new = pair_log_mh_ratio(
@@ -257,8 +277,26 @@ def update_zeta_phi(state, data, field, hyper, rng, logc, lgam, n_between=1):
             else:
                 try_move("add", j, p, rng.normal(state.phi[j, p], hyper.proposal_sd))
 
-        for j, p in np.argwhere(state.zeta == 1):
-            try_move("within", j, p, rng.normal(state.phi[j, p], hyper.proposal_sd))
+        taxa, covs = np.argwhere(state.zeta == 1).T
+        draws = [(rng.standard_normal(), rng.random()) for _ in taxa]
+        z, u = np.array(draws).reshape(-1, 2).T
+        phi_new = state.phi[taxa, covs] + hyper.proposal_sd * z
+        log_u = np.log(u)
+        rank = np.arange(len(taxa)) - np.searchsorted(taxa, taxa)
+        for r in range(rank.max(initial=-1) + 1):
+            k = np.flatnonzero(rank == r)
+            j, p = taxa[k], covs[k]
+            # a.T[j] is C-contiguous: each taxon's N values are one row
+            ratio, lam_new, gamma_new, lgam_new = pair_log_mh_ratio(
+                "within", logc.T[j], field.gamma.T[j], lgam.T[j], field.lam.T[j],
+                data.X.T[p], state.phi[j, p], phi_new[k], hyper, log_odds_on)
+            ok = log_u[k] < ratio
+            j = j[ok]
+            state.phi[j, p[ok]] = phi_new[k[ok]]
+            field.lam[:, j], field.gamma[:, j] = lam_new[ok].T, gamma_new[ok].T
+            lgam[:, j] = lgam_new[ok].T
+            counts["within"] += len(j)
+        counts["within_prop"] = len(taxa)
     return counts
 
 
@@ -280,22 +318,23 @@ def update_u(state, data, rng):
     state.u = rng.gamma(data.row_totals.astype(float), 1.0 / state.T)
 
 
-def update_xi(state, Y, hyper, rng, B_std, logml_cur, n_moves=1):
+def update_xi(state, gram, hyper, rng, logml_cur, flips, log_odds_on, n_moves=1):
     """Add/delete flips of balance indicators against the collapsed Y marginal.
 
-    ``logml_cur`` is the log marginal of the current selection; returns the
-    number of accepted flips and the log marginal of the final selection.
+    ``logml_cur`` and ``flips`` are the current selection's
+    ``model.flip_log_marginals`` on ``gram``, rescored after each accepted
+    flip; returns the number of accepted flips and the final two.
     """
     M = state.xi.shape[0]
     accepted = 0
     for _ in range(n_moves):
         m = int(rng.integers(M))
-        ratio, flipped, logml_new = xi_log_mh_ratio(Y, B_std, state.xi, m, logml_cur, hyper)
+        ratio, flipped = xi_log_mh_ratio(state.xi, m, logml_cur, flips, log_odds_on)
         if np.log(rng.uniform()) < ratio:
             state.xi = flipped
-            logml_cur = logml_new
+            logml_cur, flips = flip_log_marginals(gram, flipped, hyper)
             accepted += 1
-    return accepted, logml_cur
+    return accepted, logml_cur, flips
 
 
 # ---------------------------------------------------------------------------
@@ -303,7 +342,8 @@ def update_xi(state, Y, hyper, rng, B_std, logml_cur, n_moves=1):
 # ---------------------------------------------------------------------------
 
 
-def _log_posterior(state, data, field, hyper, lgam, logc, logml, mode):
+def _log_posterior(state, data, field, hyper, lgam, logc, logml, mode,
+                   zeta_prior, xi_prior):
     lp = 0.0
     if mode != "lm_only":
         lp += np.sum((data.Z + field.gamma - 1.0) * logc) - state.c.sum() - lgam.sum()
@@ -318,13 +358,13 @@ def _log_posterior(state, data, field, hyper, lgam, logc, logml, mode):
         lp += -0.5 * np.sum(on**2) / hyper.r2 - 0.5 * n_on * np.log(
             2.0 * np.pi * hyper.r2
         )
-        lp += n_on * beta_binomial_logprior(1, hyper.a, hyper.b)
-        lp += (state.zeta.size - n_on) * beta_binomial_logprior(0, hyper.a, hyper.b)
+        lp += n_on * zeta_prior[0]
+        lp += (state.zeta.size - n_on) * zeta_prior[1]
     if mode != "dm_only":
         lp += logml
         n_bal = int(state.xi.sum())
-        lp += n_bal * beta_binomial_logprior(1, hyper.a_m, hyper.b_m)
-        lp += (state.xi.size - n_bal) * beta_binomial_logprior(0, hyper.a_m, hyper.b_m)
+        lp += n_bal * xi_prior[0]
+        lp += (state.xi.size - n_bal) * xi_prior[1]
     return lp
 
 
@@ -374,9 +414,9 @@ def run_chain(
     accept = {k: [0, 0] for k in moves}
 
     s = 0
-    B_std = balances
-    logml = 0.0 if balances is None else log_marginal_y(
-        data.Y, balances[:, state.xi == 1], hyper)
+    zeta_prior = [beta_binomial_logprior(v, hyper.a, hyper.b) for v in (1, 0)]  # in, out
+    xi_prior = [beta_binomial_logprior(v, hyper.a_m, hyper.b_m) for v in (1, 0)]
+    B_std, logml = balances, 0.0
     for it in range(config.iterations):
         if mode != "lm_only":
             acc = update_alpha(state, data, field, hyper, rng, logc=logc, lgam=lgam)
@@ -384,7 +424,8 @@ def run_chain(
             accept["alpha"][1] += J
             zc = update_zeta_phi(
                 state, data, field, hyper, rng,
-                n_between=config.between_moves_per_iter, logc=logc, lgam=lgam,
+                logc=logc, lgam=lgam, log_odds_on=zeta_prior[0] - zeta_prior[1],
+                n_between=config.between_moves_per_iter,
             )
             for k in ("add", "delete", "within"):
                 accept[k][0] += zc[k]
@@ -396,15 +437,18 @@ def run_chain(
             if balances is None:
                 B_std, _, _ = standardize_columns(
                     log_balances(state.psi, contrast, hyper.delta))
-                logml = log_marginal_y(data.Y, B_std[:, state.xi == 1], hyper)
-            acc, logml = update_xi(
-                state, data.Y, hyper, rng, B_std,
-                n_moves=config.between_moves_per_iter, logml_cur=logml,
+            if balances is None or it == 0:  # fixed balances: the scores carry over
+                gram = marginal_gram(data.Y, B_std, hyper)
+                logml, flips = flip_log_marginals(gram, state.xi, hyper)
+            acc, logml, flips = update_xi(
+                state, gram, hyper, rng, logml, flips, xi_prior[0] - xi_prior[1],
+                n_moves=config.between_moves_per_iter,
             )
             accept["xi"][0] += acc
             accept["xi"][1] += config.between_moves_per_iter
 
-        lp = _log_posterior(state, data, field, hyper, lgam, logc, logml, mode)
+        lp = _log_posterior(state, data, field, hyper, lgam, logc, logml, mode,
+                            zeta_prior, xi_prior)
         if not np.isfinite(lp):
             raise RuntimeError(f"non-finite log posterior at iteration {it}")
         log_post[it] = lp

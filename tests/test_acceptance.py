@@ -31,7 +31,9 @@ from dmjoint.model import (
     balance_matrix,
     beta_binomial_logprior,
     build_gamma,
+    flip_log_marginals,
     log_marginal_y,
+    marginal_gram,
     sbp_pivot,
     zero_replace,
 )
@@ -181,9 +183,12 @@ def test_criterion_a5_mh_reversibility():
     Y = rng.normal(size=8)
     B = rng.normal(size=(8, 3))
     xi = np.array([1, 0, 1], dtype=np.uint8)
-    fwd, flipped, logml = xi_log_mh_ratio(
-        Y, B, xi, 1, log_marginal_y(Y, B[:, xi == 1], hyper), hyper)
-    checks["xi"] = fwd + xi_log_mh_ratio(Y, B, flipped, 1, logml, hyper)[0]
+    gram = marginal_gram(Y, B, hyper)
+    xi_odds = beta_binomial_logprior(1, hyper.a_m, hyper.b_m) - beta_binomial_logprior(
+        0, hyper.a_m, hyper.b_m)
+    fwd, flipped = xi_log_mh_ratio(xi, 1, *flip_log_marginals(gram, xi, hyper), xi_odds)
+    checks["xi"] = fwd + xi_log_mh_ratio(
+        flipped, 1, *flip_log_marginals(gram, flipped, hyper), xi_odds)[0]
     for name, val in checks.items():
         assert abs(val) < 1e-10, f"{name}: {val}"
     report("criterion 5", "forward+reverse log ratios cancel for all move types")

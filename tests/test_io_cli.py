@@ -216,6 +216,22 @@ def test_cli_exit_codes(tmp_path):
                  str(tmp_path / "o")]) == 1
 
 
+def test_cli_fit_keeping_no_samples_exits_before_sampling(sim_dir, tmp_path, capsys,
+                                                         monkeypatch):
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("the sampler ran")
+
+    monkeypatch.setattr("dmjoint.cli.run_chain", no_sampling)
+    monkeypatch.setattr("dmjoint.cli.run_two_step", no_sampling)
+    for model in ("joint", "dmlm-bayes"):
+        assert main(["fit", str(sim_dir / "rep000"), "--out", str(tmp_path / model),
+                     "--model", model, "--iterations", "300", "--burn-in", "295",
+                     "--thin", "10"]) == 1
+        err = capsys.readouterr().err
+        assert "iterations=300, burn_in=295 and thin=10 keep no samples" in err
+        assert not (tmp_path / model).exists()
+
+
 def test_cli_fit_has_no_mode_flag(sim_dir, tmp_path):
     # --model decides the sampler modes; --mode is a usage error
     for mode in ("dm_only", "lm_only", "joint"):

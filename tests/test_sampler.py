@@ -7,10 +7,13 @@ from scipy.special import gammaln
 from dmjoint.model import (
     Dataset,
     Hyperparams,
+    ChainState,
     beta_binomial_logprior,
     build_gamma,
+    flip_log_marginals,
     log_augmented_dm,
     log_marginal_y,
+    marginal_gram,
     sbp_pivot,
 )
 from dmjoint.prep import preprocess
@@ -23,7 +26,7 @@ from dmjoint.sampler import (
     run_chain,
     update_c,
     update_u,
-    update_xi,
+    update_zeta_phi,
     xi_log_mh_ratio,
 )
 from dmjoint.simulate import SimConfig, gen_replicate, replicate_rng
@@ -59,6 +62,11 @@ def column_caches(c, lam):
 def log_odds_on(hyper):
     return beta_binomial_logprior(1, hyper.a, hyper.b) - beta_binomial_logprior(
         0, hyper.a, hyper.b)
+
+
+def xi_log_odds_on(hyper):
+    return beta_binomial_logprior(1, hyper.a_m, hyper.b_m) - beta_binomial_logprior(
+        0, hyper.a_m, hyper.b_m)
 
 
 def test_alpha_ratio_matches_augmented_likelihood():
@@ -139,16 +147,42 @@ def test_pair_ratio_rejects_overflowing_proposal():
     assert ratio == -np.inf and lgam_new is None
 
 
+def test_pair_ratio_rows_match_one_pair_calls_bitwise():
+    # K pairs in K taxa at once give the bits of K one-pair calls, for every
+    # move type; N = 50 is long enough that the summation order shows
+    hyper = Hyperparams()
+    rng = np.random.default_rng(14)
+    K, n = 6, 50
+    c = rng.gamma(2.0, size=(K, n))
+    lam = rng.normal(size=(K, n))
+    x = rng.normal(size=(K, n))
+    logc, gamma, lgam = column_caches(c, lam)
+    phi_old, phi_new = rng.normal(size=K), rng.normal(size=K)
+    for move in ("add", "delete", "within"):
+        old = np.zeros(K) if move == "add" else phi_old
+        new = np.zeros(K) if move == "delete" else phi_new
+        rows = pair_log_mh_ratio(move, logc, gamma, lgam, lam, x, old, new, hyper,
+                                 log_odds_on(hyper))
+        for k in range(K):
+            one = pair_log_mh_ratio(move, logc[k], gamma[k], lgam[k], lam[k], x[k],
+                                    old[k], new[k], hyper, log_odds_on(hyper))
+            assert np.float64(one[0]).tobytes() == rows[0][k].tobytes()
+            for a, b in zip(one[1:], rows[1:]):
+                assert a.tobytes() == b[k].tobytes()
+
+
 def test_reversibility_xi():
     hyper = Hyperparams()
     rng = np.random.default_rng(4)
     Y = rng.normal(size=8)
     B = rng.normal(size=(8, 3))
     xi = np.array([1, 0, 1], dtype=np.uint8)
-    logml = log_marginal_y(Y, B[:, xi == 1], hyper)
+    gram, odds = marginal_gram(Y, B, hyper), xi_log_odds_on(hyper)
+    logml, flips = flip_log_marginals(gram, xi, hyper)
     for m in range(3):
-        fwd, flipped, logml_new = xi_log_mh_ratio(Y, B, xi, m, logml, hyper)
-        bwd, back, _ = xi_log_mh_ratio(Y, B, flipped, m, logml_new, hyper)
+        fwd, flipped = xi_log_mh_ratio(xi, m, logml, flips, odds)
+        bwd, back = xi_log_mh_ratio(flipped, m, *flip_log_marginals(gram, flipped, hyper),
+                                    odds)
         assert fwd + bwd == pytest.approx(0.0, abs=1e-10)
         assert np.array_equal(back, xi)
 
@@ -159,14 +193,100 @@ def test_xi_ratio_on_centered_y_is_determinant_only():
     hyper = Hyperparams(h_alpha0=0.5, h_beta=2.0, a0=2.0, b0=2.0)
     Y = np.zeros(2)
     B = np.array([[1.0], [-1.0]])
-    got, _, _ = xi_log_mh_ratio(Y, B, np.array([0], dtype=np.uint8), 0,
-                                log_marginal_y(Y, B[:, []], hyper), hyper)
+    xi = np.array([0], dtype=np.uint8)
+    logml, flips = flip_log_marginals(marginal_gram(Y, B, hyper), xi, hyper)
+    got, _ = xi_log_mh_ratio(xi, 0, logml, flips, xi_log_odds_on(hyper))
     omega0 = np.eye(2) + hyper.h_alpha0 * np.ones((2, 2))
     omega1 = omega0 + hyper.h_beta * B @ B.T
     det_part = -0.5 * (np.linalg.slogdet(omega1)[1] - np.linalg.slogdet(omega0)[1])
     prior = beta_binomial_logprior(1, hyper.a_m, hyper.b_m) - beta_binomial_logprior(
         0, hyper.a_m, hyper.b_m)
     assert got == pytest.approx(det_part + prior, abs=1e-10)
+
+
+@pytest.mark.parametrize("k", [0, 1, 8])
+def test_flip_log_marginals_match_log_marginal_y(k):
+    # uncentred balances, n = 6 subjects: k = 8 selected exceeds n
+    rng = np.random.default_rng(12)
+    hyper = Hyperparams(h_alpha0=0.7, h_beta=1.9, a0=1.5, b0=3.0)
+    n, M = 6, 10
+    Y = rng.normal(size=n) + 0.4
+    B = rng.normal(size=(n, M)) * rng.uniform(0.5, 3.0, size=M) + rng.normal(size=M) * 2
+    xi = np.zeros(M, dtype=np.uint8)
+    xi[rng.choice(M, size=k, replace=False)] = 1
+    logml, flips = flip_log_marginals(marginal_gram(Y, B, hyper), xi, hyper)
+    assert abs(logml - log_marginal_y(Y, B[:, xi == 1], hyper)) < 1e-10
+    for m in range(M):
+        flipped = xi.copy()
+        flipped[m] = 1 - flipped[m]
+        assert abs(flips[m] - log_marginal_y(Y, B[:, flipped == 1], hyper)) < 1e-10
+
+
+def sequential_within_refresh(state, data, field, hyper, rng, logc, lgam):
+    """Reference refresh: one pair at a time, in np.argwhere order, drawing
+    rng.normal then rng.uniform per pair. Returns the counts and the taxa of
+    the proposals whose gamma overflowed."""
+    counts = {"within": 0, "within_prop": 0}
+    overflowed = set()
+    with np.errstate(over="ignore"):
+        for j, p in np.argwhere(state.zeta == 1):
+            phi_new = rng.normal(state.phi[j, p], hyper.proposal_sd)
+            ratio, lam_new, gamma_new, lgam_new = pair_log_mh_ratio(
+                "within", logc[:, j], field.gamma[:, j], lgam[:, j], field.lam[:, j],
+                data.X[:, p], state.phi[j, p], phi_new, hyper, log_odds_on(hyper))
+            if lgam_new is None:
+                overflowed.add(int(j))
+            counts["within_prop"] += 1
+            if np.log(rng.uniform()) < ratio:
+                state.phi[j, p] = phi_new
+                field.lam[:, j], field.gamma[:, j], lgam[:, j] = lam_new, gamma_new, lgam_new
+                counts["within"] += 1
+    return counts, overflowed
+
+
+def test_within_refresh_matches_sequential_scan():
+    # 5 taxa with 0-4 included pairs each; covariate 3 takes a huge value for
+    # subject 0, so a proposal that moves its coefficient up overflows gamma.
+    # Taxa 3 and 4 score that pair in a round shared with other taxa.
+    hyper = Hyperparams(proposal_sd=0.3)
+    rng = np.random.default_rng(13)
+    n, J, P = 9, 5, 4
+    X = rng.normal(size=(n, P))
+    X[0, 3] = 2000.0
+    zeta = np.array([[1, 1, 1, 1], [0, 0, 0, 0], [1, 0, 1, 0], [0, 1, 1, 1],
+                     [1, 0, 0, 1]], dtype=np.uint8)
+    phi = np.where(zeta == 1, rng.normal(0.0, 0.1, size=(J, P)), 0.0)
+    phi[:, 3] *= 1e-3
+    data = Dataset(Y=np.zeros(n), Z=rng.integers(0, 40, size=(n, J)) + 1, X=X)
+    c = data.Z + rng.gamma(2.0, size=(n, J))
+
+    def start():
+        state = ChainState(alpha=rng_alpha.copy(), phi=phi.copy(), zeta=zeta.copy(),
+                           c=c.copy(), u=np.ones(n), xi=np.zeros(J - 1, np.uint8),
+                           T=c.sum(axis=1))
+        field = build_gamma(state.alpha, state.phi, state.zeta, X)
+        return state, field, gammaln(field.gamma), np.log(c)
+
+    rng_alpha = rng.normal(size=J)
+    for seed in range(20):
+        s_ref, f_ref, lgam_ref, logc = start()
+        r_ref = np.random.default_rng(seed)
+        counts_ref, overflowed = sequential_within_refresh(
+            s_ref, data, f_ref, hyper, r_ref, logc, lgam_ref)
+        s_new, f_new, lgam_new, logc = start()
+        r_new = np.random.default_rng(seed)
+        counts = update_zeta_phi(s_new, data, f_new, hyper, r_new, logc, lgam_new,
+                                 log_odds_on(hyper), n_between=0)
+        assert {k: counts[k] for k in counts_ref} == counts_ref
+        assert counts_ref["within_prop"] == 11 and 0 < counts_ref["within"] < 11
+        for a, b in [(s_ref.phi, s_new.phi), (s_ref.zeta, s_new.zeta),
+                     (f_ref.lam, f_new.lam), (f_ref.gamma, f_new.gamma),
+                     (lgam_ref, lgam_new)]:
+            assert a.tobytes() == b.tobytes()
+        assert r_ref.bit_generator.state == r_new.bit_generator.state
+        if overflowed & {3, 4}:
+            break
+    assert overflowed & {3, 4}, "no seed overflowed a pair in a shared round"
 
 
 # ---------------------------------------------------------------------------
@@ -305,6 +425,8 @@ def test_lm_only_chain_keeps_xi_alone():
 def test_run_chain_rejects_bad_config():
     with pytest.raises(ValueError):
         SamplerConfig(iterations=10, burn_in=10)
+    with pytest.raises(ValueError, match="iterations=300, burn_in=295 and thin=10"):
+        SamplerConfig(iterations=300, burn_in=295, thin=10)
     with pytest.raises(ValueError):
         SamplerConfig(thin=0)
     with pytest.raises(ValueError):

@@ -47,13 +47,14 @@ def run_balance_selection(data: Dataset, psi_bar: np.ndarray, hyper: Hyperparams
 
 
 def run_two_step(data: Dataset, hyper: Hyperparams, spec: PartitionSpec,
-                 config: SamplerConfig, stage2_seed_offset: int = 1) -> TwoStepOutput:
-    """Run both stages; stage two sees balances built from the stage-one mean composition."""
+                 config: SamplerConfig) -> TwoStepOutput:
+    """Run both stages; stage two sees balances built from the stage-one mean
+    composition and runs on seed ``config.seed + 1``."""
     stage1 = run_dm_only(data, hyper, spec, config)
     psi_bar = stage1.psi.mean(axis=0)
     psi_bar /= psi_bar.sum(axis=1, keepdims=True)
     stage2 = run_balance_selection(data, psi_bar, hyper, spec,
-                                   replace(config, seed=config.seed + stage2_seed_offset))
+                                   replace(config, seed=config.seed + 1))
     return TwoStepOutput(stage1=stage1, psi_bar=psi_bar, stage2=stage2)
 
 

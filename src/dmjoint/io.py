@@ -2,10 +2,11 @@
 
 Datasets, selections, predictions and reports are UTF-8 CSV with a header
 row; reals are written with 17 significant digits so write -> read -> write
-round-trips byte-wise, counts as plain integers. MCMC chain blocks are raw
-``.npy`` arrays (``np.load`` reads them) in their in-memory shape and dtype,
-so a chain round-trips bitwise; settings, acceptance counts and provenance
-are JSON.
+round-trips byte-wise, counts as plain integers. A chain is six raw ``.npy``
+blocks (``alpha``, ``phi``, ``psi``, ``u``, ``xi``, ``log_posterior``) in their
+in-memory shape and dtype, so it round-trips bitwise; an xi-only (stage-2)
+chain writes its empty count blocks too. ``zeta`` (``phi != 0``) and the MPPIs
+are derived on load. Settings, acceptance counts and provenance are JSON.
 """
 
 from __future__ import annotations
@@ -52,7 +53,7 @@ def write_manifest(outdir, command: str, config: dict, seed, inputs, started: fl
         "output": str(outdir),
         "duration_s": round(time.time() - started, 3),
         "version": __version__,
-        "schema_version": 2,
+        "schema_version": 3,
     }
     with open(outdir / "manifest.json", "w") as f:
         json.dump(manifest, f, indent=2, sort_keys=True)
@@ -123,18 +124,14 @@ def read_truth(repdir) -> GroundTruth:
 # ---------------------------------------------------------------------------
 
 
-# An xi-only (stage-2) chain has empty count blocks; they are not written, and
-# read_chain gives them back the empty shapes the sampler gives such a chain.
-_COUNT_BLOCKS = ("alpha", "phi", "zeta", "psi", "u", "mppi_zeta")
-_LM_BLOCKS = ("xi", "log_posterior", "mppi_xi")
+_BLOCKS = ("alpha", "phi", "psi", "u", "xi", "log_posterior")
 
 
 def write_chain(outdir, chain: ChainOutput, hyper: Hyperparams, extra: dict | None = None):
     """One ``<block>.npy`` per chain block, plus a JSON summary."""
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    names = _COUNT_BLOCKS + _LM_BLOCKS if chain.alpha.size else _LM_BLOCKS
-    for name in names:
+    for name in _BLOCKS:
         np.save(outdir / f"{name}.npy", getattr(chain, name))
     summary = {
         "seed": int(chain.seed),
@@ -154,21 +151,14 @@ def write_chain(outdir, chain: ChainOutput, hyper: Hyperparams, extra: dict | No
 
 def read_chain(rundir) -> tuple[ChainOutput, Hyperparams, dict]:
     rundir = Path(rundir)
-    if (rundir / "xi.csv").exists() and not (rundir / "xi.npy").exists():
-        raise ValueError(f"{rundir} holds a chain in the old CSV format; "
+    missing = [name for name in _BLOCKS if not (rundir / f"{name}.npy").exists()]
+    if missing:
+        raise ValueError(f"{rundir} is missing the chain block {missing[0]}.npy; "
                          "re-run fit to rewrite it")
     with open(rundir / "summary.json") as f:
         summary = json.load(f)
-    names = (_COUNT_BLOCKS + _LM_BLOCKS if (rundir / "alpha.npy").exists()
-             else _LM_BLOCKS)
     blocks = {name: np.load(rundir / f"{name}.npy", allow_pickle=False)
-              for name in names}
-    if "alpha" not in blocks:
-        S = blocks["xi"].shape[0]
-        blocks.update(alpha=np.empty((S, 0)), phi=np.empty((S, 0, 0)),
-                      zeta=np.empty((S, 0, 0), dtype=np.uint8),
-                      psi=np.empty((S, 0, 0)), u=np.empty((S, 0)),
-                      mppi_zeta=np.empty((0, 0)))
+              for name in _BLOCKS}
     accept = {k: (v["accepted"], v["proposed"])
               for k, v in summary["acceptance"].items()}
     chain = ChainOutput(**blocks, accept=accept,

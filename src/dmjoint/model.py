@@ -127,25 +127,18 @@ class Dataset:
 class ChainState:
     """Current values of all sampled blocks.
 
+    A covariate-taxon pair is included exactly when its ``phi`` is non-zero
+    (the spike is a point mass at 0), so no separate indicator is kept.
     ``T`` caches the row sums of ``c``; ``psi`` is the derived composition
     ``c / T`` and is never stored.
     """
 
     alpha: np.ndarray
     phi: np.ndarray
-    zeta: np.ndarray
     c: np.ndarray
     u: np.ndarray
     xi: np.ndarray
     T: np.ndarray
-
-    def validate(self):
-        if not np.all((self.phi == 0) == (self.zeta == 0)):
-            raise ValueError("phi and zeta supports disagree")
-        if np.any(self.c <= 0) or np.any(self.u <= 0):
-            raise ValueError("c and u must be strictly positive")
-        if not np.allclose(self.T, self.c.sum(axis=1), rtol=1e-10, atol=0):
-            raise ValueError("cached T inconsistent with c")
 
     def refresh_totals(self):
         self.T = self.c.sum(axis=1)
@@ -244,11 +237,10 @@ class PartitionSpec:
 # ---------------------------------------------------------------------------
 
 
-def build_gamma(alpha, phi, zeta, X) -> GammaField:
-    """Log-linear Dirichlet concentrations: lam = alpha + X @ (zeta * phi)'."""
+def build_gamma(alpha, phi, X) -> GammaField:
+    """Log-linear Dirichlet concentrations: lam = alpha + X @ phi' (phi is 0 if excluded)."""
     alpha = np.asarray(alpha, dtype=float)
-    effect = np.asarray(phi, dtype=float) * np.asarray(zeta)
-    lam = alpha[None, :] + np.asarray(X, dtype=float) @ effect.T
+    lam = alpha[None, :] + np.asarray(X, dtype=float) @ np.asarray(phi, dtype=float).T
     with np.errstate(over="ignore"):  # reported below with its location
         gamma = np.exp(lam)
     if not np.all(np.isfinite(gamma)):

@@ -17,6 +17,7 @@ from .model import (
     Dataset,
     Hyperparams,
     PartitionSpec,
+    build_gamma,
     log_balances,
     standardize_columns,
 )
@@ -50,16 +51,7 @@ def estimate_lambda_test(chain: ChainOutput, X_test) -> np.ndarray:
     """Exponential of the posterior-mean linear predictor for test subjects."""
     if chain.n_samples < 1:
         raise ValueError("chain has no retained samples")
-    X_test = np.asarray(X_test, dtype=float)
-    alpha_bar = chain.alpha.mean(axis=0)
-    phi_bar = chain.phi.mean(axis=0)
-    lam = alpha_bar[None, :] + X_test @ phi_bar.T
-    with np.errstate(over="ignore"):  # reported below with its location
-        out = np.exp(lam)
-    if not np.all(np.isfinite(out)):
-        i, j = np.argwhere(~np.isfinite(out))[0]
-        raise FloatingPointError(f"lambda overflow at test subject {i}, taxon {j}")
-    return out
+    return build_gamma(chain.alpha.mean(axis=0), chain.phi.mean(axis=0), X_test).gamma
 
 
 def estimate_psi_test(lambda_hat, Z_test) -> np.ndarray:

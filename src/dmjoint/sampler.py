@@ -12,11 +12,15 @@ no count samples.
 All acceptance ratios are exact because the augmented log likelihood drops
 only terms constant in (c, gamma, u); see ``model.log_augmented_dm``.
 
+The spike is a point mass at 0, so a pair is included exactly when its
+``phi`` is non-zero: ``phi`` and ``xi`` are the only record of the
+selections, and ``ChainOutput`` derives ``zeta = phi != 0`` and both MPPIs.
+
 Draw order is part of the contract: the batched blocks take every draw in the
 order of a one-move-at-a-time scan (the within-model refresh: a standard
 normal then a uniform per included pair, in ``np.argwhere`` order), so chains
 stay bitwise identical to it. Moving a draw changes every chain and the cached
-Part B numbers.
+Part B numbers, and must bump ``STREAM_VERSION``, which keys that cache.
 """
 
 from __future__ import annotations
@@ -58,6 +62,7 @@ __all__ = [
     "xi_log_mh_ratio",
 ]
 
+STREAM_VERSION = 1  # bump on any change to the draws or their order
 _MODES = ("joint", "dm_only", "lm_only")
 _C_FLOOR = 1e-300  # gamma draws may underflow to exactly 0 for tiny shapes
 
@@ -95,23 +100,26 @@ class SamplerConfig:
 
 @dataclass
 class ChainOutput:
-    """Thinned post-burn-in samples plus summaries."""
+    """Thinned post-burn-in samples plus the summaries derived from them."""
 
     alpha: np.ndarray  # S x J
     phi: np.ndarray  # S x J x P
-    zeta: np.ndarray  # S x J x P, uint8
     xi: np.ndarray  # S x M, uint8
     psi: np.ndarray  # S x N x J
     u: np.ndarray  # S x N
     log_posterior: np.ndarray  # full pre-thinning trace, length iterations
     accept: dict  # per-move-type (accepted, proposed) counters
-    mppi_zeta: np.ndarray  # J x P
-    mppi_xi: np.ndarray  # M
     config: SamplerConfig
     seed: int = field(init=False)
+    zeta: np.ndarray = field(init=False)  # S x J x P, uint8: phi != 0
+    mppi_zeta: np.ndarray = field(init=False)  # J x P
+    mppi_xi: np.ndarray = field(init=False)  # M
 
     def __post_init__(self):
         self.seed = self.config.seed
+        self.zeta = (self.phi != 0).view(np.uint8)
+        self.mppi_zeta = mppi(self.zeta)
+        self.mppi_xi = mppi(self.xi)
 
     @property
     def n_samples(self) -> int:
@@ -146,8 +154,9 @@ def pair_log_mh_ratio(move, logc_col, gamma_col, lgam_col, lam_col, x_col,
     ``"within"`` (phi_old -> phi_new); ``x_col`` is the covariate column and
     ``log_odds_on`` the prior log odds of inclusion. Returns (ratio, proposed
     lam, gamma and lgamma columns); a proposal whose gamma overflows has
-    ratio -inf, so it is rejected. Call under ``np.errstate(over="ignore")``,
-    as ``update_zeta_phi`` does, to keep that overflow silent.
+    ratio -inf, so it is rejected. Call under
+    ``np.errstate(over="ignore", invalid="ignore")``, as ``update_zeta_phi``
+    does, to keep that overflow and the inf - inf it leaves silent.
 
     It also scores K pairs in K distinct taxa at once (C-contiguous K x N rows,
     length-K phi), each row with the bits of the one-pair call.
@@ -162,20 +171,11 @@ def pair_log_mh_ratio(move, logc_col, gamma_col, lgam_col, lam_col, x_col,
         )
     lam_new = lam_col + np.asarray(phi_new - phi_old)[..., None] * x_col
     gamma_new = np.exp(lam_new)
-    ok = np.isfinite(gamma_new.sum(axis=-1))
-    if not ok.all():
-        if gamma_new.ndim == 1:
-            return -np.inf, lam_new, gamma_new, None
-        ratio = np.full(ok.shape, -np.inf)
-        lgam_new = np.full_like(gamma_new, np.inf)
-        ratio[ok], _, _, lgam_new[ok] = pair_log_mh_ratio(
-            move, logc_col[ok], gamma_col[ok], lgam_col[ok], lam_col[ok], x_col[ok],
-            phi_old[ok], phi_new[ok], hyper, log_odds_on)
-        return ratio, lam_new, gamma_new, lgam_new
     lgam_new = gammaln(gamma_new)
     diff = ((gamma_new - gamma_col) * logc_col).sum(axis=-1) - (
         lgam_new - lgam_col).sum(axis=-1)
-    return diff + prior, lam_new, gamma_new, lgam_new
+    ratio = np.where(np.isfinite(gamma_new.sum(axis=-1)), diff + prior, -np.inf)
+    return ratio, lam_new, gamma_new, lgam_new
 
 
 def xi_log_mh_ratio(xi, m, logml_cur, flips, log_odds_on):
@@ -202,13 +202,11 @@ def initial_state(data: Dataset, config: SamplerConfig, rng) -> ChainState:
     """
     n, J, P = data.n_subjects, data.n_taxa, data.n_covariates
     M = J - 1
-    zeta = np.zeros((J, P), dtype=np.uint8)
+    phi = np.zeros((J, P))
     n_on = 0 if config.mode == "lm_only" else int(round(config.init_zeta_frac * J * P))
     if n_on:
-        flat = rng.choice(J * P, size=n_on, replace=False)
-        zeta.ravel()[flat] = 1
-    phi = np.zeros((J, P))
-    phi[zeta == 1] = rng.normal(0.0, 0.5, size=int(zeta.sum()))
+        flat = np.sort(rng.choice(J * P, size=n_on, replace=False))
+        phi.ravel()[flat] = rng.normal(0.0, 0.5, size=n_on)
     xi = np.zeros(M, dtype=np.uint8)
     n_bal = int(round(config.init_xi_frac * M))
     if n_bal:
@@ -217,7 +215,7 @@ def initial_state(data: Dataset, config: SamplerConfig, rng) -> ChainState:
     T = c.sum(axis=1)
     u = data.row_totals / T
     return ChainState(
-        alpha=np.zeros(J), phi=phi, zeta=zeta, c=c, u=u, xi=xi, T=T
+        alpha=np.zeros(J), phi=phi, c=c, u=u, xi=xi, T=T
     )
 
 
@@ -245,11 +243,12 @@ def update_zeta_phi(state, data, field, hyper, rng, logc, lgam, log_odds_on,
                     n_between=1):
     """Between-model add/delete moves followed by a within-model refresh.
 
-    Takes and updates the same caches as ``update_alpha``. After the scan's
-    draws, the refresh scores the r-th included pair of every taxon at once:
-    pairs in different taxa are independent given c.
+    Takes and updates the same caches as ``update_alpha``; a pair is included
+    when its ``phi`` is non-zero. After the scan's draws, the refresh scores
+    the r-th included pair of every taxon at once: pairs in different taxa are
+    independent given c.
     """
-    J, P = state.zeta.shape
+    J, P = state.phi.shape
     counts = {"add": 0, "add_prop": 0, "delete": 0, "delete_prop": 0,
               "within": 0, "within_prop": 0}
 
@@ -261,23 +260,22 @@ def update_zeta_phi(state, data, field, hyper, rng, logc, lgam, log_odds_on,
         counts[move + "_prop"] += 1
         if np.log(rng.uniform()) < ratio:
             state.phi[j, p] = phi_new
-            state.zeta[j, p] = move != "delete"
             field.lam[:, j] = lam_new
             field.gamma[:, j] = gamma_new
             lgam[:, j] = lgam_new
             counts[move] += 1
 
     # an overflowing proposal is rejected by its -inf ratio
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(n_between):
             j = int(rng.integers(J))
             p = int(rng.integers(P))
-            if state.zeta[j, p]:
+            if state.phi[j, p]:
                 try_move("delete", j, p, 0.0)
             else:
                 try_move("add", j, p, rng.normal(state.phi[j, p], hyper.proposal_sd))
 
-        taxa, covs = np.argwhere(state.zeta == 1).T
+        taxa, covs = np.argwhere(state.phi != 0).T
         draws = [(rng.standard_normal(), rng.random()) for _ in taxa]
         z, u = np.array(draws).reshape(-1, 2).T
         phi_new = state.phi[taxa, covs] + hyper.proposal_sd * z
@@ -353,13 +351,13 @@ def _log_posterior(state, data, field, hyper, lgam, logc, logml, mode,
         lp += -0.5 * np.sum(state.alpha**2) / hyper.sigma_alpha2 - 0.5 * len(
             state.alpha
         ) * np.log(2.0 * np.pi * hyper.sigma_alpha2)
-        n_on = int(state.zeta.sum())
-        on = state.phi[state.zeta == 1]
+        on = state.phi[state.phi != 0]
+        n_on = on.size
         lp += -0.5 * np.sum(on**2) / hyper.r2 - 0.5 * n_on * np.log(
             2.0 * np.pi * hyper.r2
         )
         lp += n_on * zeta_prior[0]
-        lp += (state.zeta.size - n_on) * zeta_prior[1]
+        lp += (state.phi.size - n_on) * zeta_prior[1]
     if mode != "dm_only":
         lp += logml
         n_bal = int(state.xi.sum())
@@ -395,7 +393,7 @@ def run_chain(
     if balances is not None and np.shape(balances) != (n, M):
         raise ValueError(f"balances must be {n} x {M}, got {np.shape(balances)}")
     state = initial_state(data, config, rng)
-    field = build_gamma(state.alpha, state.phi, state.zeta, data.X)
+    field = build_gamma(state.alpha, state.phi, data.X)
     lgam = gammaln(field.gamma)
     logc = np.log(state.c)
     contrast = spec.contrast_matrix()
@@ -405,7 +403,6 @@ def run_chain(
     nk, Jk, Pk = (0, 0, 0) if mode == "lm_only" else (n, J, P)
     out_alpha = np.empty((S, Jk))
     out_phi = np.empty((S, Jk, Pk))
-    out_zeta = np.empty((S, Jk, Pk), dtype=np.uint8)
     out_xi = np.empty((S, M), dtype=np.uint8)
     out_psi = np.empty((S, nk, Jk))
     out_u = np.empty((S, nk))
@@ -458,7 +455,6 @@ def run_chain(
             if mode != "lm_only":
                 out_alpha[s] = state.alpha
                 out_phi[s] = state.phi
-                out_zeta[s] = state.zeta
                 out_psi[s] = state.psi
                 out_u[s] = state.u
             out_xi[s] = state.xi
@@ -468,14 +464,11 @@ def run_chain(
     return ChainOutput(
         alpha=out_alpha,
         phi=out_phi,
-        zeta=out_zeta,
         xi=out_xi,
         psi=out_psi,
         u=out_u,
         log_posterior=log_post,
         accept={k: tuple(v) for k, v in accept.items()},
-        mppi_zeta=mppi(out_zeta),
-        mppi_xi=mppi(out_xi),
         config=config,
     )
 

@@ -6,14 +6,20 @@ iterations per fit) and checks replicate-mean selection and prediction
 metrics against the published windows. The B fits take roughly two hours
 serially, so their per-fit metrics are cached in a JSON file (path
 overridable via the ACCEPTANCE_CACHE environment variable) and reused on
-subsequent runs; delete the file to force a full re-run.
+subsequent runs; delete the file to force a full re-run. The cache carries a
+fingerprint of the sampler's ``STREAM_VERSION`` and the battery's settings;
+a cache under another fingerprint is ignored and every fit re-runs. Each entry
+also records the OpenBLAS thread count it ran with, which moves the last
+digits of ``mse``/``pmse`` but is not part of the fingerprint.
 
 Each criterion prints one PASS line on success; a failed assertion reports
 the offending numbers.
 """
 
+import ctypes
 import json
 import os
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -40,6 +46,7 @@ from dmjoint.model import (
 from dmjoint.predict import TestSet, fitted_y, predict_y
 from dmjoint.prep import preprocess
 from dmjoint.sampler import (
+    STREAM_VERSION,
     SamplerConfig,
     alpha_log_mh_ratio,
     initial_state,
@@ -133,8 +140,7 @@ def test_criterion_a4_dirichlet_multinomial_conjugacy():
     data = Dataset(Y=np.zeros(1), Z=np.array([[4, 1]]), X=np.zeros((1, 1)))
     rng = np.random.default_rng(2)
     state = initial_state(data, SamplerConfig(iterations=2, burn_in=1, thin=1), rng)
-    field = build_gamma(np.log(np.array([2.0, 3.0])), np.zeros((2, 1)),
-                        np.zeros((2, 1)), data.X)
+    field = build_gamma(np.log(np.array([2.0, 3.0])), np.zeros((2, 1)), data.X)
     samples = []
     for it in range(51_000):
         update_c(state, data, field, rng)
@@ -209,10 +215,8 @@ def test_criterion_a6_ridge_prediction_oracle():
     cfg = SamplerConfig(iterations=2, burn_in=1, thin=1)
     chain = ChainOutput(
         alpha=np.zeros((1, J)), phi=np.zeros((1, J, 2)),
-        zeta=np.zeros((1, J, 2), dtype=np.uint8),
         xi=np.array([[1, 0]], dtype=np.uint8), psi=psi[None, :, :],
-        u=np.ones((1, n)), log_posterior=np.zeros(2), accept={},
-        mppi_zeta=np.zeros((J, 2)), mppi_xi=np.array([1.0, 0.0]), config=cfg,
+        u=np.ones((1, n)), log_posterior=np.zeros(2), accept={}, config=cfg,
     )
     Z_test = rng.integers(0, 40, size=(4, J))
     X_test = rng.normal(size=(4, 2))
@@ -314,16 +318,68 @@ RUNS = {
 }
 
 
+def _blas_threads():
+    """Thread count OpenBLAS reports, read from the library numpy loaded."""
+    with open("/proc/self/maps") as f:
+        libs = sorted({ln.split()[-1] for ln in f if "openblas" in ln.lower()})
+    for lib in libs:
+        for symbol in ("scipy_openblas_get_num_threads64_",
+                       "openblas_get_num_threads64_", "openblas_get_num_threads"):
+            fn = getattr(ctypes.CDLL(lib), symbol, None)
+            if fn is not None:
+                fn.argtypes, fn.restype = [], ctypes.c_int
+                return fn()
+    return None
+
+
+def battery_fingerprint(runs):
+    """What the cached metrics depend on, as it reads back from JSON."""
+    return json.loads(json.dumps({
+        "stream_version": STREAM_VERSION, "fit": FIT, "sim": asdict(SIM),
+        "master_seed": MASTER_SEED, "runs": sorted(runs)}))
+
+
+def load_battery(path, runs, n_reps):
+    """Per-fit metrics keyed ``rep:label``; fits missing under the current
+    fingerprint run and are written back to ``path`` one at a time."""
+    fingerprint = battery_fingerprint(runs)
+    cache = json.loads(path.read_text()) if path.exists() else {}
+    if cache.get("fingerprint") != fingerprint:
+        cache = {"fingerprint": fingerprint, "runs": {}}
+    entries = cache["runs"]
+    for rep in range(n_reps):
+        for label, runner in runs.items():
+            key = f"{rep}:{label}"
+            if key not in entries:
+                entries[key] = {**runner(rep), "blas_threads": _blas_threads()}
+                path.write_text(json.dumps(cache, indent=1, sort_keys=True))
+    return entries
+
+
 @pytest.fixture(scope="session")
 def battery():
-    cache = json.loads(CACHE_PATH.read_text()) if CACHE_PATH.exists() else {}
-    for rep in range(N_REPS):
-        for label, runner in RUNS.items():
-            key = f"{rep}:{label}"
-            if key not in cache:
-                cache[key] = runner(rep)
-                CACHE_PATH.write_text(json.dumps(cache, indent=1, sort_keys=True))
-    return cache
+    return load_battery(CACHE_PATH, RUNS, N_REPS)
+
+
+def test_battery_cache_ignores_other_fingerprint(tmp_path):
+    path = tmp_path / "cache.json"
+    calls = []
+
+    def runner(rep):
+        calls.append(rep)
+        return {"mse": 2.0}
+
+    stale = {"fingerprint": {**battery_fingerprint({"x": runner}), "stream_version": 0},
+             "runs": {"0:x": {"mse": 1.0}}}
+    path.write_text(json.dumps(stale))
+    assert load_battery(path, {"x": runner}, 1)["0:x"]["mse"] == 2.0
+    assert calls == [0]
+    # under the current fingerprint the entry is reused, not recomputed
+    assert load_battery(path, {"x": runner}, 1)["0:x"]["mse"] == 2.0
+    assert calls == [0]
+    saved = json.loads(path.read_text())
+    assert saved["fingerprint"] == battery_fingerprint({"x": runner})
+    assert "blas_threads" in saved["runs"]["0:x"]
 
 
 def _mean(cache, label, metric):

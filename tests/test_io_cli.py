@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -56,29 +57,48 @@ def test_replicate_round_trip(tmp_path):
     assert np.array_equal(btr.psi_star, truth.psi_star)
 
 
-def test_chain_round_trip(tmp_path):
+CHAIN_BLOCKS = {"alpha.npy", "phi.npy", "psi.npy", "u.npy", "xi.npy", "log_posterior.npy"}
+
+
+def small_chains():
+    """A joint, a dm_only and an xi-only (stage-2) chain on one small replicate."""
     cfg = SimConfig(N=10, P=3, J=5, n_true_cov=1, n_true_bal=1,
                     zdot_low=50, zdot_high=100)
     train, _, _ = gen_replicate(cfg, replicate_rng(1, 0))
     train, _, _ = preprocess(train)
-    chain = run_chain(train, Hyperparams(), sbp_pivot(5),
-                      SamplerConfig(iterations=40, burn_in=20, thin=2, seed=1))
-    rundir = tmp_path / "run"
-    dio.write_chain(rundir, chain, Hyperparams(), extra={"note": "test"})
-    back, hyper, summary = dio.read_chain(rundir)
-    assert_chains_equal(back, chain)
-    assert back.zeta.dtype == back.xi.dtype == np.uint8
-    assert hyper == Hyperparams()
-    assert summary["note"] == "test"
+    fit = SamplerConfig(iterations=40, burn_in=20, thin=2, seed=1)
+    return {
+        "joint": run_chain(train, Hyperparams(), sbp_pivot(5), fit),
+        "dm_only": run_chain(train, Hyperparams(), sbp_pivot(5),
+                             replace(fit, mode="dm_only")),
+        "lm_only": run_chain(
+            train, Hyperparams(), sbp_pivot(5),
+            SamplerConfig(iterations=40, burn_in=20, thin=2, seed=2, mode="lm_only"),
+            balances=np.random.default_rng(2).normal(size=(10, 4))),
+    }
 
-    # an xi-only (stage-2) chain writes no count blocks and reads back empty ones
-    lm_only = run_chain(
-        train, Hyperparams(), sbp_pivot(5),
-        SamplerConfig(iterations=40, burn_in=20, thin=2, seed=2, mode="lm_only"),
-        balances=np.random.default_rng(2).normal(size=(10, 4)))
-    dio.write_chain(tmp_path / "lm", lm_only, Hyperparams())
-    assert not (tmp_path / "lm" / "alpha.npy").exists()
-    assert_chains_equal(dio.read_chain(tmp_path / "lm")[0], lm_only)
+
+def test_chain_round_trip(tmp_path):
+    # every chain, the xi-only one included, is the same six blocks
+    for mode, chain in small_chains().items():
+        rundir = tmp_path / mode
+        dio.write_chain(rundir, chain, Hyperparams(), extra={"note": "test"})
+        assert {p.name for p in rundir.glob("*.npy")} == CHAIN_BLOCKS
+        back, hyper, summary = dio.read_chain(rundir)
+        assert_chains_equal(back, chain)
+        assert back.zeta.dtype == back.xi.dtype == np.uint8
+        assert hyper == Hyperparams()
+        assert summary["note"] == "test"
+
+
+def test_read_chain_ignores_derived_blocks_of_older_writers(tmp_path):
+    # older versions also wrote zeta and the MPPIs; they are derived on load now
+    chain = small_chains()["joint"]
+    dio.write_chain(tmp_path, chain, Hyperparams())
+    np.save(tmp_path / "zeta.npy", np.zeros_like(chain.zeta))
+    np.save(tmp_path / "mppi_zeta.npy", np.ones_like(chain.mppi_zeta))
+    np.save(tmp_path / "mppi_xi.npy", np.ones_like(chain.mppi_xi))
+    assert_chains_equal(dio.read_chain(tmp_path)[0], chain)
 
 
 def assert_chains_equal(back, chain):
@@ -144,8 +164,7 @@ def test_cli_fit_predict_evaluate_joint(sim_dir, tmp_path):
                  "--seed", "5", *FAST_FIT]) == 0
     for r in range(2):
         run = fit_dir / f"rep{r:03d}"
-        for name in ("alpha", "phi", "zeta", "xi", "psi"):
-            assert (run / f"{name}.npy").exists()
+        assert {p.name for p in run.glob("*.npy")} == CHAIN_BLOCKS
         for name in ("selected_zeta", "selected_xi", "fitted_y"):
             assert (run / f"{name}.csv").exists()
         assert (run / "summary.json").exists()
@@ -176,9 +195,10 @@ def test_cli_fit_two_step(sim_dir, tmp_path):
     fit_dir = tmp_path / "two"
     assert main(["fit", str(sim_dir / "rep000"), "--out", str(fit_dir),
                  "--model", "dmlm-bayes", "--seed", "6", *FAST_FIT]) == 0
-    assert (fit_dir / "stage1" / "alpha.npy").exists()
-    assert (fit_dir / "stage2" / "xi.npy").exists()
-    assert not (fit_dir / "stage2" / "alpha.npy").exists()
+    for stage in ("stage1", "stage2"):
+        assert {p.name for p in (fit_dir / stage).glob("*.npy")} == CHAIN_BLOCKS
+    # stage 2 keeps no count samples: its count blocks are empty
+    assert np.load(fit_dir / "stage2" / "alpha.npy").size == 0
     assert (fit_dir / "psi_bar.csv").exists()
     assert main(["predict", str(fit_dir),
                  "--test-dir", str(sim_dir / "rep000")]) == 0
@@ -196,7 +216,7 @@ def test_cli_fit_deterministic(sim_dir, tmp_path):
     args = ["fit", str(sim_dir / "rep000"), "--seed", "9", *FAST_FIT]
     assert main(args + ["--out", str(a)]) == 0
     assert main(args + ["--out", str(b)]) == 0
-    for name in ("alpha.npy", "zeta.npy", "xi.npy", "selected_zeta.csv"):
+    for name in ("alpha.npy", "phi.npy", "xi.npy", "selected_zeta.csv"):
         assert (a / name).read_bytes() == (b / name).read_bytes()
 
 
@@ -329,3 +349,15 @@ def test_cli_predict_old_csv_chain_exits_1(sim_dir, tmp_path, capsys):
     assert main(["predict", str(run)]) == 1
     err = capsys.readouterr().err
     assert str(run) in err and "re-run fit" in err
+
+
+def test_cli_predict_chain_missing_a_block_exits_1(sim_dir, tmp_path, capsys):
+    # a stage-2 chain from a writer that skipped its empty count blocks
+    run = tmp_path / "two"
+    assert main(["fit", str(sim_dir / "rep000"), "--out", str(run),
+                 "--model", "dmlm-bayes", *FAST_FIT]) == 0
+    (run / "stage2" / "alpha.npy").unlink()
+    assert main(["predict", str(run)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "re-run fit" in err
+    assert str(run / "stage2") in err and "alpha.npy" in err

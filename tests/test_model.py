@@ -32,31 +32,28 @@ from dmjoint.model import (
 
 def test_build_gamma_identity():
     X = np.random.default_rng(0).normal(size=(4, 3))
-    field = build_gamma(np.zeros(5), np.zeros((5, 3)), np.zeros((5, 3)), X)
+    field = build_gamma(np.zeros(5), np.zeros((5, 3)), X)
     assert np.allclose(field.gamma, 1.0)
 
 
 def test_build_gamma_constant_shift():
     X = np.random.default_rng(0).normal(size=(4, 3))
-    field = build_gamma(np.full(5, np.log(2)), np.zeros((5, 3)), np.zeros((5, 3)), X)
+    field = build_gamma(np.full(5, np.log(2)), np.zeros((5, 3)), X)
     assert np.allclose(field.gamma, 2.0)
 
 
 def test_build_gamma_scalar_case():
     alpha = np.array([0.5, 0.0])
     phi = np.zeros((2, 1))
-    zeta = np.zeros((2, 1))
     phi[0, 0] = 1.0
-    zeta[0, 0] = 1
     X = np.array([[1.0]])
-    field = build_gamma(alpha, phi, zeta, X)
+    field = build_gamma(alpha, phi, X)
     assert field.gamma[0, 0] == pytest.approx(np.exp(1.5), rel=1e-12)
 
 
 def test_build_gamma_overflow_reports_location():
     with pytest.raises(FloatingPointError, match="taxon 0"):
-        build_gamma(np.array([1e4, 0.0]), np.zeros((2, 1)), np.zeros((2, 1)),
-                    np.ones((1, 1)))
+        build_gamma(np.array([1e4, 0.0]), np.zeros((2, 1)), np.ones((1, 1)))
 
 
 def test_build_gamma_overflow_raises_without_warning():
@@ -64,8 +61,7 @@ def test_build_gamma_overflow_raises_without_warning():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(FloatingPointError, match="taxon 0"):
-            build_gamma(np.array([1e4, 0.0]), np.zeros((2, 1)), np.zeros((2, 1)),
-                        np.ones((1, 1)))
+            build_gamma(np.array([1e4, 0.0]), np.zeros((2, 1)), np.ones((1, 1)))
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,7 @@ from dmjoint.predict import (
 from dmjoint.sampler import ChainOutput, SamplerConfig
 
 
-def make_chain(alpha, phi, zeta, xi, psi, u=None):
+def make_chain(alpha, phi, xi, psi, u=None):
     alpha = np.asarray(alpha, dtype=float)
     S = alpha.shape[0]
     if u is None:
@@ -32,14 +32,11 @@ def make_chain(alpha, phi, zeta, xi, psi, u=None):
     return ChainOutput(
         alpha=alpha,
         phi=np.asarray(phi, dtype=float),
-        zeta=np.asarray(zeta, dtype=np.uint8),
         xi=np.asarray(xi, dtype=np.uint8),
         psi=np.asarray(psi, dtype=float),
         u=np.asarray(u, dtype=float),
         log_posterior=np.zeros(2),
         accept={},
-        mppi_zeta=np.asarray(zeta, dtype=float).mean(axis=0),
-        mppi_xi=np.asarray(xi, dtype=float).mean(axis=0),
         config=cfg,
     )
 
@@ -57,8 +54,7 @@ def random_simplex(rng, n, J):
 def test_lambda_test_zero_chain_is_one():
     S, J, P, n = 3, 4, 2, 5
     psi = np.full((S, n, J), 1.0 / J)
-    chain = make_chain(np.zeros((S, J)), np.zeros((S, J, P)),
-                       np.zeros((S, J, P)), np.zeros((S, J - 1)), psi)
+    chain = make_chain(np.zeros((S, J)), np.zeros((S, J, P)), np.zeros((S, J - 1)), psi)
     lam = estimate_lambda_test(chain, np.random.default_rng(0).normal(size=(6, P)))
     assert np.allclose(lam, 1.0)
 
@@ -68,16 +64,15 @@ def test_lambda_test_averages_before_exponentiating():
     # exp(log(2)) = 2, not the mean of (1, 4)
     psi = np.full((2, 3, 2), 0.5)
     chain = make_chain(np.log(np.array([[1.0, 1.0], [4.0, 4.0]])),
-                       np.zeros((2, 2, 1)), np.zeros((2, 2, 1)),
-                       np.zeros((2, 1)), psi)
+                       np.zeros((2, 2, 1)), np.zeros((2, 1)), psi)
     lam = estimate_lambda_test(chain, np.zeros((4, 1)))
     assert np.allclose(lam, 2.0)
 
 
 def test_lambda_test_overflow_raises_without_warning():
     psi = np.full((1, 3, 2), 0.5)
-    chain = make_chain(np.array([[1e4, 0.0]]), np.zeros((1, 2, 1)), np.zeros((1, 2, 1)),
-                       np.zeros((1, 1)), psi)
+    chain = make_chain(np.array([[1e4, 0.0]]), np.zeros((1, 2, 1)), np.zeros((1, 1)),
+                       psi)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(FloatingPointError, match="taxon 0"):
@@ -126,8 +121,7 @@ def test_predict_y_matches_scalar_ridge_oracle():
     rng = np.random.default_rng(2)
     train, psi, spec, hyper = single_sample_fixture(rng)
     J = 3
-    chain = make_chain(np.zeros((1, J)), np.zeros((1, J, 2)),
-                       np.zeros((1, J, 2)), np.array([[1, 0]]), psi)
+    chain = make_chain(np.zeros((1, J)), np.zeros((1, J, 2)), np.array([[1, 0]]), psi)
     Z_test = rng.integers(0, 40, size=(4, J))
     X_test = rng.normal(size=(4, 2))
     got = predict_y(chain, train, TestSet(Z_test=Z_test, X_test=X_test),
@@ -150,8 +144,7 @@ def test_predict_y_matches_scalar_ridge_oracle():
 def test_predict_y_empty_model_is_constant():
     rng = np.random.default_rng(3)
     train, psi, spec, hyper = single_sample_fixture(rng)
-    chain = make_chain(np.zeros((1, 3)), np.zeros((1, 3, 2)),
-                       np.zeros((1, 3, 2)), np.array([[0, 0]]), psi)
+    chain = make_chain(np.zeros((1, 3)), np.zeros((1, 3, 2)), np.array([[0, 0]]), psi)
     got = predict_y(chain, train,
                     TestSet(Z_test=rng.integers(0, 20, size=(5, 3)),
                             X_test=rng.normal(size=(5, 2))), spec, hyper)
@@ -169,7 +162,7 @@ def test_fitted_y_recovers_noiseless_balance_response():
     Y = 2.0 * B_std[:, 0]
     train = Dataset(Y=Y, Z=np.ones((n, J), dtype=int), X=np.zeros((n, 1)))
     chain = make_chain(np.zeros((1, J)), np.zeros((1, J, 1)),
-                       np.zeros((1, J, 1)), np.array([[1, 0, 0]]),
+                       np.array([[1, 0, 0]]),
                        psi[None, :, :])
     got = fitted_y(chain, train, spec, hyper)
     assert np.allclose(got, Y, atol=1e-5)
@@ -187,7 +180,7 @@ def test_predictions_invariant_to_partition_choice_in_full_model():
                     X=rng.normal(size=(n, 1)))
     hyper = Hyperparams(h_beta=1e10)
     chain = make_chain(np.zeros((1, J)), np.zeros((1, J, 1)),
-                       np.zeros((1, J, 1)), np.array([[1, 1, 1]]),
+                       np.array([[1, 1, 1]]),
                        psi[None, :, :])
     test = TestSet(Z_test=rng.integers(0, 30, size=(6, J)),
                    X_test=rng.normal(size=(6, 1)))
@@ -210,8 +203,7 @@ def test_predictions_invariant_to_partition_choice_in_full_model():
 def test_pointwise_loglik_matches_normal_oracle():
     rng = np.random.default_rng(6)
     train, psi, spec, hyper = single_sample_fixture(rng, n=10)
-    chain = make_chain(np.zeros((1, 3)), np.zeros((1, 3, 2)),
-                       np.zeros((1, 3, 2)), np.array([[0, 0]]), psi)
+    chain = make_chain(np.zeros((1, 3)), np.zeros((1, 3, 2)), np.array([[0, 0]]), psi)
     ll = pointwise_loglik(chain, train, spec, hyper)
     assert ll.shape == (10, 1)
     n = 10
@@ -226,8 +218,8 @@ def test_pointwise_loglik_identical_samples_identical_columns():
     rng = np.random.default_rng(7)
     train, psi, spec, hyper = single_sample_fixture(rng, n=8)
     psi2 = np.repeat(psi, 3, axis=0)
-    chain = make_chain(np.zeros((3, 3)), np.zeros((3, 3, 2)),
-                       np.zeros((3, 3, 2)), np.tile([1, 0], (3, 1)), psi2)
+    chain = make_chain(np.zeros((3, 3)), np.zeros((3, 3, 2)), np.tile([1, 0], (3, 1)),
+                       psi2)
     ll = pointwise_loglik(chain, train, spec, hyper)
     assert ll.shape == (8, 3)
     assert np.array_equal(ll[:, 0], ll[:, 1])

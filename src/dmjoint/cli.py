@@ -211,7 +211,7 @@ def cmd_predict(args) -> int:
     for dim, fitted, given in (("N", n_fit, train_raw.n_subjects),
                                ("J", j_fit, train_raw.n_taxa),
                                ("J", spec.n_taxa, train_raw.n_taxa),
-                               ("P", counts.phi.shape[2], train_raw.n_covariates)):
+                               ("P", counts.phi_shape[2], train_raw.n_covariates)):
         if fitted != given:
             print(f"error: the fit in {rundir} has {dim}={fitted} but the training "
                   f"data in {train_dir} has {dim}={given}", file=sys.stderr)
@@ -237,7 +237,7 @@ def cmd_predict(args) -> int:
         dio.write_matrix(out / "loglik.csv", loglik, "s")
     dio.write_manifest(out, "predict",
                        {"chain": str(rundir), "test_dir": str(test_dir)},
-                       summary.get("seed"), [rundir, test_dir], started)
+                       summary["config"]["seed"], [rundir, test_dir], started)
     print(f"wrote predictions for {len(yhat)} subjects to {out}")
     return 0
 

@@ -2,11 +2,15 @@
 
 Datasets, selections, predictions and reports are UTF-8 CSV with a header
 row; reals are written with 17 significant digits so write -> read -> write
-round-trips byte-wise, counts as plain integers. A chain is six raw ``.npy``
-blocks (``alpha``, ``phi``, ``psi``, ``u``, ``xi``, ``log_posterior``) in their
-in-memory shape and dtype, so it round-trips bitwise; an xi-only (stage-2)
-chain writes its empty count blocks too. ``zeta`` (``phi != 0``) and the MPPIs
-are derived on load. Settings, acceptance counts and provenance are JSON.
+round-trips byte-wise, counts as plain integers. A chain is seven raw
+``.npy`` blocks (``alpha``, ``phi_index``, ``phi_value``, ``psi``, ``u``,
+``xi``, ``log_posterior``) in their in-memory shape and dtype, so it
+round-trips bitwise; an xi-only (stage-2) chain writes its empty count blocks
+too. ``phi`` is sparse: ``phi_index`` holds the ascending flat indices of its
+non-zero entries in the S x J x P block whose shape ``summary.json`` records
+as ``phi_shape``, and ``phi_value`` their values. ``zeta`` (``phi != 0``) and
+the MPPIs are derived on load. Settings, acceptance counts and provenance are
+JSON.
 """
 
 from __future__ import annotations
@@ -53,7 +57,7 @@ def write_manifest(outdir, command: str, config: dict, seed, inputs, started: fl
         "output": str(outdir),
         "duration_s": round(time.time() - started, 3),
         "version": __version__,
-        "schema_version": 3,
+        "schema_version": 4,
     }
     with open(outdir / "manifest.json", "w") as f:
         json.dump(manifest, f, indent=2, sort_keys=True)
@@ -124,7 +128,7 @@ def read_truth(repdir) -> GroundTruth:
 # ---------------------------------------------------------------------------
 
 
-_BLOCKS = ("alpha", "phi", "psi", "u", "xi", "log_posterior")
+_BLOCKS = ("alpha", "phi_index", "phi_value", "psi", "u", "xi", "log_posterior")
 
 
 def write_chain(outdir, chain: ChainOutput, hyper: Hyperparams, extra: dict | None = None):
@@ -134,13 +138,13 @@ def write_chain(outdir, chain: ChainOutput, hyper: Hyperparams, extra: dict | No
     for name in _BLOCKS:
         np.save(outdir / f"{name}.npy", getattr(chain, name))
     summary = {
-        "seed": int(chain.seed),
         "config": asdict(chain.config),
         "hyperparams": asdict(hyper),
         "acceptance": {k: {"accepted": int(v[0]), "proposed": int(v[1]),
                            "rate": (v[0] / v[1]) if v[1] else None}
                        for k, v in chain.accept.items()},
         "n_samples": chain.n_samples,
+        "phi_shape": list(chain.phi_shape),
     }
     if extra:
         summary.update(extra)
@@ -161,6 +165,6 @@ def read_chain(rundir) -> tuple[ChainOutput, Hyperparams, dict]:
               for name in _BLOCKS}
     accept = {k: (v["accepted"], v["proposed"])
               for k, v in summary["acceptance"].items()}
-    chain = ChainOutput(**blocks, accept=accept,
+    chain = ChainOutput(**blocks, phi_shape=tuple(summary["phi_shape"]), accept=accept,
                         config=SamplerConfig(**summary["config"]))
     return chain, Hyperparams(**summary["hyperparams"]), summary

@@ -51,7 +51,8 @@ def estimate_lambda_test(chain: ChainOutput, X_test) -> np.ndarray:
     """Exponential of the posterior-mean linear predictor for test subjects."""
     if chain.n_samples < 1:
         raise ValueError("chain has no retained samples")
-    return build_gamma(chain.alpha.mean(axis=0), chain.phi.mean(axis=0), X_test).gamma
+    phi_mean = chain.pair_sums(chain.phi_value) / chain.n_samples
+    return build_gamma(chain.alpha.mean(axis=0), phi_mean, X_test).gamma
 
 
 def estimate_psi_test(lambda_hat, Z_test) -> np.ndarray:

@@ -15,6 +15,9 @@ only terms constant in (c, gamma, u); see ``model.log_augmented_dm``.
 The spike is a point mass at 0, so a pair is included exactly when its
 ``phi`` is non-zero: ``phi`` and ``xi`` are the only record of the
 selections, and ``ChainOutput`` derives ``zeta = phi != 0`` and both MPPIs.
+Few pairs are included, so a chain keeps only the non-zero ``phi`` entries of
+each retained sample, as flat indices into the S x J x P block and their
+values.
 
 Draw order is part of the contract: the batched blocks take every draw in the
 order of a one-move-at-a-time scan (the within-model refresh: a standard
@@ -100,30 +103,51 @@ class SamplerConfig:
 
 @dataclass
 class ChainOutput:
-    """Thinned post-burn-in samples plus the summaries derived from them."""
+    """Thinned post-burn-in samples plus the summaries derived from them.
+
+    ``phi`` is kept sparse: ``phi_index`` holds the ascending flat indices of
+    the non-zero entries of the S x J x P block ``phi_shape``, and
+    ``phi_value`` their values.
+    """
 
     alpha: np.ndarray  # S x J
-    phi: np.ndarray  # S x J x P
+    phi_index: np.ndarray  # int64, ascending flat indices into phi_shape
+    phi_value: np.ndarray  # phi at phi_index
+    phi_shape: tuple  # (S, J, P)
     xi: np.ndarray  # S x M, uint8
     psi: np.ndarray  # S x N x J
     u: np.ndarray  # S x N
     log_posterior: np.ndarray  # full pre-thinning trace, length iterations
     accept: dict  # per-move-type (accepted, proposed) counters
     config: SamplerConfig
-    seed: int = field(init=False)
-    zeta: np.ndarray = field(init=False)  # S x J x P, uint8: phi != 0
     mppi_zeta: np.ndarray = field(init=False)  # J x P
     mppi_xi: np.ndarray = field(init=False)  # M
 
     def __post_init__(self):
-        self.seed = self.config.seed
-        self.zeta = (self.phi != 0).view(np.uint8)
-        self.mppi_zeta = mppi(self.zeta)
         self.mppi_xi = mppi(self.xi)
+        self.mppi_zeta = self.pair_sums() / self.phi_shape[0]
 
     @property
     def n_samples(self) -> int:
         return self.alpha.shape[0]
+
+    @property
+    def zeta(self) -> np.ndarray:
+        """S x J x P uint8 inclusion indicators, ``phi != 0``."""
+        zeta = np.zeros(self.phi_shape, dtype=np.uint8)
+        zeta.ravel()[self.phi_index] = 1
+        return zeta
+
+    def pair_sums(self, weights=None) -> np.ndarray:
+        """J x P sums over the samples of ``weights`` (one per stored entry),
+        or of the inclusion indicators when None.
+
+        Each pair's terms are added in sample order, as ``sum(axis=0)`` of the
+        dense block adds them.
+        """
+        _, J, P = self.phi_shape
+        pairs = self.phi_index % (J * P) if J * P else self.phi_index
+        return np.bincount(pairs, weights, minlength=J * P).reshape(J, P)
 
 
 # ---------------------------------------------------------------------------
@@ -402,7 +426,7 @@ def run_chain(
     # lm_only keeps no count samples: its count blocks have zero width
     nk, Jk, Pk = (0, 0, 0) if mode == "lm_only" else (n, J, P)
     out_alpha = np.empty((S, Jk))
-    out_phi = np.empty((S, Jk, Pk))
+    phi_index, phi_value = [np.empty(0, dtype=np.int64)], [np.empty(0)]
     out_xi = np.empty((S, M), dtype=np.uint8)
     out_psi = np.empty((S, nk, Jk))
     out_u = np.empty((S, nk))
@@ -454,7 +478,9 @@ def run_chain(
         if t > config.burn_in and (t - config.burn_in) % config.thin == 0:
             if mode != "lm_only":
                 out_alpha[s] = state.alpha
-                out_phi[s] = state.phi
+                flat = np.flatnonzero(state.phi)
+                phi_index.append(flat + s * J * P)
+                phi_value.append(state.phi.ravel()[flat])
                 out_psi[s] = state.psi
                 out_u[s] = state.u
             out_xi[s] = state.xi
@@ -463,7 +489,9 @@ def run_chain(
     assert s == S
     return ChainOutput(
         alpha=out_alpha,
-        phi=out_phi,
+        phi_index=np.concatenate(phi_index),
+        phi_value=np.concatenate(phi_value),
+        phi_shape=(S, Jk, Pk),
         xi=out_xi,
         psi=out_psi,
         u=out_u,

@@ -57,7 +57,8 @@ def test_replicate_round_trip(tmp_path):
     assert np.array_equal(btr.psi_star, truth.psi_star)
 
 
-CHAIN_BLOCKS = {"alpha.npy", "phi.npy", "psi.npy", "u.npy", "xi.npy", "log_posterior.npy"}
+CHAIN_BLOCKS = {"alpha.npy", "phi_index.npy", "phi_value.npy", "psi.npy", "u.npy", "xi.npy",
+                "log_posterior.npy"}
 
 
 def small_chains():
@@ -79,7 +80,7 @@ def small_chains():
 
 
 def test_chain_round_trip(tmp_path):
-    # every chain, the xi-only one included, is the same six blocks
+    # every chain, the xi-only one included, is the same seven blocks
     for mode, chain in small_chains().items():
         rundir = tmp_path / mode
         dio.write_chain(rundir, chain, Hyperparams(), extra={"note": "test"})
@@ -87,6 +88,7 @@ def test_chain_round_trip(tmp_path):
         back, hyper, summary = dio.read_chain(rundir)
         assert_chains_equal(back, chain)
         assert back.zeta.dtype == back.xi.dtype == np.uint8
+        assert back.phi_index.dtype == np.int64 and back.phi_value.dtype == np.float64
         assert hyper == Hyperparams()
         assert summary["note"] == "test"
 
@@ -101,11 +103,23 @@ def test_read_chain_ignores_derived_blocks_of_older_writers(tmp_path):
     assert_chains_equal(dio.read_chain(tmp_path)[0], chain)
 
 
+def test_chains_hold_no_dense_phi(tmp_path):
+    # phi is kept as (index, value): no S x J x P float block in memory
+    for mode, chain in small_chains().items():
+        dio.write_chain(tmp_path / mode, chain, Hyperparams())
+        for held in (chain, dio.read_chain(tmp_path / mode)[0]):
+            dense = [name for name, v in vars(held).items()
+                     if isinstance(v, np.ndarray) and v.dtype.kind == "f"
+                     and v.size and v.shape == held.phi_shape]
+            assert not dense, (mode, dense)
+
+
 def assert_chains_equal(back, chain):
-    for name in ("alpha", "phi", "zeta", "xi", "psi", "u", "log_posterior",
-                 "mppi_zeta", "mppi_xi"):
+    for name in ("alpha", "phi_index", "phi_value", "zeta", "xi", "psi", "u",
+                 "log_posterior", "mppi_zeta", "mppi_xi"):
         a, b = getattr(back, name), getattr(chain, name)
         assert a.dtype == b.dtype and np.array_equal(a, b), name
+    assert back.phi_shape == chain.phi_shape
     assert back.accept == chain.accept
     assert back.config == chain.config
 
@@ -216,7 +230,8 @@ def test_cli_fit_deterministic(sim_dir, tmp_path):
     args = ["fit", str(sim_dir / "rep000"), "--seed", "9", *FAST_FIT]
     assert main(args + ["--out", str(a)]) == 0
     assert main(args + ["--out", str(b)]) == 0
-    for name in ("alpha.npy", "phi.npy", "xi.npy", "selected_zeta.csv"):
+    for name in ("alpha.npy", "phi_index.npy", "phi_value.npy", "xi.npy",
+                 "selected_zeta.csv"):
         assert (a / name).read_bytes() == (b / name).read_bytes()
 
 
@@ -349,6 +364,33 @@ def test_cli_predict_old_csv_chain_exits_1(sim_dir, tmp_path, capsys):
     assert main(["predict", str(run)]) == 1
     err = capsys.readouterr().err
     assert str(run) in err and "re-run fit" in err
+
+
+def test_cli_predict_schema_3_chain_exits_1(sim_dir, tmp_path, capsys):
+    # a chain written with a dense phi.npy in place of phi_index/phi_value
+    run = tmp_path / "o"
+    assert main(["fit", str(sim_dir / "rep000"), "--out", str(run), *FAST_FIT]) == 0
+    chain, _, _ = dio.read_chain(run)
+    (run / "phi_index.npy").unlink()
+    (run / "phi_value.npy").unlink()
+    dense = np.zeros(chain.phi_shape)
+    dense.ravel()[chain.phi_index] = chain.phi_value
+    np.save(run / "phi.npy", dense)
+    capsys.readouterr()
+    assert main(["predict", str(run)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "re-run fit" in err
+    assert str(run) in err and "phi_index.npy" in err
+
+
+def test_cli_predict_manifest_records_fit_seed(sim_dir, tmp_path):
+    for model in ("joint", "dmlm-bayes"):
+        run = tmp_path / model
+        assert main(["fit", str(sim_dir / "rep000"), "--out", str(run),
+                     "--model", model, "--seed", "5", *FAST_FIT]) == 0
+        assert main(["predict", str(run)]) == 0
+        assert dio.read_manifest(run / "predictions")["seed"] == 5
+        assert "seed" not in json.loads((run / "summary.json").read_text())
 
 
 def test_cli_predict_chain_missing_a_block_exits_1(sim_dir, tmp_path, capsys):

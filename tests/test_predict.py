@@ -23,6 +23,13 @@ from dmjoint.predict import (
 from dmjoint.sampler import ChainOutput, SamplerConfig
 
 
+def sparse_phi(phi):
+    """The (index, value, shape) fields of ChainOutput for a dense S x J x P phi."""
+    phi = np.asarray(phi, dtype=float)
+    index = np.flatnonzero(phi)
+    return {"phi_index": index, "phi_value": phi.ravel()[index], "phi_shape": phi.shape}
+
+
 def make_chain(alpha, phi, xi, psi, u=None):
     alpha = np.asarray(alpha, dtype=float)
     S = alpha.shape[0]
@@ -31,7 +38,7 @@ def make_chain(alpha, phi, xi, psi, u=None):
     cfg = SamplerConfig(iterations=2, burn_in=1, thin=1)
     return ChainOutput(
         alpha=alpha,
-        phi=np.asarray(phi, dtype=float),
+        **sparse_phi(phi),
         xi=np.asarray(xi, dtype=np.uint8),
         psi=np.asarray(psi, dtype=float),
         u=np.asarray(u, dtype=float),

@@ -18,6 +18,7 @@ from dmjoint.model import (
     marginal_gram,
     sbp_pivot,
 )
+from dmjoint.predict import estimate_lambda_test
 from dmjoint.prep import preprocess
 from dmjoint.sampler import (
     SamplerConfig,
@@ -379,11 +380,24 @@ def test_run_chain_retained_count_and_determinism():
 
 
 def test_run_chain_preserves_state_invariants():
-    train, _, _ = small_fixture(seed=1)
+    train, test, _ = small_fixture(seed=1)
     cfg = SamplerConfig(iterations=300, burn_in=100, thin=10, seed=4,
                         between_moves_per_iter=5)
     out = run_chain(train, Hyperparams(), sbp_pivot(train.n_taxa), cfg)
-    assert np.all((out.phi == 0) == (out.zeta == 0))
+    S, J, P = out.phi_shape
+    assert (S, J, P) == (20, train.n_taxa, train.n_covariates)
+    index = out.phi_index
+    assert index.size and np.all(np.diff(index) > 0)
+    assert index[0] >= 0 and index[-1] < S * J * P
+    assert np.all(out.phi_value != 0)
+    dense = np.zeros((S, J, P))
+    dense.ravel()[index] = out.phi_value
+    assert np.array_equal(out.zeta, dense != 0)
+    assert np.array_equal(out.mppi_zeta, (dense != 0).mean(axis=0))
+    assert np.array_equal(out.pair_sums(out.phi_value) / S, dense.mean(axis=0))
+    assert np.array_equal(
+        estimate_lambda_test(out, test.X_test),
+        build_gamma(out.alpha.mean(axis=0), dense.mean(axis=0), test.X_test).gamma)
     assert np.all(out.psi > 0)
     assert np.all(out.u > 0)
     assert np.all(np.isfinite(out.log_posterior))
@@ -416,7 +430,8 @@ def test_lm_only_chain_keeps_xi_alone():
                         between_moves_per_iter=2, init_xi_frac=0.5)
     out = run_chain(data, Hyperparams(), spec, cfg, balances=B)
     assert out.alpha.shape == (10, 0) and out.u.shape == (10, 0)
-    assert out.phi.shape == out.zeta.shape == out.psi.shape == (10, 0, 0)
+    assert out.phi_shape == out.zeta.shape == out.psi.shape == (10, 0, 0)
+    assert out.phi_index.size == out.phi_value.size == 0
     assert out.zeta.dtype == np.uint8 and out.mppi_zeta.shape == (0, 0)
     assert out.xi.shape == (10, 4) and out.accept.keys() == {"xi"}
     assert out.accept["xi"][1] == 60

@@ -125,11 +125,6 @@ def _fit_one(repdir: Path, outdir: Path, model: str, hyper: Hyperparams,
         sel_zeta = median_model(two.stage1.mppi_zeta)
         sel_xi = median_model(two.stage2.mppi_xi)
         yhat = two_step_fitted_y(two, train, spec, hyper)
-        with open(outdir / "summary.json", "w") as f:
-            json.dump({"model": model, **extra,
-                       "hyperparams": asdict(hyper), "config": asdict(config)},
-                      f, indent=2, sort_keys=True)
-            f.write("\n")
     spec.to_file(outdir / PARTITION_FILE)
     dio.write_matrix(outdir / "selected_zeta.csv", sel_zeta, "zeta", integer=True)
     dio.write_matrix(outdir / "selected_xi.csv", sel_xi[:, None], "xi", integer=True)
@@ -193,8 +188,8 @@ def cmd_predict(args) -> int:
     started = time.time()
     rundir = Path(args.chain)
     two_step = (rundir / "stage1").exists()
-    summary_path = rundir / "summary.json"
-    with open(summary_path) as f:
+    # a two-step fit records its settings once, in its stage-one chain
+    with open((rundir / "stage1" if two_step else rundir) / "summary.json") as f:
         summary = json.load(f)
     hyper = Hyperparams(**summary["hyperparams"])
     if two_step:

@@ -20,10 +20,13 @@ each retained sample, as flat indices into the S x J x P block and their
 values.
 
 Draw order is part of the contract: the batched blocks take every draw in the
-order of a one-move-at-a-time scan (the within-model refresh: a standard
-normal then a uniform per included pair, in ``np.argwhere`` order), so chains
-stay bitwise identical to it. Moving a draw changes every chain and the cached
-Part B numbers, and must bump ``STREAM_VERSION``, which keys that cache.
+order of a one-move-at-a-time scan, so chains stay bitwise identical to it.
+A between-model move draws its taxon, its covariate, an add's proposal and
+its uniform; the within-model refresh a standard normal then a uniform per
+included pair, in ``np.argwhere`` order; an xi move its target then its
+uniform. Each block draws before it scores, and scores its moves in batches.
+Moving a draw changes every chain and the cached Part B numbers, and must
+bump ``STREAM_VERSION``, which keys that cache.
 """
 
 from __future__ import annotations
@@ -203,15 +206,14 @@ def pair_log_mh_ratio(move, logc_col, gamma_col, lgam_col, lam_col, x_col,
 
 
 def xi_log_mh_ratio(xi, m, logml_cur, flips, log_odds_on):
-    """Log MH ratio of flipping balance indicator m against the collapsed Y marginal.
+    """Log MH ratios of flipping balance indicators m against the collapsed Y marginal.
 
-    ``logml_cur`` and ``flips`` are ``model.flip_log_marginals`` of ``xi``.
-    Returns (ratio, flipped indicators).
+    ``m`` is an index or an array of them, each scored as the only flip from
+    ``xi``; ``logml_cur`` and ``flips`` are ``model.flip_log_marginals`` of
+    ``xi``. Returns ratios shaped like ``m``.
     """
-    flipped = xi.copy()
-    flipped[m] = 1 - flipped[m]
-    prior = log_odds_on if flipped[m] else -log_odds_on
-    return flips[m] - logml_cur + prior, flipped
+    prior = np.where(xi[m] == 1, -log_odds_on, log_odds_on)  # delete or add
+    return flips[m] - logml_cur + prior
 
 
 # ---------------------------------------------------------------------------
@@ -263,61 +265,89 @@ def update_alpha(state, data, field, hyper, rng, logc, lgam):
     return int(ok.sum())
 
 
+def _rounds(taxa):
+    """Positions of ``taxa`` in rounds: round r holds the r-th entry of every
+    taxon, so no round has two entries in one taxon."""
+    order = np.argsort(taxa, kind="stable")
+    ordered = taxa[order]
+    rank = np.empty(len(taxa), dtype=np.int64)
+    rank[order] = np.arange(len(taxa)) - np.searchsorted(ordered, ordered)
+    return [np.flatnonzero(rank == r) for r in range(rank.max(initial=-1) + 1)]
+
+
+def _score_round(move, j, p, phi_new, log_u, state, data, field, hyper, logc, lgam,
+                 log_odds_on):
+    """Score one move per pair (j, p), the taxa j distinct, and apply the
+    accepted ones; returns how many were accepted."""
+    # a.T[j] is C-contiguous: each taxon's N values are one row
+    ratio, lam_new, gamma_new, lgam_new = pair_log_mh_ratio(
+        move, logc.T[j], field.gamma.T[j], lgam.T[j], field.lam.T[j],
+        data.X.T[p], state.phi[j, p], phi_new, hyper, log_odds_on)
+    ok = log_u < ratio
+    j = j[ok]
+    state.phi[j, p[ok]] = phi_new[ok]
+    field.lam[:, j], field.gamma[:, j] = lam_new[ok].T, gamma_new[ok].T
+    lgam[:, j] = lgam_new[ok].T
+    return len(j)
+
+
+def _score_moves(batch, counts, caches):
+    """Score between-model moves ``(is_add, j, p, phi_new, u)`` on distinct
+    pairs, in rounds by taxon: round r takes the r-th move of every taxon at
+    once, one kernel call per move type, since pairs in different taxa are
+    independent given c."""
+    is_add, j, p, phi_new, u = map(np.array, zip(*batch))
+    log_u = np.log(u)
+    for k in _rounds(j):
+        for move, kk in (("delete", k[~is_add[k]]), ("add", k[is_add[k]])):
+            if kk.size:
+                counts[move] += _score_round(move, j[kk], p[kk], phi_new[kk], log_u[kk],
+                                             *caches)
+                counts[move + "_prop"] += kk.size
+
+
 def update_zeta_phi(state, data, field, hyper, rng, logc, lgam, log_odds_on,
                     n_between=1):
     """Between-model add/delete moves followed by a within-model refresh.
 
     Takes and updates the same caches as ``update_alpha``; a pair is included
-    when its ``phi`` is non-zero. After the scan's draws, the refresh scores
-    the r-th included pair of every taxon at once: pairs in different taxa are
-    independent given c.
+    when its ``phi`` is non-zero. Each between-model move draws its taxon, its
+    covariate, for an add its proposal, and its uniform; the moves are scored
+    in batches, and a batch ends before a pair it already holds, whose move
+    type waits on the earlier move. The refresh then draws a standard normal
+    and a uniform per included pair, in ``np.argwhere`` order, and scores the
+    r-th included pair of every taxon at once.
     """
     J, P = state.phi.shape
     counts = {"add": 0, "add_prop": 0, "delete": 0, "delete_prop": 0,
               "within": 0, "within_prop": 0}
-
-    def try_move(move, j, p, phi_new):
-        ratio, lam_new, gamma_new, lgam_new = pair_log_mh_ratio(
-            move, logc[:, j], field.gamma[:, j], lgam[:, j], field.lam[:, j],
-            data.X[:, p], state.phi[j, p], phi_new, hyper, log_odds_on,
-        )
-        counts[move + "_prop"] += 1
-        if np.log(rng.uniform()) < ratio:
-            state.phi[j, p] = phi_new
-            field.lam[:, j] = lam_new
-            field.gamma[:, j] = gamma_new
-            lgam[:, j] = lgam_new
-            counts[move] += 1
-
+    caches = (state, data, field, hyper, logc, lgam, log_odds_on)
     # an overflowing proposal is rejected by its -inf ratio
     with np.errstate(over="ignore", invalid="ignore"):
+        batch, pairs = [], set()  # moves (is_add, j, p, phi_new, u) not yet scored
         for _ in range(n_between):
             j = int(rng.integers(J))
             p = int(rng.integers(P))
+            if (j, p) in pairs:
+                _score_moves(batch, counts, caches)
+                batch, pairs = [], set()
+            pairs.add((j, p))
             if state.phi[j, p]:
-                try_move("delete", j, p, 0.0)
+                batch.append((False, j, p, 0.0, rng.random()))
             else:
-                try_move("add", j, p, rng.normal(state.phi[j, p], hyper.proposal_sd))
+                phi_new = rng.normal(0.0, hyper.proposal_sd)
+                batch.append((True, j, p, phi_new, rng.random()))
+        if batch:
+            _score_moves(batch, counts, caches)
 
         taxa, covs = np.argwhere(state.phi != 0).T
         draws = [(rng.standard_normal(), rng.random()) for _ in taxa]
         z, u = np.array(draws).reshape(-1, 2).T
         phi_new = state.phi[taxa, covs] + hyper.proposal_sd * z
         log_u = np.log(u)
-        rank = np.arange(len(taxa)) - np.searchsorted(taxa, taxa)
-        for r in range(rank.max(initial=-1) + 1):
-            k = np.flatnonzero(rank == r)
-            j, p = taxa[k], covs[k]
-            # a.T[j] is C-contiguous: each taxon's N values are one row
-            ratio, lam_new, gamma_new, lgam_new = pair_log_mh_ratio(
-                "within", logc.T[j], field.gamma.T[j], lgam.T[j], field.lam.T[j],
-                data.X.T[p], state.phi[j, p], phi_new[k], hyper, log_odds_on)
-            ok = log_u[k] < ratio
-            j = j[ok]
-            state.phi[j, p[ok]] = phi_new[k[ok]]
-            field.lam[:, j], field.gamma[:, j] = lam_new[ok].T, gamma_new[ok].T
-            lgam[:, j] = lgam_new[ok].T
-            counts["within"] += len(j)
+        for k in _rounds(taxa):
+            counts["within"] += _score_round("within", taxa[k], covs[k], phi_new[k],
+                                             log_u[k], *caches)
         counts["within_prop"] = len(taxa)
     return counts
 
@@ -343,20 +373,27 @@ def update_u(state, data, rng):
 def update_xi(state, gram, hyper, rng, logml_cur, flips, log_odds_on, n_moves=1):
     """Add/delete flips of balance indicators against the collapsed Y marginal.
 
+    Draws a target and a uniform per move, then scans the moves in order: all
+    moves not yet taken are scored against the current selection at once, the
+    first that accepts flips it, and the scan resumes after it.
     ``logml_cur`` and ``flips`` are the current selection's
-    ``model.flip_log_marginals`` on ``gram``, rescored after each accepted
+    ``model.flip_log_marginals`` on ``gram``, rescored only after an accepted
     flip; returns the number of accepted flips and the final two.
     """
     M = state.xi.shape[0]
-    accepted = 0
-    for _ in range(n_moves):
-        m = int(rng.integers(M))
-        ratio, flipped = xi_log_mh_ratio(state.xi, m, logml_cur, flips, log_odds_on)
-        if np.log(rng.uniform()) < ratio:
-            state.xi = flipped
-            logml_cur, flips = flip_log_marginals(gram, flipped, hyper)
-            accepted += 1
-    return accepted, logml_cur, flips
+    m, u = np.array([(rng.integers(M), rng.random()) for _ in range(n_moves)]).T
+    m, log_u = m.astype(np.int64), np.log(u)
+    accepted, start = 0, 0
+    while True:
+        # every move up to the first acceptance is scored against one state
+        ratio = xi_log_mh_ratio(state.xi, m[start:], logml_cur, flips, log_odds_on)
+        hits = np.flatnonzero(log_u[start:] < ratio)
+        if not hits.size:
+            return accepted, logml_cur, flips
+        start += int(hits[0])
+        state.xi[m[start]] ^= 1
+        logml_cur, flips = flip_log_marginals(gram, state.xi, hyper)
+        accepted, start = accepted + 1, start + 1
 
 
 # ---------------------------------------------------------------------------

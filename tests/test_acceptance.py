@@ -192,9 +192,10 @@ def test_criterion_a5_mh_reversibility():
     gram = marginal_gram(Y, B, hyper)
     xi_odds = beta_binomial_logprior(1, hyper.a_m, hyper.b_m) - beta_binomial_logprior(
         0, hyper.a_m, hyper.b_m)
-    fwd, flipped = xi_log_mh_ratio(xi, 1, *flip_log_marginals(gram, xi, hyper), xi_odds)
-    checks["xi"] = fwd + xi_log_mh_ratio(
-        flipped, 1, *flip_log_marginals(gram, flipped, hyper), xi_odds)[0]
+    flipped = np.array([1, 1, 1], dtype=np.uint8)  # xi with balance 1 flipped
+    checks["xi"] = xi_log_mh_ratio(
+        xi, 1, *flip_log_marginals(gram, xi, hyper), xi_odds) + xi_log_mh_ratio(
+        flipped, 1, *flip_log_marginals(gram, flipped, hyper), xi_odds)
     for name, val in checks.items():
         assert abs(val) < 1e-10, f"{name}: {val}"
     report("criterion 5", "forward+reverse log ratios cancel for all move types")

@@ -214,6 +214,8 @@ def test_cli_fit_two_step(sim_dir, tmp_path):
     # stage 2 keeps no count samples: its count blocks are empty
     assert np.load(fit_dir / "stage2" / "alpha.npy").size == 0
     assert (fit_dir / "psi_bar.csv").exists()
+    # the settings are recorded once, in the stage-one chain's summary
+    assert not (fit_dir / "summary.json").exists()
     assert main(["predict", str(fit_dir),
                  "--test-dir", str(sim_dir / "rep000")]) == 0
     assert (fit_dir / "predictions" / "predictions.csv").exists()
@@ -390,7 +392,8 @@ def test_cli_predict_manifest_records_fit_seed(sim_dir, tmp_path):
                      "--model", model, "--seed", "5", *FAST_FIT]) == 0
         assert main(["predict", str(run)]) == 0
         assert dio.read_manifest(run / "predictions")["seed"] == 5
-        assert "seed" not in json.loads((run / "summary.json").read_text())
+        chain_dir = run / "stage1" if model == "dmlm-bayes" else run
+        assert "seed" not in json.loads((chain_dir / "summary.json").read_text())
 
 
 def test_cli_predict_chain_missing_a_block_exits_1(sim_dir, tmp_path, capsys):

@@ -1,4 +1,5 @@
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from dmjoint.model import (
 from dmjoint.predict import estimate_lambda_test
 from dmjoint.prep import preprocess
 from dmjoint.sampler import (
+    STREAM_VERSION,
     SamplerConfig,
     alpha_log_mh_ratio,
     initial_state,
@@ -29,6 +31,7 @@ from dmjoint.sampler import (
     run_chain,
     update_c,
     update_u,
+    update_xi,
     update_zeta_phi,
     xi_log_mh_ratio,
 )
@@ -185,12 +188,12 @@ def test_reversibility_xi():
     xi = np.array([1, 0, 1], dtype=np.uint8)
     gram, odds = marginal_gram(Y, B, hyper), xi_log_odds_on(hyper)
     logml, flips = flip_log_marginals(gram, xi, hyper)
+    fwd = xi_log_mh_ratio(xi, np.arange(3), logml, flips, odds)
     for m in range(3):
-        fwd, flipped = xi_log_mh_ratio(xi, m, logml, flips, odds)
-        bwd, back = xi_log_mh_ratio(flipped, m, *flip_log_marginals(gram, flipped, hyper),
-                                    odds)
-        assert fwd + bwd == pytest.approx(0.0, abs=1e-10)
-        assert np.array_equal(back, xi)
+        flipped = xi.copy()
+        flipped[m] ^= 1
+        bwd = xi_log_mh_ratio(flipped, m, *flip_log_marginals(gram, flipped, hyper), odds)
+        assert fwd[m] + bwd == pytest.approx(0.0, abs=1e-10)
 
 
 def test_xi_ratio_on_centered_y_is_determinant_only():
@@ -201,7 +204,7 @@ def test_xi_ratio_on_centered_y_is_determinant_only():
     B = np.array([[1.0], [-1.0]])
     xi = np.array([0], dtype=np.uint8)
     logml, flips = flip_log_marginals(marginal_gram(Y, B, hyper), xi, hyper)
-    got, _ = xi_log_mh_ratio(xi, 0, logml, flips, xi_log_odds_on(hyper))
+    got = xi_log_mh_ratio(xi, 0, logml, flips, xi_log_odds_on(hyper))
     omega0 = np.eye(2) + hyper.h_alpha0 * np.ones((2, 2))
     omega1 = omega0 + hyper.h_beta * B @ B.T
     det_part = -0.5 * (np.linalg.slogdet(omega1)[1] - np.linalg.slogdet(omega0)[1])
@@ -228,33 +231,61 @@ def test_flip_log_marginals_match_log_marginal_y(k):
         assert abs(flips[m] - log_marginal_y(Y, B[:, flipped == 1], hyper)) < 1e-10
 
 
-def sequential_within_refresh(state, data, field, hyper, rng, logc, lgam):
-    """Reference refresh: one pair at a time, in np.argwhere order, drawing
-    rng.normal then rng.uniform per pair. Returns the counts and the taxa of
-    the proposals whose gamma overflowed."""
-    counts = {"within": 0, "within_prop": 0}
-    overflowed = set()
+def one_pair_move(move, j, p, phi_new, log_u, state, data, field, hyper, logc, lgam,
+                  counts):
+    """Reference move: score and apply one pair move; True if its gamma overflowed."""
+    ratio, lam_new, gamma_new, lgam_new = pair_log_mh_ratio(
+        move, logc[:, j], field.gamma[:, j], lgam[:, j], field.lam[:, j],
+        data.X[:, p], state.phi[j, p], phi_new, hyper, log_odds_on(hyper))
+    counts[move + "_prop"] += 1
+    if log_u < ratio:
+        state.phi[j, p] = phi_new
+        field.lam[:, j], field.gamma[:, j], lgam[:, j] = lam_new, gamma_new, lgam_new
+        counts[move] += 1
+    return not np.all(np.isfinite(gamma_new))
+
+
+def sequential_pair_moves(state, data, field, hyper, rng, logc, lgam, n_between):
+    """Reference for update_zeta_phi: one move at a time, drawing as it goes.
+
+    Each between-model move draws its taxon and covariate, deletes the pair if
+    it is included and otherwise adds it at rng.normal(0, proposal_sd), then
+    draws its uniform. The refresh then moves the included pairs in
+    np.argwhere order, drawing rng.normal then rng.uniform per pair. Returns
+    the counts and, per move, (move, taxon, covariate, batch, round,
+    overflowed): update_zeta_phi scores a batch of moves that ends before a
+    pair it already holds, in rounds by each move's rank among the moves of
+    its taxon in the batch.
+    """
+    counts = dict.fromkeys(["add", "add_prop", "delete", "delete_prop", "within",
+                            "within_prop"], 0)
+    log, batch, pairs = [], 0, set()
+    J, P = state.phi.shape
     with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(n_between):
+            j, p = int(rng.integers(J)), int(rng.integers(P))
+            if (j, p) in pairs:
+                batch, pairs = batch + 1, set()
+            pairs.add((j, p))
+            move, phi_new = (("delete", 0.0) if state.phi[j, p]
+                             else ("add", rng.normal(0.0, hyper.proposal_sd)))
+            rank = sum(m[1] == j and m[3] == batch for m in log)
+            over = one_pair_move(move, j, p, phi_new, np.log(rng.uniform()), state, data,
+                                 field, hyper, logc, lgam, counts)
+            log.append((move, j, p, batch, rank, over))
         for j, p in np.argwhere(state.phi != 0):
             phi_new = rng.normal(state.phi[j, p], hyper.proposal_sd)
-            ratio, lam_new, gamma_new, lgam_new = pair_log_mh_ratio(
-                "within", logc[:, j], field.gamma[:, j], lgam[:, j], field.lam[:, j],
-                data.X[:, p], state.phi[j, p], phi_new, hyper, log_odds_on(hyper))
-            if not np.all(np.isfinite(gamma_new)):
-                overflowed.add(int(j))
-            counts["within_prop"] += 1
-            if np.log(rng.uniform()) < ratio:
-                state.phi[j, p] = phi_new
-                field.lam[:, j], field.gamma[:, j], lgam[:, j] = lam_new, gamma_new, lgam_new
-                counts["within"] += 1
-    return counts, overflowed
+            rank = sum(m[0] == "within" and m[1] == j for m in log)
+            over = one_pair_move("within", j, p, phi_new, np.log(rng.uniform()), state,
+                                 data, field, hyper, logc, lgam, counts)
+            log.append(("within", j, p, -1, rank, over))
+    return counts, log
 
 
-def test_within_refresh_matches_sequential_scan():
-    # 5 taxa with 0-4 included pairs each; covariate 3 takes a huge value for
-    # subject 0, so a proposal that moves its coefficient up overflows gamma.
-    # Taxa 3 and 4 score that pair in a round shared with other taxa.
-    hyper = Hyperparams(proposal_sd=0.3)
+def pair_move_fixture(hyper):
+    """5 taxa with 0-4 included pairs each; covariate 3 takes a huge value for
+    subject 0, so a proposal that moves its coefficient up overflows gamma.
+    Returns the data and a factory of fresh (state, field, lgam, logc)."""
     rng = np.random.default_rng(13)
     n, J, P = 9, 5, 4
     X = rng.normal(size=(n, P))
@@ -265,32 +296,117 @@ def test_within_refresh_matches_sequential_scan():
     phi[:, 3] *= 1e-3
     data = Dataset(Y=np.zeros(n), Z=rng.integers(0, 40, size=(n, J)) + 1, X=X)
     c = data.Z + rng.gamma(2.0, size=(n, J))
+    alpha = rng.normal(size=J)
 
     def start():
-        state = ChainState(alpha=rng_alpha.copy(), phi=phi.copy(), c=c.copy(),
+        state = ChainState(alpha=alpha.copy(), phi=phi.copy(), c=c.copy(),
                            u=np.ones(n), xi=np.zeros(J - 1, np.uint8), T=c.sum(axis=1))
         field = build_gamma(state.alpha, state.phi, X)
         return state, field, gammaln(field.gamma), np.log(c)
 
-    rng_alpha = rng.normal(size=J)
+    return data, start
+
+
+def assert_same_pair_moves(data, start, hyper, seed, n_between):
+    """Run update_zeta_phi and the reference from one seed; both must end in
+    the same bits. Returns the reference's move log."""
+    s_ref, f_ref, lgam_ref, logc = start()
+    r_ref = np.random.default_rng(seed)
+    counts_ref, log = sequential_pair_moves(s_ref, data, f_ref, hyper, r_ref, logc,
+                                            lgam_ref, n_between)
+    s_new, f_new, lgam_new, logc = start()
+    r_new = np.random.default_rng(seed)
+    counts = update_zeta_phi(s_new, data, f_new, hyper, r_new, logc, lgam_new,
+                             log_odds_on(hyper), n_between=n_between)
+    assert counts == counts_ref
+    for a, b in [(s_ref.phi, s_new.phi), (f_ref.lam, f_new.lam), (f_ref.gamma, f_new.gamma),
+                 (lgam_ref, lgam_new)]:
+        assert a.tobytes() == b.tobytes()
+    assert r_ref.bit_generator.state == r_new.bit_generator.state
+    return counts_ref, log
+
+
+def overflow_in_shared_round(log, within):
+    """True if a within (or between-model) move overflowed in a round that
+    scored another taxon."""
+    moves = [m for m in log if (m[0] == "within") == within]
+    return any(over and any(j2 != j and b2 == b and r2 == r for _, j2, _, b2, r2, _ in moves)
+               for _, j, _, b, r, over in moves)
+
+
+def test_within_refresh_matches_sequential_scan():
+    # taxa 3 and 4 score the pair on covariate 3 in a round shared with other
+    # taxa
+    hyper = Hyperparams(proposal_sd=0.3)
+    data, start = pair_move_fixture(hyper)
     for seed in range(20):
-        s_ref, f_ref, lgam_ref, logc = start()
-        r_ref = np.random.default_rng(seed)
-        counts_ref, overflowed = sequential_within_refresh(
-            s_ref, data, f_ref, hyper, r_ref, logc, lgam_ref)
-        s_new, f_new, lgam_new, logc = start()
-        r_new = np.random.default_rng(seed)
-        counts = update_zeta_phi(s_new, data, f_new, hyper, r_new, logc, lgam_new,
-                                 log_odds_on(hyper), n_between=0)
-        assert {k: counts[k] for k in counts_ref} == counts_ref
-        assert counts_ref["within_prop"] == 11 and 0 < counts_ref["within"] < 11
-        for a, b in [(s_ref.phi, s_new.phi), (f_ref.lam, f_new.lam), (f_ref.gamma, f_new.gamma),
-                     (lgam_ref, lgam_new)]:
-            assert a.tobytes() == b.tobytes()
-        assert r_ref.bit_generator.state == r_new.bit_generator.state
-        if overflowed & {3, 4}:
+        counts, log = assert_same_pair_moves(data, start, hyper, seed, n_between=0)
+        assert counts["within_prop"] == 11 and 0 < counts["within"] < 11
+        if overflow_in_shared_round(log, within=True):
             break
-    assert overflowed & {3, 4}, "no seed overflowed a pair in a shared round"
+    assert overflow_in_shared_round(log, within=True), "no seed overflowed in a shared round"
+
+
+def test_between_moves_match_sequential_scan():
+    # 12 moves on 20 pairs: the seeds must between them move a pair twice (an
+    # accepted add, then a delete), move two pairs of one taxon in one batch,
+    # and overflow a proposal in a round shared with other taxa
+    hyper = Hyperparams(proposal_sd=0.3, a=50.0, b=1.0)
+    data, start = pair_move_fixture(hyper)
+    seen = set()
+    for seed in range(50):
+        counts, log = assert_same_pair_moves(data, start, hyper, seed, n_between=12)
+        assert counts["add_prop"] + counts["delete_prop"] == 12
+        between = [(m, j, p, b) for m, j, p, b, _, _ in log if m != "within"]
+        for i, (m, j, p, b) in enumerate(between):
+            if m == "delete" and any(m2 == "add" and (j2, p2) == (j, p)
+                                     for m2, j2, p2, _ in between[:i]):
+                seen.add("add then delete")
+            if any(j2 == j and p2 != p and b2 == b for _, j2, p2, b2 in between[:i]):
+                seen.add("two pairs in one taxon")
+        if overflow_in_shared_round(log, within=False):
+            seen.add("overflow in a shared round")
+        if len(seen) == 3:
+            break
+    assert len(seen) == 3, f"the seeds covered only {seen}"
+
+
+def test_xi_scan_matches_sequential_moves():
+    # 4 balances and 10 moves repeat targets; the seeds must between them
+    # accept two moves in a row. The reference draws a target, scores it and
+    # then draws its uniform, one move at a time.
+    hyper = Hyperparams(a_m=1.0, b_m=1.0)
+    rng = np.random.default_rng(15)
+    B = rng.normal(size=(12, 4))
+    Y = B[:, 0] + rng.normal(size=12)
+    gram, odds, n = marginal_gram(Y - Y.mean(), B, hyper), xi_log_odds_on(hyper), 10
+    xi0 = np.array([1, 0, 0, 1], dtype=np.uint8)
+    back_to_back = False
+    for seed in range(30):
+        ref = SimpleNamespace(xi=xi0.copy())
+        r_ref = np.random.default_rng(seed)
+        logml, flips = flip_log_marginals(gram, ref.xi, hyper)
+        accepted = []
+        for i in range(n):
+            m = int(r_ref.integers(4))
+            ratio = xi_log_mh_ratio(ref.xi, m, logml, flips, odds)
+            if np.log(r_ref.uniform()) < ratio:
+                ref.xi[m] ^= 1
+                logml, flips = flip_log_marginals(gram, ref.xi, hyper)
+                accepted.append(i)
+        state = SimpleNamespace(xi=xi0.copy())
+        r_new = np.random.default_rng(seed)
+        got = update_xi(state, gram, hyper, r_new, *flip_log_marginals(gram, xi0, hyper),
+                        odds, n_moves=n)
+        assert got[0] == len(accepted)
+        assert np.float64(got[1]).tobytes() == np.float64(logml).tobytes()
+        assert got[2].tobytes() == flips.tobytes()
+        assert state.xi.tobytes() == ref.xi.tobytes()
+        assert r_ref.bit_generator.state == r_new.bit_generator.state
+        back_to_back |= any(b - a == 1 for a, b in zip(accepted, accepted[1:]))
+        if back_to_back:
+            break
+    assert back_to_back, "no seed accepted two moves in a row"
 
 
 # ---------------------------------------------------------------------------
@@ -377,6 +493,35 @@ def test_run_chain_retained_count_and_determinism():
     assert np.array_equal(out1.psi, out2.psi)
     assert np.array_equal(out1.xi, out2.xi)
     assert np.array_equal(out1.log_posterior, out2.log_posterior)
+
+
+def test_stream_version_pins_draw_order():
+    # Tiny fixed-seed chains of each mode, pinned by their integer outputs. A
+    # change to the draws or their order moves these, and must bump
+    # STREAM_VERSION, which keys the cached Part B battery.
+    assert STREAM_VERSION == 1
+    train, _, _ = small_fixture()
+    spec = sbp_pivot(train.n_taxa)
+    cfg = dict(iterations=40, burn_in=20, thin=2, seed=9, between_moves_per_iter=4)
+    rng = np.random.default_rng(11)
+    B = rng.normal(size=(12, 4))
+    Y = B[:, 0] + 0.1 * rng.normal(size=12)
+    data, xi_spec = xi_only_inputs(Y - Y.mean(), B)
+    chains = {
+        mode: run_chain(train, Hyperparams(), spec, SamplerConfig(mode=mode, **cfg))
+        for mode in ("joint", "dm_only")}
+    chains["lm_only"] = run_chain(
+        data, Hyperparams(), xi_spec,
+        SamplerConfig(mode="lm_only", init_xi_frac=0.5, **cfg), balances=B)
+    got = {mode: (out.accept, int(out.xi.sum()), out.phi_index.size)
+           for mode, out in chains.items()}
+    assert got == {
+        "joint": ({"alpha": (107, 320), "add": (11, 140), "delete": (10, 20),
+                   "within": (35, 112), "xi": (20, 160)}, 2, 16),
+        "dm_only": ({"alpha": (98, 320), "add": (7, 142), "delete": (6, 18),
+                     "within": (28, 78), "xi": (0, 0)}, 0, 5),
+        "lm_only": ({"xi": (11, 160)}, 10, 0),
+    }
 
 
 def test_run_chain_preserves_state_invariants():

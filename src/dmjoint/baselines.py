@@ -2,12 +2,13 @@
 selection on balances frozen at the posterior-mean composition.
 
 Both stages run ``sampler.run_chain`` and both prediction functions run
-``predict.averaged_response``, so the comparator differs from the joint model
-only in freezing the composition."""
+``predict.ridge_pass``, so the comparator differs from the joint model only in
+freezing the composition: its balances are built once, from psi_bar."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from itertools import repeat
 
 import numpy as np
 
@@ -18,7 +19,7 @@ from .model import (
     log_balances,
     standardize_columns,
 )
-from .predict import TestSet, averaged_response, estimate_lambda_test, estimate_psi_test
+from .predict import TestSet, estimate_test_balances, ridge_pass
 from .sampler import ChainOutput, SamplerConfig, run_chain
 
 __all__ = ["TwoStepOutput", "run_dm_only", "run_balance_selection", "run_two_step",
@@ -38,11 +39,16 @@ def run_dm_only(data: Dataset, hyper: Hyperparams, spec: PartitionSpec,
     return run_chain(data, hyper, spec, replace(config, mode="dm_only"))
 
 
+def _frozen_balances(psi_bar: np.ndarray, contrast, hyper: Hyperparams):
+    """The column-standardized balances of psi_bar with their means and sds: the
+    balances stage two selects on and every stage-two sample is fitted on."""
+    return standardize_columns(log_balances(psi_bar, contrast, hyper.delta))
+
+
 def run_balance_selection(data: Dataset, psi_bar: np.ndarray, hyper: Hyperparams,
                           spec: PartitionSpec, config: SamplerConfig) -> ChainOutput:
     """Stage two: balance selection on the column-standardized balances of psi_bar."""
-    B_std, _, _ = standardize_columns(
-        log_balances(psi_bar, spec.contrast_matrix(), hyper.delta))
+    B_std, _, _ = _frozen_balances(psi_bar, spec.contrast_matrix(), hyper)
     return run_chain(data, hyper, spec, replace(config, mode="lm_only"), balances=B_std)
 
 
@@ -58,24 +64,23 @@ def run_two_step(data: Dataset, hyper: Hyperparams, spec: PartitionSpec,
     return TwoStepOutput(stage1=stage1, psi_bar=psi_bar, stage2=stage2)
 
 
-def _frozen_psi(two_step: TwoStepOutput) -> np.ndarray:
-    """psi_bar repeated for every stage-two sample."""
-    psi_bar = two_step.psi_bar
-    return np.broadcast_to(psi_bar, (two_step.stage2.n_samples, *psi_bar.shape))
+def _frozen_pass(two_step: TwoStepOutput, data: Dataset, contrast, hyper: Hyperparams,
+                 B_test=None):
+    """``ridge_pass`` over the stage-two selections, every one on the same balances."""
+    frozen = _frozen_balances(two_step.psi_bar, contrast, hyper)
+    return ridge_pass(repeat(frozen), two_step.stage2.xi, data.Y, hyper, B_test)
 
 
 def two_step_fitted_y(two_step: TwoStepOutput, data: Dataset, spec: PartitionSpec,
                       hyper: Hyperparams) -> np.ndarray:
     """In-sample estimates averaged over stage-two selections on the frozen balances."""
-    return averaged_response(_frozen_psi(two_step), two_step.stage2.xi, data.Y, spec, hyper)
+    return _frozen_pass(two_step, data, spec.contrast_matrix(), hyper)[0]
 
 
 def two_step_predict_y(two_step: TwoStepOutput, data: Dataset, test: TestSet,
                        spec: PartitionSpec, hyper: Hyperparams) -> np.ndarray:
     """Test predictions: test compositions from the stage-one chain, coefficients
     from ridge fits on the frozen training balances."""
-    psi_test = estimate_psi_test(
-        estimate_lambda_test(two_step.stage1, test.X_test), test.Z_test
-    )
-    return averaged_response(_frozen_psi(two_step), two_step.stage2.xi, data.Y, spec,
-                             hyper, psi_test)
+    contrast = spec.contrast_matrix()
+    B_test = estimate_test_balances(two_step.stage1, test, contrast, hyper)
+    return _frozen_pass(two_step, data, contrast, hyper, B_test)[1]

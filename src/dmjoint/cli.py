@@ -35,28 +35,21 @@ from .simulate import SimConfig, gen_replicate, replicate_rng
 HYPER_FLAGS = [f.name for f in fields(Hyperparams)]
 # --model decides the sampler modes, so mode is recorded but not a flag.
 SAMPLER_FLAGS = [f.name for f in fields(SamplerConfig) if f.name != "mode"]
+# The SimConfig fields simulate exposes, in --help order; --null overrides
+# the n_true_* fields.
+SIM_FLAGS = ["N", "P", "J", "omega", "d", "n_true_cov", "n_true_bal", "sigma_eps", "delta"]
 # The balance partition a fit used, in PartitionSpec's file format; predict
 # rebuilds the training and test balances from it.
 PARTITION_FILE = "partition.txt"
 
 
-def _flag(name: str) -> str:
-    return "--" + name.replace("_", "-")
-
-
-def _add_hyper_args(p):
-    defaults = Hyperparams()
-    for name in HYPER_FLAGS:
-        p.add_argument(_flag(name), type=float, default=getattr(defaults, name),
-                       dest=name)
-
-
-def _add_sampler_args(p):
-    defaults = SamplerConfig()
-    for name in SAMPLER_FLAGS:
-        default = getattr(defaults, name)
-        kind = type(default)
-        p.add_argument(_flag(name), type=kind, default=default, dest=name)
+def _add_config_args(p, defaults, names):
+    """One flag per config field (--burn-in for burn_in, --n for N), typed and
+    defaulted by the field's default."""
+    for name in names:
+        default, dest = getattr(defaults, name), name.lower()
+        p.add_argument("--" + dest.replace("_", "-"), type=type(default), default=default,
+                       dest=dest)
 
 
 def _hyper_from(args) -> Hyperparams:
@@ -80,12 +73,10 @@ def cmd_simulate(args) -> int:
     started = time.time()
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    base = SimConfig(
-        N=args.n, P=args.p, J=args.j, omega=args.omega, d=args.d,
-        n_true_cov=0 if args.null else args.n_true_cov,
-        n_true_bal=0 if args.null else args.n_true_bal,
-        sigma_eps=args.sigma_eps, delta=args.delta, seed=args.seed,
-    )
+    sim = {name: getattr(args, name.lower()) for name in SIM_FLAGS}
+    if args.null:
+        sim.update(n_true_cov=0, n_true_bal=0)
+    base = SimConfig(**sim, seed=args.seed)
     for r in range(args.replicates):
         rng = replicate_rng(args.seed, r)
         train, test, truth = gen_replicate(base, rng)
@@ -365,20 +356,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sim_defaults = SimConfig()
     p = sub.add_parser("simulate", help="generate replicate datasets")
     p.add_argument("--out", required=True)
     p.add_argument("--replicates", type=int, default=1)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--n", type=int, default=sim_defaults.N)
-    p.add_argument("--p", type=int, default=sim_defaults.P)
-    p.add_argument("--j", type=int, default=sim_defaults.J)
-    p.add_argument("--omega", type=float, default=sim_defaults.omega)
-    p.add_argument("--d", type=float, default=sim_defaults.d)
-    p.add_argument("--n-true-cov", type=int, default=sim_defaults.n_true_cov)
-    p.add_argument("--n-true-bal", type=int, default=sim_defaults.n_true_bal)
-    p.add_argument("--sigma-eps", type=float, default=sim_defaults.sigma_eps)
-    p.add_argument("--delta", type=float, default=sim_defaults.delta)
+    _add_config_args(p, SimConfig(), SIM_FLAGS)
     p.add_argument("--null", action="store_true",
                    help="generate data with no true signals")
     p.set_defaults(func=cmd_simulate)
@@ -391,8 +373,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", choices=["joint", "dmlm-bayes"], default="joint")
     p.add_argument("--partition-file", default=None)
     p.add_argument("--jobs", type=int, default=1)
-    _add_hyper_args(p)
-    _add_sampler_args(p)
+    _add_config_args(p, Hyperparams(), HYPER_FLAGS)
+    _add_config_args(p, SamplerConfig(), SAMPLER_FLAGS)
     p.set_defaults(func=cmd_fit)
 
     p = sub.add_parser("predict", help="out-of-sample prediction from a fitted chain")

@@ -6,8 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["ConfusionSummary", "confusion", "squared_error",
-           "mean_squared_error", "median_model"]
+__all__ = ["ConfusionSummary", "confusion", "squared_error", "median_model"]
 
 
 @dataclass(frozen=True)
@@ -53,11 +52,6 @@ def squared_error(y, yhat) -> float:
     if y.shape != yhat.shape:
         raise ValueError("length mismatch")
     return float(np.sum((y - yhat) ** 2))
-
-
-def mean_squared_error(y, yhat) -> float:
-    """Per-subject companion of squared_error."""
-    return squared_error(y, yhat) / len(np.asarray(y).ravel())
 
 
 def median_model(mppi, threshold: float = 0.5) -> np.ndarray:

@@ -319,11 +319,15 @@ def standardize_columns(B):
     """
     B = np.asarray(B, dtype=float)
     means = B.mean(axis=0)
-    sds = B.std(axis=0, ddof=1) if B.shape[0] > 1 else np.zeros(B.shape[1])
+    dev = B - means
+    # B.std(axis=0, ddof=1) bit for bit, without forming the means and
+    # deviations a second time
+    sds = (np.sqrt((dev * dev).sum(axis=0) / (B.shape[0] - 1)) if B.shape[0] > 1
+           else np.zeros(B.shape[1]))
     if np.any(sds <= 0):
         col = int(np.argmin(sds))
         raise ValueError(f"balance column {col} has zero variance; cannot standardize")
-    return (B - means) / sds, means, sds
+    return dev / sds, means, sds
 
 
 def zero_replace(psi, delta: float) -> np.ndarray:

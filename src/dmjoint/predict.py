@@ -1,10 +1,12 @@
 """Out-of-sample prediction from a fitted chain and pointwise log-likelihood export.
 
 Test compositions are estimated by shrinking observed test counts toward the
-posterior-mean concentrations of the training chain; each retained sample then
-contributes a ridge-form fit of the balances it selected. Test balances are
-standardized with that sample's training column statistics, so no test
-information leaks into the scaling.
+posterior-mean concentrations of the training chain. ``ridge_pass`` then
+makes one pass over the retained samples: each contributes a ridge-form fit
+of the balances it selected, and every fitted value, prediction and
+log-likelihood comes from that pass. Test balances are standardized with each
+sample's training column statistics, so no test information leaks into the
+scaling.
 """
 
 from __future__ import annotations
@@ -27,10 +29,11 @@ __all__ = [
     "TestSet",
     "estimate_lambda_test",
     "estimate_psi_test",
+    "estimate_test_balances",
+    "ridge_pass",
     "predict_y",
     "fitted_y",
     "pointwise_loglik",
-    "averaged_response",
 ]
 
 
@@ -64,50 +67,59 @@ def estimate_psi_test(lambda_hat, Z_test) -> np.ndarray:
     return raw / raw.sum(axis=1, keepdims=True)
 
 
-def _alpha0_hat(Y, hyper: Hyperparams) -> float:
-    n = len(Y)
-    return float(Y.sum() / (n + 1.0 / hyper.h_alpha0))
+def estimate_test_balances(counts_chain: ChainOutput, test: TestSet, contrast,
+                           hyper: Hyperparams) -> np.ndarray:
+    """Raw balances of the test compositions estimated from ``counts_chain``."""
+    psi_test = estimate_psi_test(estimate_lambda_test(counts_chain, test.X_test),
+                                 test.Z_test)
+    return log_balances(psi_test, contrast, hyper.delta)
 
 
-def _ridge_beta(B_sel, Y, hyper: Hyperparams) -> np.ndarray:
-    k = B_sel.shape[1]
-    A = B_sel.T @ B_sel + np.eye(k) / hyper.h_beta
-    return np.linalg.solve(A, B_sel.T @ Y)
+def ridge_pass(balances, xi, Y, hyper: Hyperparams, B_test=None):
+    """One ridge fit per retained sample, reduced over the samples in order.
 
+    ``balances`` yields each sample's standardized training balances with their
+    column means and sds, as ``standardize_columns`` returns them, and ``xi``
+    holds the samples' balance selections (S x M). ``B_test`` are raw test
+    balances; each sample standardizes them with its training statistics.
 
-def _per_sample_fit(psi, xi, Y, contrast, hyper):
-    """Yield (sel, beta_hat, col_means, col_sds, B_train_std_sel) per sample s,
-    from its training compositions ``psi[s]`` and balance selection ``xi[s]``."""
-    for psi_s, xi_s in zip(psi, xi):
-        B_std, means, sds = standardize_columns(log_balances(psi_s, contrast, hyper.delta))
-        sel = xi_s == 1
-        if not sel.any():
-            yield sel, None, means, sds, None
-            continue
-        beta = _ridge_beta(B_std[:, sel], Y, hyper)
-        yield sel, beta, means, sds, B_std[:, sel]
-
-
-def averaged_response(psi, xi, Y, spec: PartitionSpec, hyper: Hyperparams,
-                      psi_test=None) -> np.ndarray:
-    """Response averaged over samples of training compositions ``psi`` (S x N x J)
-    and balance selections ``xi`` (S x M).
-
-    In-sample when ``psi_test`` is None; otherwise at the test compositions,
-    whose balances are standardized with each sample's training statistics.
+    Returns the fitted values and the test predictions (None without
+    ``B_test``), both averaged over the samples, and the N x S matrix of
+    conditional normal log densities of the training responses. Coefficients
+    and the error variance are plugged in at their conditional posterior means
+    given each sample's selected balances (they were collapsed out of the
+    chain), so entry (i, s) approximates the per-subject likelihood needed by
+    external leave-one-out tooling.
     """
-    contrast = spec.contrast_matrix()
-    if psi_test is not None:
-        B_test = log_balances(psi_test, contrast, hyper.delta)
-    total = np.zeros(len(Y) if psi_test is None else len(psi_test))
-    for sel, beta, means, sds, B_sel in _per_sample_fit(psi, xi, Y, contrast, hyper):
-        if beta is None:
-            continue
-        if psi_test is None:
-            total += B_sel @ beta
-        else:
-            total += ((B_test[:, sel] - means[sel]) / sds[sel]) @ beta
-    return _alpha0_hat(Y, hyper) + total / len(xi)
+    n, S = len(Y), len(xi)
+    a0_hat = float(Y.sum() / (n + 1.0 / hyper.h_alpha0))
+    fit_total = np.zeros(n)
+    pred_total = None if B_test is None else np.zeros(len(B_test))
+    loglik = np.empty((n, S))
+    for s, ((B_std, means, sds), xi_s) in enumerate(zip(balances, xi)):
+        sel = xi_s == 1
+        fit = 0.0
+        if sel.any():
+            B_sel = B_std[:, sel]
+            A = B_sel.T @ B_sel + np.eye(B_sel.shape[1]) / hyper.h_beta
+            beta = np.linalg.solve(A, B_sel.T @ Y)
+            fit = B_sel @ beta
+            fit_total += fit
+            if B_test is not None:
+                pred_total += ((B_test[:, sel] - means[sel]) / sds[sel]) @ beta
+        resid = Y - (a0_hat + fit)
+        sigma2 = (hyper.b0 + 0.5 * resid @ resid) / (hyper.a0 + 0.5 * n - 1.0)
+        loglik[:, s] = -0.5 * (np.log(2.0 * np.pi * sigma2) + resid**2 / sigma2)
+    pred = None if B_test is None else a0_hat + pred_total / S
+    return a0_hat + fit_total / S, pred, loglik
+
+
+def _joint_pass(chain: ChainOutput, data: Dataset, contrast, hyper: Hyperparams,
+                B_test=None):
+    """``ridge_pass`` over the chain's samples, each on the balances of its own psi."""
+    balances = (standardize_columns(log_balances(psi_s, contrast, hyper.delta))
+                for psi_s in chain.psi)
+    return ridge_pass(balances, chain.xi, data.Y, hyper, B_test)
 
 
 def predict_y(
@@ -120,10 +132,9 @@ def predict_y(
     """Posterior-averaged predictions for the test responses."""
     if chain.psi.shape[1] == 0:
         raise ValueError("chain does not retain composition samples")
-    psi_test = estimate_psi_test(
-        estimate_lambda_test(chain, test.X_test), test.Z_test
-    )
-    return averaged_response(chain.psi, chain.xi, data_train.Y, spec, hyper, psi_test)
+    contrast = spec.contrast_matrix()
+    B_test = estimate_test_balances(chain, test, contrast, hyper)
+    return _joint_pass(chain, data_train, contrast, hyper, B_test)[1]
 
 
 def fitted_y(
@@ -133,7 +144,7 @@ def fitted_y(
     hyper: Hyperparams,
 ) -> np.ndarray:
     """In-sample analogue of predict_y, using each sample's own training balances."""
-    return averaged_response(chain.psi, chain.xi, data_train.Y, spec, hyper)
+    return _joint_pass(chain, data_train, spec.contrast_matrix(), hyper)[0]
 
 
 def pointwise_loglik(
@@ -142,24 +153,6 @@ def pointwise_loglik(
     spec: PartitionSpec,
     hyper: Hyperparams,
 ) -> np.ndarray:
-    """N x S matrix of conditional normal log densities of each training response.
-
-    Coefficients and the error variance are plugged in at their conditional
-    posterior means given each sample's selected balances (they were collapsed
-    out of the chain), so entry (i, s) approximates the per-subject likelihood
-    needed by external leave-one-out tooling.
-    """
-    n = data.n_subjects
-    S = chain.n_samples
-    out = np.empty((n, S))
-    a0_hat = _alpha0_hat(data.Y, hyper)
-    for s, (sel, beta, _, _, B_sel) in enumerate(
-        _per_sample_fit(chain.psi, chain.xi, data.Y, spec.contrast_matrix(), hyper)
-    ):
-        mu = np.full(n, a0_hat)
-        if beta is not None:
-            mu = mu + B_sel @ beta
-        resid = data.Y - mu
-        sigma2 = (hyper.b0 + 0.5 * resid @ resid) / (hyper.a0 + 0.5 * n - 1.0)
-        out[:, s] = -0.5 * (np.log(2.0 * np.pi * sigma2) + resid**2 / sigma2)
-    return out
+    """N x S matrix of conditional normal log densities of each training response
+    (see ``ridge_pass``)."""
+    return _joint_pass(chain, data, spec.contrast_matrix(), hyper)[2]

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from dmjoint.baselines import (
+    TwoStepOutput,
     run_dm_only,
     run_two_step,
     two_step_fitted_y,
@@ -16,6 +17,7 @@ from dmjoint.model import (
     log_marginal_y,
     sbp_pivot,
 )
+from dmjoint.predict import estimate_lambda_test, estimate_psi_test
 from dmjoint.prep import preprocess
 from dmjoint.sampler import SamplerConfig, run_chain
 from dmjoint.simulate import SimConfig, gen_replicate, replicate_rng
@@ -161,3 +163,25 @@ def test_two_step_deterministic():
     assert np.array_equal(a.stage2.xi, b.stage2.xi)
     assert np.array_equal(a.psi_bar, b.psi_bar)
 
+
+def test_two_step_outputs_match_one_sample_at_a_time(ridge_reference):
+    # stage-two selections of every size, the empty model included, each fitted
+    # on psi_bar's balances rebuilt for every sample by the reference
+    train, test, _ = small_fixture(seed=10)
+    hyper = Hyperparams()
+    spec = sbp_pivot(train.n_taxa)
+    cfg = SamplerConfig(iterations=60, burn_in=20, thin=10, seed=11)
+    two = run_two_step(train, hyper, spec, cfg)
+    xi = np.zeros((two.stage2.n_samples, spec.M), dtype=np.uint8)
+    assert len(xi) >= 4
+    xi[0, [0, 3]] = 1
+    xi[2] = 1
+    xi[3, [1, 2, 6]] = 1
+    two = TwoStepOutput(stage1=two.stage1, psi_bar=two.psi_bar,
+                        stage2=replace(two.stage2, xi=xi))
+    psi_test = estimate_psi_test(estimate_lambda_test(two.stage1, test.X_test), test.Z_test)
+
+    fit, pred, _ = ridge_reference([two.psi_bar] * len(xi), xi, train.Y, psi_test,
+                                   spec, hyper)
+    assert np.array_equal(two_step_fitted_y(two, train, spec, hyper), fit)
+    assert np.array_equal(two_step_predict_y(two, train, test, spec, hyper), pred)

@@ -3,7 +3,6 @@ import pytest
 
 from dmjoint.metrics import (
     confusion,
-    mean_squared_error,
     median_model,
     squared_error,
 )
@@ -63,7 +62,6 @@ def test_squared_error_is_a_sum():
     y = np.array([1.0, 2.0, 3.0])
     yhat = np.array([0.0, 2.0, 5.0])
     assert squared_error(y, yhat) == pytest.approx(5.0)
-    assert mean_squared_error(y, yhat) == pytest.approx(5.0 / 3.0)
     assert squared_error(y, y) == 0.0
     with pytest.raises(ValueError):
         squared_error([1.0], [1.0, 2.0])

@@ -341,3 +341,9 @@ def test_standardize_columns():
     assert np.allclose(Bs.mean(axis=0), 0, atol=1e-12)
     assert np.allclose(Bs.std(axis=0, ddof=1), 1, atol=1e-12)
     assert np.allclose(Bs * sds + means, B, atol=1e-12)
+    # the same bits as numpy's own mean and sample sd, at paper scale too
+    for C in (B, rng.normal(size=(50, 149)) * 3 - 1):
+        Cs, means, sds = standardize_columns(C)
+        assert np.array_equal(means, C.mean(axis=0))
+        assert np.array_equal(sds, C.std(axis=0, ddof=1))
+        assert np.array_equal(Cs, (C - C.mean(axis=0)) / C.std(axis=0, ddof=1))

@@ -232,3 +232,31 @@ def test_pointwise_loglik_identical_samples_identical_columns():
     assert np.array_equal(ll[:, 0], ll[:, 1])
     assert np.array_equal(ll[:, 0], ll[:, 2])
     assert np.all(np.isfinite(ll))
+
+
+# ---------------------------------------------------------------------------
+# the ridge pass against a one-sample-at-a-time reference
+# ---------------------------------------------------------------------------
+
+
+def test_joint_outputs_match_one_sample_at_a_time(ridge_reference):
+    # five samples with different compositions and selections, one of them
+    # the empty model, so the averages mix models of every size
+    rng = np.random.default_rng(8)
+    S, n, J, P = 5, 9, 6, 2
+    xi = np.array([[1, 0, 1, 0, 0], [0, 0, 0, 0, 0], [1, 1, 1, 1, 1],
+                   [0, 1, 0, 0, 1], [1, 0, 1, 0, 0]])
+    psi = np.stack([random_simplex(rng, n, J) for _ in range(S)])
+    phi = rng.normal(size=(S, J, P)) * (rng.random((S, J, P)) < 0.3)
+    chain = make_chain(rng.normal(size=(S, J)), phi, xi, psi)
+    Y = rng.normal(size=n)
+    Y -= Y.mean()
+    train = Dataset(Y=Y, Z=rng.integers(1, 30, size=(n, J)), X=rng.normal(size=(n, P)))
+    test = TestSet(Z_test=rng.integers(0, 30, size=(4, J)), X_test=rng.normal(size=(4, P)))
+    spec, hyper = sbp_pivot(J), Hyperparams()
+    psi_test = estimate_psi_test(estimate_lambda_test(chain, test.X_test), test.Z_test)
+
+    fit, pred, ll = ridge_reference(psi, xi, Y, psi_test, spec, hyper)
+    assert np.array_equal(fitted_y(chain, train, spec, hyper), fit)
+    assert np.array_equal(predict_y(chain, train, test, spec, hyper), pred)
+    assert np.array_equal(pointwise_loglik(chain, train, spec, hyper), ll)

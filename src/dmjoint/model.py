@@ -6,7 +6,7 @@ prediction, and simulation modules are all consumers.
 Conventions fixed here so that Metropolis-Hastings ratios built on top are
 exact:
 
-* ``log_augmented_dm`` carries ``(zdot - 1) * log(u)`` and drops
+* The augmented DM density carries ``(zdot - 1) * log(u)`` and drops
   ``log Gamma(zdot)`` and the multinomial coefficient; both are constant in
   (c, gamma, u), so they cancel in every acceptance ratio.
 * The spike component of the spike-and-slab prior contributes 0 to the log
@@ -23,14 +23,10 @@ from scipy.special import betaln, gammaln
 __all__ = [
     "Dataset",
     "Hyperparams",
-    "ChainState",
     "PartitionSpec",
-    "GammaField",
+    "integer_counts",
     "build_gamma",
-    "log_augmented_dm",
     "sbp_pivot",
-    "balance_value",
-    "balance_matrix",
     "log_balances",
     "standardize_columns",
     "zero_replace",
@@ -100,11 +96,7 @@ class Dataset:
             raise ValueError("Y, Z, X row counts disagree")
         if n < 1 or j < 1 or self.X.shape[1] < 1:
             raise ValueError("need N, J, P >= 1")
-        if np.any(self.Z < 0):
-            raise ValueError("counts must be nonnegative")
-        if not np.allclose(self.Z, np.round(self.Z)):
-            raise ValueError("counts must be integers")
-        self.Z = np.round(self.Z).astype(np.int64)
+        self.Z = integer_counts(self.Z)
         self.row_totals = self.Z.sum(axis=1)
         if np.any(self.row_totals < 1):
             bad = int(np.argmin(self.row_totals))
@@ -121,39 +113,6 @@ class Dataset:
     @property
     def n_covariates(self) -> int:
         return self.X.shape[1]
-
-
-@dataclass
-class ChainState:
-    """Current values of all sampled blocks.
-
-    A covariate-taxon pair is included exactly when its ``phi`` is non-zero
-    (the spike is a point mass at 0), so no separate indicator is kept.
-    ``T`` caches the row sums of ``c``; ``psi`` is the derived composition
-    ``c / T`` and is never stored.
-    """
-
-    alpha: np.ndarray
-    phi: np.ndarray
-    c: np.ndarray
-    u: np.ndarray
-    xi: np.ndarray
-    T: np.ndarray
-
-    def refresh_totals(self):
-        self.T = self.c.sum(axis=1)
-
-    @property
-    def psi(self) -> np.ndarray:
-        return self.c / self.T[:, None]
-
-
-@dataclass
-class GammaField:
-    """Dirichlet concentrations gamma = exp(lambda) for every subject and taxon."""
-
-    gamma: np.ndarray
-    lam: np.ndarray
 
 
 class PartitionSpec:
@@ -237,8 +196,19 @@ class PartitionSpec:
 # ---------------------------------------------------------------------------
 
 
-def build_gamma(alpha, phi, X) -> GammaField:
-    """Log-linear Dirichlet concentrations: lam = alpha + X @ phi' (phi is 0 if excluded)."""
+def integer_counts(Z) -> np.ndarray:
+    """``Z`` as int64 counts; raises unless every entry is a nonnegative integer."""
+    Z = np.asarray(Z)
+    if np.any(Z < 0):
+        raise ValueError("counts must be nonnegative")
+    if not np.allclose(Z, np.round(Z)):
+        raise ValueError("counts must be integers")
+    return np.round(Z).astype(np.int64)
+
+
+def build_gamma(alpha, phi, X):
+    """Log-linear Dirichlet concentrations: (lam, gamma = exp(lam)) for
+    lam = alpha + X @ phi' (phi is 0 if excluded)."""
     alpha = np.asarray(alpha, dtype=float)
     lam = alpha[None, :] + np.asarray(X, dtype=float) @ np.asarray(phi, dtype=float).T
     with np.errstate(over="ignore"):  # reported below with its location
@@ -246,28 +216,7 @@ def build_gamma(alpha, phi, X) -> GammaField:
     if not np.all(np.isfinite(gamma)):
         i, j = np.argwhere(~np.isfinite(gamma))[0]
         raise FloatingPointError(f"gamma overflow at subject {i}, taxon {j}")
-    return GammaField(gamma=gamma, lam=lam)
-
-
-def log_augmented_dm(z_row, c_row, gamma_row, u_i) -> float:
-    """Log of the augmented DM integrand for one subject, up to additive constants.
-
-    Returns ``(zdot - 1) log u - T u
-    + sum_j [(z_j + gamma_j - 1) log c_j - c_j - lgamma(gamma_j)]``.
-    """
-    z = np.asarray(z_row, dtype=float)
-    c = np.asarray(c_row, dtype=float)
-    g = np.asarray(gamma_row, dtype=float)
-    zdot = z.sum()
-    if zdot < 1:
-        raise ValueError("row total must be >= 1")
-    if np.any(c <= 0) or np.any(g <= 0) or u_i <= 0:
-        raise ValueError("c, gamma, u must be strictly positive")
-    T = c.sum()
-    logc = np.log(c)
-    out = (zdot - 1.0) * np.log(u_i) - T * u_i
-    out += np.sum((z + g - 1.0) * logc - c - gammaln(g))
-    return float(out)
+    return lam, gamma
 
 
 def sbp_pivot(J: int) -> PartitionSpec:
@@ -276,31 +225,6 @@ def sbp_pivot(J: int) -> PartitionSpec:
         raise ValueError("need at least two taxa")
     parts = [((m,), tuple(range(m + 1, J))) for m in range(J - 1)]
     return PartitionSpec(parts)
-
-
-def balance_value(psi_row, partition) -> float:
-    """Balance of one composition for one (plus, minus) partition."""
-    psi = np.asarray(psi_row, dtype=float)
-    plus, minus = partition
-    plus = list(plus)
-    minus = list(minus)
-    pp, pm = psi[plus], psi[minus]
-    if np.any(pp <= 0) or np.any(pm <= 0):
-        raise ValueError("balance requires strictly positive components")
-    r, s = len(plus), len(minus)
-    log_gmean_diff = np.mean(np.log(pp)) - np.mean(np.log(pm))
-    return float(np.sqrt(r * s / (r + s)) * log_gmean_diff)
-
-
-def balance_matrix(Psi, spec: PartitionSpec, standardize: bool = False) -> np.ndarray:
-    """All M balances for every row of Psi; optionally column-standardized."""
-    Psi = np.atleast_2d(np.asarray(Psi, dtype=float))
-    if np.any(Psi <= 0):
-        raise ValueError("balance matrix requires strictly positive compositions")
-    B = np.log(Psi) @ spec.contrast_matrix()
-    if standardize:
-        B, _, _ = standardize_columns(B)
-    return B
 
 
 def log_balances(psi, contrast, delta: float) -> np.ndarray:

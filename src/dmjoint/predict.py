@@ -20,6 +20,7 @@ from .model import (
     Hyperparams,
     PartitionSpec,
     build_gamma,
+    integer_counts,
     log_balances,
     standardize_columns,
 )
@@ -44,10 +45,16 @@ class TestSet:
     Y_test: np.ndarray | None = None
 
     def __post_init__(self):
-        self.Z_test = np.asarray(self.Z_test)
         self.X_test = np.asarray(self.X_test, dtype=float)
+        if np.ndim(self.Z_test) != 2 or self.X_test.ndim != 2:
+            raise ValueError("Z_test and X_test must be 2-dimensional")
+        self.Z_test = integer_counts(self.Z_test)  # zero-total rows shrink to lambda
+        rows = {"Z_test": len(self.Z_test), "X_test": len(self.X_test)}
         if self.Y_test is not None:
             self.Y_test = np.asarray(self.Y_test, dtype=float).ravel()
+            rows["Y_test"] = len(self.Y_test)
+        if len(set(rows.values())) > 1:
+            raise ValueError(f"test row counts disagree: {rows}")
 
 
 def estimate_lambda_test(chain: ChainOutput, X_test) -> np.ndarray:
@@ -55,7 +62,7 @@ def estimate_lambda_test(chain: ChainOutput, X_test) -> np.ndarray:
     if chain.n_samples < 1:
         raise ValueError("chain has no retained samples")
     phi_mean = chain.pair_sums(chain.phi_value) / chain.n_samples
-    return build_gamma(chain.alpha.mean(axis=0), phi_mean, X_test).gamma
+    return build_gamma(chain.alpha.mean(axis=0), phi_mean, X_test)[1]
 
 
 def estimate_psi_test(lambda_hat, Z_test) -> np.ndarray:

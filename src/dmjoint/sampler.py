@@ -10,7 +10,12 @@ matrix given by the caller (stage two of the two-step comparator) and keeps
 no count samples.
 
 All acceptance ratios are exact because the augmented log likelihood drops
-only terms constant in (c, gamma, u); see ``model.log_augmented_dm``.
+only terms constant in (c, gamma, u): ``log Gamma(zdot)`` and the multinomial
+coefficient.
+
+``ChainState`` carries the sweep: each block update moves it in place, adds
+its (accepted, proposed) counts to the chain's ``accept`` table and returns
+None.
 
 The spike is a point mass at 0, so a pair is included exactly when its
 ``phi`` is non-zero: ``phi`` and ``xi`` are the only record of the
@@ -31,13 +36,12 @@ bump ``STREAM_VERSION``, which keys that cache.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 from scipy.special import gammaln
 
 from .model import (
-    ChainState,
     Dataset,
     Hyperparams,
     PartitionSpec,
@@ -55,6 +59,7 @@ from .model import log_marginal_y, zero_replace  # noqa: F401
 __all__ = [
     "SamplerConfig",
     "ChainOutput",
+    "ChainState",
     "run_chain",
     "mppi",
     "update_alpha",
@@ -153,9 +158,50 @@ class ChainOutput:
         return np.bincount(pairs, weights, minlength=J * P).reshape(J, P)
 
 
+@dataclass
+class ChainState:
+    """Current values of the sampled blocks and of the caches built on them.
+
+    A covariate-taxon pair is included exactly when its ``phi`` is non-zero
+    (the spike is a point mass at 0), so no separate indicator is kept. The
+    block that moves an input keeps its caches equal to their recomputation:
+    the row sums ``T`` of ``c`` and ``logc = log(c)``; the N x J ``lam =
+    alpha + X phi'``, ``gamma = exp(lam)`` and ``lgam = lgamma(gamma)``, built
+    here from the covariates ``X``; and the xi block's ``gram``, a
+    ``marginal_gram`` of the current balances, with ``(logml, flips) =
+    flip_log_marginals(gram, xi)``. ``psi`` is the derived composition
+    ``c / T`` and is never stored.
+    """
+
+    alpha: np.ndarray
+    phi: np.ndarray
+    c: np.ndarray
+    u: np.ndarray
+    xi: np.ndarray
+    X: InitVar[np.ndarray]
+    T: np.ndarray = field(init=False)
+    logc: np.ndarray = field(init=False)
+    lam: np.ndarray = field(init=False)
+    gamma: np.ndarray = field(init=False)
+    lgam: np.ndarray = field(init=False)
+    gram: tuple | None = field(init=False, default=None)
+    logml: float = field(init=False, default=0.0)
+    flips: np.ndarray | None = field(init=False, default=None)
+
+    def __post_init__(self, X):
+        self.T = self.c.sum(axis=1)
+        self.lam, self.gamma = build_gamma(self.alpha, self.phi, X)
+        self.lgam = gammaln(self.gamma)
+        self.logc = np.log(self.c)
+
+    @property
+    def psi(self) -> np.ndarray:
+        return self.c / self.T[:, None]
+
+
 # ---------------------------------------------------------------------------
 # MH log acceptance ratios (single-move, exact). The block updates below take
-# every ratio from these kernels, on the chain's cached N x J arrays
+# every ratio from these kernels, on the state's cached N x J arrays
 # logc = log(c), gamma and lgam = lgamma(gamma).
 # ---------------------------------------------------------------------------
 
@@ -238,31 +284,24 @@ def initial_state(data: Dataset, config: SamplerConfig, rng) -> ChainState:
     if n_bal:
         xi[rng.choice(M, size=n_bal, replace=False)] = 1
     c = data.Z.astype(float) + 0.5
-    T = c.sum(axis=1)
-    u = data.row_totals / T
-    return ChainState(
-        alpha=np.zeros(J), phi=phi, c=c, u=u, xi=xi, T=T
-    )
+    u = data.row_totals / c.sum(axis=1)
+    return ChainState(alpha=np.zeros(J), phi=phi, c=c, u=u, xi=xi, X=data.X)
 
 
-def update_alpha(state, data, field, hyper, rng, logc, lgam):
-    """Random-walk MH on every intercept; proposals are independent across taxa.
-
-    ``logc`` and ``lgam`` are the chain's caches of log(c) and lgamma(gamma);
-    accepted moves update ``field`` and ``lgam`` in place.
-    """
+def update_alpha(state, hyper, rng, accept):
+    """Random-walk MH on every intercept; proposals are independent across taxa."""
     J = state.alpha.shape[0]
     step = rng.normal(0.0, hyper.proposal_sd, size=J)
-    diff, gamma_new, lgam_new = alpha_log_mh_ratio(
-        logc, field.gamma, lgam, state.alpha, step, hyper
-    )
+    diff, gamma_new, lgam_new = alpha_log_mh_ratio(state.logc, state.gamma, state.lgam,
+                                                   state.alpha, step, hyper)
     ok = np.isfinite(diff) & (np.log(rng.uniform(size=J)) < diff)
     if np.any(ok):
         state.alpha[ok] += step[ok]
-        field.lam[:, ok] += step[ok][None, :]
-        field.gamma[:, ok] = gamma_new[:, ok]
-        lgam[:, ok] = lgam_new[:, ok]
-    return int(ok.sum())
+        state.lam[:, ok] += step[ok][None, :]
+        state.gamma[:, ok] = gamma_new[:, ok]
+        state.lgam[:, ok] = lgam_new[:, ok]
+    accept["alpha"][0] += int(ok.sum())
+    accept["alpha"][1] += J
 
 
 def _rounds(taxa):
@@ -275,53 +314,42 @@ def _rounds(taxa):
     return [np.flatnonzero(rank == r) for r in range(rank.max(initial=-1) + 1)]
 
 
-def _score_round(move, j, p, phi_new, log_u, state, data, field, hyper, logc, lgam,
-                 log_odds_on):
-    """Score one move per pair (j, p), the taxa j distinct, and apply the
-    accepted ones; returns how many were accepted."""
-    # a.T[j] is C-contiguous: each taxon's N values are one row
-    ratio, lam_new, gamma_new, lgam_new = pair_log_mh_ratio(
-        move, logc.T[j], field.gamma.T[j], lgam.T[j], field.lam.T[j],
-        data.X.T[p], state.phi[j, p], phi_new, hyper, log_odds_on)
-    ok = log_u < ratio
-    j = j[ok]
-    state.phi[j, p[ok]] = phi_new[ok]
-    field.lam[:, j], field.gamma[:, j] = lam_new[ok].T, gamma_new[ok].T
-    lgam[:, j] = lgam_new[ok].T
-    return len(j)
-
-
-def _score_moves(batch, counts, caches):
-    """Score between-model moves ``(is_add, j, p, phi_new, u)`` on distinct
-    pairs, in rounds by taxon: round r takes the r-th move of every taxon at
-    once, one kernel call per move type, since pairs in different taxa are
-    independent given c."""
-    is_add, j, p, phi_new, u = map(np.array, zip(*batch))
-    log_u = np.log(u)
-    for k in _rounds(j):
-        for move, kk in (("delete", k[~is_add[k]]), ("add", k[is_add[k]])):
-            if kk.size:
-                counts[move] += _score_round(move, j[kk], p[kk], phi_new[kk], log_u[kk],
-                                             *caches)
-                counts[move + "_prop"] += kk.size
-
-
-def update_zeta_phi(state, data, field, hyper, rng, logc, lgam, log_odds_on,
-                    n_between=1):
+def update_zeta_phi(state, data, hyper, rng, log_odds_on, accept, n_between=1):
     """Between-model add/delete moves followed by a within-model refresh.
 
-    Takes and updates the same caches as ``update_alpha``; a pair is included
-    when its ``phi`` is non-zero. Each between-model move draws its taxon, its
-    covariate, for an add its proposal, and its uniform; the moves are scored
-    in batches, and a batch ends before a pair it already holds, whose move
-    type waits on the earlier move. The refresh then draws a standard normal
-    and a uniform per included pair, in ``np.argwhere`` order, and scores the
-    r-th included pair of every taxon at once.
+    A pair is included when its ``phi`` is non-zero. Each between-model move
+    draws its taxon, its covariate, for an add its proposal, and its uniform;
+    the moves are scored in batches, and a batch ends before a pair it already
+    holds, whose move type waits on the earlier move. The refresh then draws a
+    standard normal and a uniform per included pair, in ``np.argwhere`` order.
+    Moves are scored in rounds by taxon: round r takes the r-th move of every
+    taxon at once, one kernel call per move type, since pairs in different
+    taxa are independent given c.
     """
     J, P = state.phi.shape
-    counts = {"add": 0, "add_prop": 0, "delete": 0, "delete_prop": 0,
-              "within": 0, "within_prop": 0}
-    caches = (state, data, field, hyper, logc, lgam, log_odds_on)
+
+    def score(move, j, p, phi_new, log_u):
+        # one move per pair (j, p), the taxa j distinct; a.T[j] is
+        # C-contiguous: each taxon's N values are one row
+        ratio, lam_new, gamma_new, lgam_new = pair_log_mh_ratio(
+            move, state.logc.T[j], state.gamma.T[j], state.lgam.T[j], state.lam.T[j],
+            data.X.T[p], state.phi[j, p], phi_new, hyper, log_odds_on)
+        ok = log_u < ratio
+        accept[move][1] += len(ok)
+        j = j[ok]
+        accept[move][0] += len(j)
+        state.phi[j, p[ok]] = phi_new[ok]
+        state.lam[:, j], state.gamma[:, j] = lam_new[ok].T, gamma_new[ok].T
+        state.lgam[:, j] = lgam_new[ok].T
+
+    def score_batch(batch):
+        is_add, j, p, phi_new, u = map(np.array, zip(*batch))
+        log_u = np.log(u)
+        for k in _rounds(j):
+            for move, kk in (("delete", k[~is_add[k]]), ("add", k[is_add[k]])):
+                if kk.size:
+                    score(move, j[kk], p[kk], phi_new[kk], log_u[kk])
+
     # an overflowing proposal is rejected by its -inf ratio
     with np.errstate(over="ignore", invalid="ignore"):
         batch, pairs = [], set()  # moves (is_add, j, p, phi_new, u) not yet scored
@@ -329,7 +357,7 @@ def update_zeta_phi(state, data, field, hyper, rng, logc, lgam, log_odds_on,
             j = int(rng.integers(J))
             p = int(rng.integers(P))
             if (j, p) in pairs:
-                _score_moves(batch, counts, caches)
+                score_batch(batch)
                 batch, pairs = [], set()
             pairs.add((j, p))
             if state.phi[j, p]:
@@ -338,7 +366,7 @@ def update_zeta_phi(state, data, field, hyper, rng, logc, lgam, log_odds_on,
                 phi_new = rng.normal(0.0, hyper.proposal_sd)
                 batch.append((True, j, p, phi_new, rng.random()))
         if batch:
-            _score_moves(batch, counts, caches)
+            score_batch(batch)
 
         taxa, covs = np.argwhere(state.phi != 0).T
         draws = [(rng.standard_normal(), rng.random()) for _ in taxa]
@@ -346,21 +374,17 @@ def update_zeta_phi(state, data, field, hyper, rng, logc, lgam, log_odds_on,
         phi_new = state.phi[taxa, covs] + hyper.proposal_sd * z
         log_u = np.log(u)
         for k in _rounds(taxa):
-            counts["within"] += _score_round("within", taxa[k], covs[k], phi_new[k],
-                                             log_u[k], *caches)
-        counts["within_prop"] = len(taxa)
-    return counts
+            score("within", taxa[k], covs[k], phi_new[k], log_u[k])
 
 
-def update_c(state, data, field, rng):
+def update_c(state, data, rng):
     """Exact Gibbs draw: c_ij ~ Gamma(z_ij + gamma_ij, u_i + 1)."""
-    shape = data.Z + field.gamma
+    shape = data.Z + state.gamma
     if np.any(shape <= 0):
         raise ValueError("nonpositive gamma shape in c update")
-    state.c = np.maximum(
-        rng.gamma(shape, 1.0 / (state.u + 1.0)[:, None]), _C_FLOOR
-    )
-    state.refresh_totals()
+    state.c = np.maximum(rng.gamma(shape, 1.0 / (state.u + 1.0)[:, None]), _C_FLOOR)
+    state.T = state.c.sum(axis=1)
+    state.logc = np.log(state.c)
 
 
 def update_u(state, data, rng):
@@ -370,30 +394,32 @@ def update_u(state, data, rng):
     state.u = rng.gamma(data.row_totals.astype(float), 1.0 / state.T)
 
 
-def update_xi(state, gram, hyper, rng, logml_cur, flips, log_odds_on, n_moves=1):
+def update_xi(state, hyper, rng, log_odds_on, accept, n_moves=1):
     """Add/delete flips of balance indicators against the collapsed Y marginal.
 
     Draws a target and a uniform per move, then scans the moves in order: all
     moves not yet taken are scored against the current selection at once, the
-    first that accepts flips it, and the scan resumes after it.
-    ``logml_cur`` and ``flips`` are the current selection's
-    ``model.flip_log_marginals`` on ``gram``, rescored only after an accepted
-    flip; returns the number of accepted flips and the final two.
+    first that accepts flips it, and the scan resumes after it. The state's
+    ``logml`` and ``flips`` are rescored on its ``gram`` only after an
+    accepted flip.
     """
     M = state.xi.shape[0]
     m, u = np.array([(rng.integers(M), rng.random()) for _ in range(n_moves)]).T
     m, log_u = m.astype(np.int64), np.log(u)
-    accepted, start = 0, 0
+    accept["xi"][1] += n_moves
+    start = 0
     while True:
         # every move up to the first acceptance is scored against one state
-        ratio = xi_log_mh_ratio(state.xi, m[start:], logml_cur, flips, log_odds_on)
+        ratio = xi_log_mh_ratio(state.xi, m[start:], state.logml, state.flips,
+                                log_odds_on)
         hits = np.flatnonzero(log_u[start:] < ratio)
         if not hits.size:
-            return accepted, logml_cur, flips
+            return
         start += int(hits[0])
         state.xi[m[start]] ^= 1
-        logml_cur, flips = flip_log_marginals(gram, state.xi, hyper)
-        accepted, start = accepted + 1, start + 1
+        state.logml, state.flips = flip_log_marginals(state.gram, state.xi, hyper)
+        accept["xi"][0] += 1
+        start += 1
 
 
 # ---------------------------------------------------------------------------
@@ -401,11 +427,11 @@ def update_xi(state, gram, hyper, rng, logml_cur, flips, log_odds_on, n_moves=1)
 # ---------------------------------------------------------------------------
 
 
-def _log_posterior(state, data, field, hyper, lgam, logc, logml, mode,
-                   zeta_prior, xi_prior):
+def _log_posterior(state, data, hyper, mode, zeta_prior, xi_prior):
     lp = 0.0
     if mode != "lm_only":
-        lp += np.sum((data.Z + field.gamma - 1.0) * logc) - state.c.sum() - lgam.sum()
+        lp += (np.sum((data.Z + state.gamma - 1.0) * state.logc) - state.c.sum()
+               - state.lgam.sum())
         lp += np.sum((data.row_totals - 1.0) * np.log(state.u)) - np.sum(
             state.T * state.u
         )
@@ -420,7 +446,7 @@ def _log_posterior(state, data, field, hyper, lgam, logc, logml, mode,
         lp += n_on * zeta_prior[0]
         lp += (state.phi.size - n_on) * zeta_prior[1]
     if mode != "dm_only":
-        lp += logml
+        lp += state.logml
         n_bal = int(state.xi.sum())
         lp += n_bal * xi_prior[0]
         lp += (state.xi.size - n_bal) * xi_prior[1]
@@ -454,9 +480,6 @@ def run_chain(
     if balances is not None and np.shape(balances) != (n, M):
         raise ValueError(f"balances must be {n} x {M}, got {np.shape(balances)}")
     state = initial_state(data, config, rng)
-    field = build_gamma(state.alpha, state.phi, data.X)
-    lgam = gammaln(field.gamma)
-    logc = np.log(state.c)
     contrast = spec.contrast_matrix()
 
     S = config.n_retained
@@ -469,44 +492,29 @@ def run_chain(
     out_u = np.empty((S, nk))
     log_post = np.empty(config.iterations)
     moves = ("xi",) if mode == "lm_only" else ("alpha", "add", "delete", "within", "xi")
-    accept = {k: [0, 0] for k in moves}
+    accept = {k: [0, 0] for k in moves}  # move -> [accepted, proposed]
 
     s = 0
     zeta_prior = [beta_binomial_logprior(v, hyper.a, hyper.b) for v in (1, 0)]  # in, out
     xi_prior = [beta_binomial_logprior(v, hyper.a_m, hyper.b_m) for v in (1, 0)]
-    B_std, logml = balances, 0.0
+    B_std, n_moves = balances, config.between_moves_per_iter
     for it in range(config.iterations):
         if mode != "lm_only":
-            acc = update_alpha(state, data, field, hyper, rng, logc=logc, lgam=lgam)
-            accept["alpha"][0] += acc
-            accept["alpha"][1] += J
-            zc = update_zeta_phi(
-                state, data, field, hyper, rng,
-                logc=logc, lgam=lgam, log_odds_on=zeta_prior[0] - zeta_prior[1],
-                n_between=config.between_moves_per_iter,
-            )
-            for k in ("add", "delete", "within"):
-                accept[k][0] += zc[k]
-                accept[k][1] += zc[k + "_prop"]
-            update_c(state, data, field, rng)
-            logc = np.log(state.c)
+            update_alpha(state, hyper, rng, accept)
+            update_zeta_phi(state, data, hyper, rng, zeta_prior[0] - zeta_prior[1],
+                            accept, n_between=n_moves)
+            update_c(state, data, rng)
             update_u(state, data, rng)
         if mode != "dm_only":
             if balances is None:
                 B_std, _, _ = standardize_columns(
                     log_balances(state.psi, contrast, hyper.delta))
             if balances is None or it == 0:  # fixed balances: the scores carry over
-                gram = marginal_gram(data.Y, B_std, hyper)
-                logml, flips = flip_log_marginals(gram, state.xi, hyper)
-            acc, logml, flips = update_xi(
-                state, gram, hyper, rng, logml, flips, xi_prior[0] - xi_prior[1],
-                n_moves=config.between_moves_per_iter,
-            )
-            accept["xi"][0] += acc
-            accept["xi"][1] += config.between_moves_per_iter
+                state.gram = marginal_gram(data.Y, B_std, hyper)
+                state.logml, state.flips = flip_log_marginals(state.gram, state.xi, hyper)
+            update_xi(state, hyper, rng, xi_prior[0] - xi_prior[1], accept, n_moves=n_moves)
 
-        lp = _log_posterior(state, data, field, hyper, lgam, logc, logml, mode,
-                            zeta_prior, xi_prior)
+        lp = _log_posterior(state, data, hyper, mode, zeta_prior, xi_prior)
         if not np.isfinite(lp):
             raise RuntimeError(f"non-finite log posterior at iteration {it}")
         log_post[it] = lp

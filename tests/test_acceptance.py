@@ -34,9 +34,7 @@ from dmjoint.model import (
     Dataset,
     Hyperparams,
     PartitionSpec,
-    balance_matrix,
     beta_binomial_logprior,
-    build_gamma,
     flip_log_marginals,
     log_marginal_y,
     marginal_gram,
@@ -47,9 +45,9 @@ from dmjoint.predict import TestSet, fitted_y, predict_y
 from dmjoint.prep import preprocess
 from dmjoint.sampler import (
     STREAM_VERSION,
+    ChainState,
     SamplerConfig,
     alpha_log_mh_ratio,
-    initial_state,
     pair_log_mh_ratio,
     run_chain,
     update_c,
@@ -57,6 +55,7 @@ from dmjoint.sampler import (
     xi_log_mh_ratio,
 )
 from dmjoint.simulate import SimConfig, gen_replicate, replicate_rng
+from oracles import balance_matrix
 
 
 def report(criterion, detail):
@@ -139,11 +138,13 @@ def test_criterion_a3_marginal_likelihood_woodbury_vs_dense():
 def test_criterion_a4_dirichlet_multinomial_conjugacy():
     data = Dataset(Y=np.zeros(1), Z=np.array([[4, 1]]), X=np.zeros((1, 1)))
     rng = np.random.default_rng(2)
-    state = initial_state(data, SamplerConfig(iterations=2, burn_in=1, thin=1), rng)
-    field = build_gamma(np.log(np.array([2.0, 3.0])), np.zeros((2, 1)), data.X)
+    c = data.Z + 0.5  # gamma fixed at (2, 3): no covariate moves
+    state = ChainState(alpha=np.log(np.array([2.0, 3.0])), phi=np.zeros((2, 1)), c=c,
+                       u=data.row_totals / c.sum(axis=1), xi=np.zeros(1, np.uint8),
+                       X=data.X)
     samples = []
     for it in range(51_000):
-        update_c(state, data, field, rng)
+        update_c(state, data, rng)
         update_u(state, data, rng)
         if it >= 1000 and it % 10 == 0:
             samples.append(state.c[0, 0] / state.T[0])

@@ -406,3 +406,29 @@ def test_cli_predict_chain_missing_a_block_exits_1(sim_dir, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "re-run fit" in err
     assert str(run / "stage2") in err and "alpha.npy" in err
+
+
+def test_cli_predict_rejects_malformed_test_data(sim_dir, tmp_path, capsys):
+    run = tmp_path / "o"
+    assert main(["fit", str(sim_dir / "rep000"), "--out", str(run), *FAST_FIT]) == 0
+    test = dio.read_test(sim_dir / "rep000")
+    Z, X, Y = test.Z_test, test.X_test, test.Y_test[:, None]
+    negative, empty_row = Z.copy(), Z.copy()
+    negative[1, 0], empty_row[1] = -3, 0
+    cases = {"negative": (negative, X, Y, "nonnegative"),
+             "short_x": (Z, X[:-1], Y, "'X_test': 11"),
+             "short_y": (Z, X, Y[:-1], "'Y_test': 11"),
+             "empty_row": (empty_row, X, Y, None)}  # shrinks to lambda: allowed
+    for name, (z, x, y, message) in cases.items():
+        bad = tmp_path / name
+        bad.mkdir()
+        dio.write_matrix(bad / "test_z.csv", z, "z", integer=True)
+        dio.write_matrix(bad / "test_x.csv", x, "x")
+        dio.write_matrix(bad / "test_y.csv", y, "y")
+        capsys.readouterr()
+        code = main(["predict", str(run), "--test-dir", str(bad), "--out", str(bad / "p")])
+        err = capsys.readouterr().err
+        if message is None:
+            assert code == 0 and not err, name
+        else:
+            assert code == 1 and err.startswith("error: ") and message in err, (name, err)

@@ -7,14 +7,13 @@ from scipy import stats
 from scipy.integrate import quad
 from scipy.special import gammaln
 
+from dmjoint import sampler
 from dmjoint.model import (
     Dataset,
     Hyperparams,
-    ChainState,
     beta_binomial_logprior,
     build_gamma,
     flip_log_marginals,
-    log_augmented_dm,
     log_marginal_y,
     marginal_gram,
     sbp_pivot,
@@ -23,6 +22,7 @@ from dmjoint.predict import estimate_lambda_test
 from dmjoint.prep import preprocess
 from dmjoint.sampler import (
     STREAM_VERSION,
+    ChainState,
     SamplerConfig,
     alpha_log_mh_ratio,
     initial_state,
@@ -36,6 +36,7 @@ from dmjoint.sampler import (
     xi_log_mh_ratio,
 )
 from dmjoint.simulate import SimConfig, gen_replicate, replicate_rng
+from oracles import log_augmented_dm
 
 
 def xi_only_inputs(Y, B):
@@ -231,34 +232,37 @@ def test_flip_log_marginals_match_log_marginal_y(k):
         assert abs(flips[m] - log_marginal_y(Y, B[:, flipped == 1], hyper)) < 1e-10
 
 
-def one_pair_move(move, j, p, phi_new, log_u, state, data, field, hyper, logc, lgam,
-                  counts):
+def pair_accept():
+    """An empty accept table for the covariate moves."""
+    return {move: [0, 0] for move in ("add", "delete", "within")}
+
+
+def one_pair_move(move, j, p, phi_new, log_u, state, X, hyper, accept):
     """Reference move: score and apply one pair move; True if its gamma overflowed."""
     ratio, lam_new, gamma_new, lgam_new = pair_log_mh_ratio(
-        move, logc[:, j], field.gamma[:, j], lgam[:, j], field.lam[:, j],
-        data.X[:, p], state.phi[j, p], phi_new, hyper, log_odds_on(hyper))
-    counts[move + "_prop"] += 1
+        move, state.logc[:, j], state.gamma[:, j], state.lgam[:, j], state.lam[:, j],
+        X[:, p], state.phi[j, p], phi_new, hyper, log_odds_on(hyper))
+    accept[move][1] += 1
     if log_u < ratio:
         state.phi[j, p] = phi_new
-        field.lam[:, j], field.gamma[:, j], lgam[:, j] = lam_new, gamma_new, lgam_new
-        counts[move] += 1
+        state.lam[:, j], state.gamma[:, j], state.lgam[:, j] = lam_new, gamma_new, lgam_new
+        accept[move][0] += 1
     return not np.all(np.isfinite(gamma_new))
 
 
-def sequential_pair_moves(state, data, field, hyper, rng, logc, lgam, n_between):
+def sequential_pair_moves(state, X, hyper, rng, n_between):
     """Reference for update_zeta_phi: one move at a time, drawing as it goes.
 
     Each between-model move draws its taxon and covariate, deletes the pair if
     it is included and otherwise adds it at rng.normal(0, proposal_sd), then
     draws its uniform. The refresh then moves the included pairs in
     np.argwhere order, drawing rng.normal then rng.uniform per pair. Returns
-    the counts and, per move, (move, taxon, covariate, batch, round,
+    the accept table and, per move, (move, taxon, covariate, batch, round,
     overflowed): update_zeta_phi scores a batch of moves that ends before a
     pair it already holds, in rounds by each move's rank among the moves of
     its taxon in the batch.
     """
-    counts = dict.fromkeys(["add", "add_prop", "delete", "delete_prop", "within",
-                            "within_prop"], 0)
+    accept = pair_accept()
     log, batch, pairs = [], 0, set()
     J, P = state.phi.shape
     with np.errstate(over="ignore", invalid="ignore"):
@@ -270,22 +274,22 @@ def sequential_pair_moves(state, data, field, hyper, rng, logc, lgam, n_between)
             move, phi_new = (("delete", 0.0) if state.phi[j, p]
                              else ("add", rng.normal(0.0, hyper.proposal_sd)))
             rank = sum(m[1] == j and m[3] == batch for m in log)
-            over = one_pair_move(move, j, p, phi_new, np.log(rng.uniform()), state, data,
-                                 field, hyper, logc, lgam, counts)
+            over = one_pair_move(move, j, p, phi_new, np.log(rng.uniform()), state, X,
+                                 hyper, accept)
             log.append((move, j, p, batch, rank, over))
         for j, p in np.argwhere(state.phi != 0):
             phi_new = rng.normal(state.phi[j, p], hyper.proposal_sd)
             rank = sum(m[0] == "within" and m[1] == j for m in log)
             over = one_pair_move("within", j, p, phi_new, np.log(rng.uniform()), state,
-                                 data, field, hyper, logc, lgam, counts)
+                                 X, hyper, accept)
             log.append(("within", j, p, -1, rank, over))
-    return counts, log
+    return accept, log
 
 
 def pair_move_fixture(hyper):
     """5 taxa with 0-4 included pairs each; covariate 3 takes a huge value for
     subject 0, so a proposal that moves its coefficient up overflows gamma.
-    Returns the data and a factory of fresh (state, field, lgam, logc)."""
+    Returns the data and a factory of fresh states."""
     rng = np.random.default_rng(13)
     n, J, P = 9, 5, 4
     X = rng.normal(size=(n, P))
@@ -299,10 +303,8 @@ def pair_move_fixture(hyper):
     alpha = rng.normal(size=J)
 
     def start():
-        state = ChainState(alpha=alpha.copy(), phi=phi.copy(), c=c.copy(),
-                           u=np.ones(n), xi=np.zeros(J - 1, np.uint8), T=c.sum(axis=1))
-        field = build_gamma(state.alpha, state.phi, X)
-        return state, field, gammaln(field.gamma), np.log(c)
+        return ChainState(alpha=alpha.copy(), phi=phi.copy(), c=c.copy(), u=np.ones(n),
+                          xi=np.zeros(J - 1, np.uint8), X=X)
 
     return data, start
 
@@ -310,20 +312,17 @@ def pair_move_fixture(hyper):
 def assert_same_pair_moves(data, start, hyper, seed, n_between):
     """Run update_zeta_phi and the reference from one seed; both must end in
     the same bits. Returns the reference's move log."""
-    s_ref, f_ref, lgam_ref, logc = start()
-    r_ref = np.random.default_rng(seed)
-    counts_ref, log = sequential_pair_moves(s_ref, data, f_ref, hyper, r_ref, logc,
-                                            lgam_ref, n_between)
-    s_new, f_new, lgam_new, logc = start()
-    r_new = np.random.default_rng(seed)
-    counts = update_zeta_phi(s_new, data, f_new, hyper, r_new, logc, lgam_new,
-                             log_odds_on(hyper), n_between=n_between)
-    assert counts == counts_ref
-    for a, b in [(s_ref.phi, s_new.phi), (f_ref.lam, f_new.lam), (f_ref.gamma, f_new.gamma),
-                 (lgam_ref, lgam_new)]:
-        assert a.tobytes() == b.tobytes()
+    s_ref, r_ref = start(), np.random.default_rng(seed)
+    accept_ref, log = sequential_pair_moves(s_ref, data.X, hyper, r_ref, n_between)
+    s_new, r_new = start(), np.random.default_rng(seed)
+    accept = pair_accept()
+    update_zeta_phi(s_new, data, hyper, r_new, log_odds_on(hyper), accept,
+                    n_between=n_between)
+    assert accept == accept_ref
+    for name in ("phi", "lam", "gamma", "lgam"):
+        assert getattr(s_ref, name).tobytes() == getattr(s_new, name).tobytes()
     assert r_ref.bit_generator.state == r_new.bit_generator.state
-    return counts_ref, log
+    return accept_ref, log
 
 
 def overflow_in_shared_round(log, within):
@@ -340,8 +339,8 @@ def test_within_refresh_matches_sequential_scan():
     hyper = Hyperparams(proposal_sd=0.3)
     data, start = pair_move_fixture(hyper)
     for seed in range(20):
-        counts, log = assert_same_pair_moves(data, start, hyper, seed, n_between=0)
-        assert counts["within_prop"] == 11 and 0 < counts["within"] < 11
+        accept, log = assert_same_pair_moves(data, start, hyper, seed, n_between=0)
+        assert accept["within"][1] == 11 and 0 < accept["within"][0] < 11
         if overflow_in_shared_round(log, within=True):
             break
     assert overflow_in_shared_round(log, within=True), "no seed overflowed in a shared round"
@@ -355,8 +354,8 @@ def test_between_moves_match_sequential_scan():
     data, start = pair_move_fixture(hyper)
     seen = set()
     for seed in range(50):
-        counts, log = assert_same_pair_moves(data, start, hyper, seed, n_between=12)
-        assert counts["add_prop"] + counts["delete_prop"] == 12
+        accept, log = assert_same_pair_moves(data, start, hyper, seed, n_between=12)
+        assert accept["add"][1] + accept["delete"][1] == 12
         between = [(m, j, p, b) for m, j, p, b, _, _ in log if m != "within"]
         for i, (m, j, p, b) in enumerate(between):
             if m == "delete" and any(m2 == "add" and (j2, p2) == (j, p)
@@ -394,13 +393,13 @@ def test_xi_scan_matches_sequential_moves():
                 ref.xi[m] ^= 1
                 logml, flips = flip_log_marginals(gram, ref.xi, hyper)
                 accepted.append(i)
-        state = SimpleNamespace(xi=xi0.copy())
-        r_new = np.random.default_rng(seed)
-        got = update_xi(state, gram, hyper, r_new, *flip_log_marginals(gram, xi0, hyper),
-                        odds, n_moves=n)
-        assert got[0] == len(accepted)
-        assert np.float64(got[1]).tobytes() == np.float64(logml).tobytes()
-        assert got[2].tobytes() == flips.tobytes()
+        state = SimpleNamespace(xi=xi0.copy(), gram=gram)
+        state.logml, state.flips = flip_log_marginals(gram, xi0, hyper)
+        r_new, accept = np.random.default_rng(seed), {"xi": [0, 0]}
+        update_xi(state, hyper, r_new, odds, accept, n_moves=n)
+        assert accept["xi"] == [len(accepted), n]
+        assert np.float64(state.logml).tobytes() == np.float64(logml).tobytes()
+        assert state.flips.tobytes() == flips.tobytes()
         assert state.xi.tobytes() == ref.xi.tobytes()
         assert r_ref.bit_generator.state == r_new.bit_generator.state
         back_to_back |= any(b - a == 1 for a, b in zip(accepted, accepted[1:]))
@@ -414,14 +413,21 @@ def test_xi_scan_matches_sequential_moves():
 # ---------------------------------------------------------------------------
 
 
+def fixed_gamma_state(data, gamma):
+    """A state with concentrations ``gamma`` for every subject (no covariate
+    enters) and c matched to the counts, as ``initial_state`` starts it."""
+    c = data.Z + 0.5
+    return ChainState(alpha=np.log(gamma), phi=np.zeros((data.n_taxa, 1)), c=c,
+                      u=data.row_totals / c.sum(axis=1),
+                      xi=np.zeros(data.n_taxa - 1, np.uint8), X=data.X)
+
+
 def test_update_c_moments():
     n = 100_000
     data = Dataset(Y=np.zeros(n), Z=np.full((n, 1), 3), X=np.zeros((n, 1)))
-    state = initial_state(data, SamplerConfig(iterations=2, burn_in=1, thin=1),
-                          np.random.default_rng(0))
+    state = fixed_gamma_state(data, np.array([1.5]))
     state.u = np.full(n, 2.0)
-    field = build_gamma(np.array([np.log(1.5)]), np.zeros((1, 1)), data.X)
-    update_c(state, data, field, np.random.default_rng(5))
+    update_c(state, data, np.random.default_rng(5))
     draws = state.c[:, 0]
     assert draws.mean() == pytest.approx(4.5 / 3.0, abs=0.02)
     assert draws.var() == pytest.approx(4.5 / 9.0, abs=0.02)
@@ -458,11 +464,10 @@ def test_dirichlet_multinomial_conjugacy():
     # fixed gamma=(2,3), z=(4,1): stationary psi_1 is Beta(6, 4)
     data = Dataset(Y=np.zeros(1), Z=np.array([[4, 1]]), X=np.zeros((1, 1)))
     rng = np.random.default_rng(9)
-    state = initial_state(data, SamplerConfig(iterations=2, burn_in=1, thin=1), rng)
-    field = build_gamma(np.log(np.array([2.0, 3.0])), np.zeros((2, 1)), data.X)
+    state = fixed_gamma_state(data, np.array([2.0, 3.0]))
     samples = []
     for it in range(51_000):
-        update_c(state, data, field, rng)
+        update_c(state, data, rng)
         update_u(state, data, rng)
         if it >= 1000 and it % 10 == 0:
             samples.append(state.c[0, 0] / state.T[0])
@@ -524,6 +529,45 @@ def test_stream_version_pins_draw_order():
     }
 
 
+def assert_caches_match(state, X, hyper):
+    """Each cache of the state equals its recomputation from the sampled blocks."""
+    assert state.T.tobytes() == state.c.sum(axis=1).tobytes()
+    assert state.logc.tobytes() == np.log(state.c).tobytes()
+    assert state.lgam.tobytes() == gammaln(state.gamma).tobytes()
+    # gamma and lam are updated incrementally, so their last bits drift
+    np.testing.assert_allclose(state.gamma, np.exp(state.lam), rtol=1e-10, atol=0)
+    np.testing.assert_allclose(state.lam, state.alpha + X @ state.phi.T, rtol=1e-10,
+                               atol=0)
+    if state.gram is not None:
+        logml, flips = flip_log_marginals(state.gram, state.xi, hyper)
+        assert np.float64(state.logml).tobytes() == np.float64(logml).tobytes()
+        assert state.flips.tobytes() == flips.tobytes()
+
+
+def test_state_caches_match_recomputation_after_every_block(monkeypatch):
+    # run_chain looks its blocks up as module globals, so each can be wrapped
+    # with a check of the state it leaves
+    train, _, _ = small_fixture()
+    hyper = Hyperparams()
+    calls = dict.fromkeys(["update_alpha", "update_zeta_phi", "update_c", "update_u",
+                           "update_xi"], 0)
+
+    def checked(name, block):
+        def run(state, *args, **kwargs):
+            block(state, *args, **kwargs)
+            assert_caches_match(state, train.X, hyper)
+            assert name != "update_xi" or state.gram is not None
+            calls[name] += 1
+        return run
+
+    for name in calls:
+        monkeypatch.setattr(sampler, name, checked(name, getattr(sampler, name)))
+    cfg = SamplerConfig(iterations=40, burn_in=20, thin=1, seed=2, between_moves_per_iter=5)
+    out = run_chain(train, hyper, sbp_pivot(train.n_taxa), cfg)
+    assert calls == dict.fromkeys(calls, 40)
+    assert all(acc > 0 for acc, _ in out.accept.values())
+
+
 def test_run_chain_preserves_state_invariants():
     train, test, _ = small_fixture(seed=1)
     cfg = SamplerConfig(iterations=300, burn_in=100, thin=10, seed=4,
@@ -542,7 +586,7 @@ def test_run_chain_preserves_state_invariants():
     assert np.array_equal(out.pair_sums(out.phi_value) / S, dense.mean(axis=0))
     assert np.array_equal(
         estimate_lambda_test(out, test.X_test),
-        build_gamma(out.alpha.mean(axis=0), dense.mean(axis=0), test.X_test).gamma)
+        build_gamma(out.alpha.mean(axis=0), dense.mean(axis=0), test.X_test)[1])
     assert np.all(out.psi > 0)
     assert np.all(out.u > 0)
     assert np.all(np.isfinite(out.log_posterior))

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from dmjoint.io import read_train, write_replicate
-from dmjoint.model import balance_matrix, sbp_pivot, zero_replace
+from dmjoint.model import sbp_pivot, zero_replace
 from dmjoint.simulate import (
     GroundTruth,
     SimConfig,
@@ -12,6 +12,7 @@ from dmjoint.simulate import (
     gen_response,
     replicate_rng,
 )
+from oracles import balance_matrix
 
 
 def test_config_validation():

@@ -12,7 +12,6 @@ import csv
 import json
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, fields, replace
 from pathlib import Path
 
@@ -151,6 +150,8 @@ def cmd_fit(args) -> int:
         for r, rep in enumerate(reps)
     ]
     if args.jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor  # only a pooled fit pays for it
+
         with ProcessPoolExecutor(max_workers=args.jobs) as ex:
             list(ex.map(_fit_one_star, tasks))
     else:

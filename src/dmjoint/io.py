@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .model import Dataset, Hyperparams
+from .model import Dataset, Hyperparams, require_finite
 from .predict import TestSet
 from .sampler import ChainOutput, SamplerConfig
 from .simulate import GroundTruth
@@ -44,7 +44,7 @@ def read_matrix(path, integer: bool = False) -> np.ndarray:
                          dtype=np.int64 if integer else float, ndmin=2)
     except ValueError as e:
         raise ValueError(f"malformed file {path}: {e}") from e
-    return out
+    return require_finite(out, str(path))
 
 
 def write_manifest(outdir, command: str, config: dict, seed, inputs, started: float):

@@ -18,13 +18,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field, fields
 
 import numpy as np
-from scipy.special import betaln, gammaln
 
 __all__ = [
     "Dataset",
     "Hyperparams",
     "PartitionSpec",
     "integer_counts",
+    "require_finite",
     "build_gamma",
     "sbp_pivot",
     "log_balances",
@@ -35,6 +35,7 @@ __all__ = [
     "log_marginal_y",
     "spike_slab_logprior",
     "beta_binomial_logprior",
+    "gammaln",
 ]
 
 
@@ -86,11 +87,12 @@ class Dataset:
     row_totals: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        self.Y = np.asarray(self.Y, dtype=float).ravel()
+        self.Y = require_finite(np.asarray(self.Y, dtype=float).ravel(), "Y")
         self.Z = np.asarray(self.Z)
         self.X = np.asarray(self.X, dtype=float)
         if self.Z.ndim != 2 or self.X.ndim != 2:
             raise ValueError("Z and X must be 2-dimensional")
+        require_finite(self.X, "X")
         n, j = self.Z.shape
         if self.Y.shape[0] != n or self.X.shape[0] != n:
             raise ValueError("Y, Z, X row counts disagree")
@@ -196,9 +198,22 @@ class PartitionSpec:
 # ---------------------------------------------------------------------------
 
 
+def require_finite(A, name: str) -> np.ndarray:
+    """``A`` (at least 1-D) unchanged; raises naming ``name`` and its first NaN
+    or infinite entry, with row and column counted from 1."""
+    A = np.asarray(A)
+    bad = ~np.isfinite(A)
+    if np.any(bad):
+        i, j = np.argwhere(bad.reshape(len(A), -1))[0]
+        value = A.reshape(len(A), -1)[i, j]
+        raise ValueError(f"{name} has the non-finite value {value} at row {i + 1}, "
+                         f"column {j + 1} (counting from 1)")
+    return A
+
+
 def integer_counts(Z) -> np.ndarray:
     """``Z`` as int64 counts; raises unless every entry is a nonnegative integer."""
-    Z = np.asarray(Z)
+    Z = require_finite(Z, "counts")
     if np.any(Z < 0):
         raise ValueError("counts must be nonnegative")
     if not np.allclose(Z, np.round(Z)):
@@ -357,6 +372,19 @@ def spike_slab_logprior(value, included: int, slab_var: float):
 
 def beta_binomial_logprior(included: int, a: float, b: float) -> float:
     """Log marginal prior of one inclusion indicator after integrating its Beta mean."""
+    from scipy.special import betaln
+
     if a <= 0 or b <= 0:
         raise ValueError("a and b must be positive")
     return float(betaln(included + a, 1 - included + b) - betaln(a, b))
+
+
+def gammaln(x):
+    """``scipy.special.gammaln(x)``, importing scipy on the first call.
+
+    Only a fit evaluates it, so simulate, predict and evaluate never load
+    scipy.
+    """
+    from scipy.special import gammaln as scipy_gammaln
+
+    return scipy_gammaln(x)

@@ -22,6 +22,7 @@ from .model import (
     build_gamma,
     integer_counts,
     log_balances,
+    require_finite,
     standardize_columns,
 )
 from .sampler import ChainOutput
@@ -48,10 +49,12 @@ class TestSet:
         self.X_test = np.asarray(self.X_test, dtype=float)
         if np.ndim(self.Z_test) != 2 or self.X_test.ndim != 2:
             raise ValueError("Z_test and X_test must be 2-dimensional")
+        require_finite(self.X_test, "X_test")
         self.Z_test = integer_counts(self.Z_test)  # zero-total rows shrink to lambda
         rows = {"Z_test": len(self.Z_test), "X_test": len(self.X_test)}
         if self.Y_test is not None:
-            self.Y_test = np.asarray(self.Y_test, dtype=float).ravel()
+            self.Y_test = require_finite(np.asarray(self.Y_test, dtype=float).ravel(),
+                                         "Y_test")
             rows["Y_test"] = len(self.Y_test)
         if len(set(rows.values())) > 1:
             raise ValueError(f"test row counts disagree: {rows}")

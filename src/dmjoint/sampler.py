@@ -39,8 +39,8 @@ from __future__ import annotations
 from dataclasses import InitVar, dataclass, field
 
 import numpy as np
-from scipy.special import gammaln
 
+# gammaln comes from .model, which imports scipy on its first call only.
 from .model import (
     Dataset,
     Hyperparams,
@@ -48,6 +48,7 @@ from .model import (
     beta_binomial_logprior,
     build_gamma,
     flip_log_marginals,
+    gammaln,
     log_balances,
     marginal_gram,
     spike_slab_logprior,

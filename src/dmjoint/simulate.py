@@ -115,9 +115,12 @@ def gen_dm_counts(X, truth: GroundTruth, cfg: SimConfig, rng):
     return Z, psi_star
 
 
-def gen_response(psi_star, truth: GroundTruth, cfg: SimConfig, rng) -> np.ndarray:
-    """Response built from the pivot-SBP balances of the true compositions."""
-    B = log_balances(psi_star, sbp_pivot(cfg.J).contrast_matrix(), cfg.delta)
+def gen_response(psi_star, contrast, truth: GroundTruth, cfg: SimConfig,
+                 rng) -> np.ndarray:
+    """Response built from the balances of the true compositions;
+    ``contrast`` is the pivot SBP's ``contrast_matrix()``, built once per
+    replicate by the caller."""
+    B = log_balances(psi_star, contrast, cfg.delta)
     eps = rng.normal(0.0, cfg.sigma_eps, size=psi_star.shape[0]) \
         if cfg.sigma_eps > 0 else 0.0
     return B @ truth.beta_true + eps
@@ -131,13 +134,14 @@ def gen_replicate(cfg: SimConfig, rng=None):
     """
     if rng is None:
         rng = np.random.default_rng(cfg.seed)
+    contrast = sbp_pivot(cfg.J).contrast_matrix()
     truth = _draw_truth(cfg, rng)
     X_tr = gen_covariates(cfg, rng)
     Z_tr, psi_tr = gen_dm_counts(X_tr, truth, cfg, rng)
-    Y_tr = gen_response(psi_tr, truth, cfg, rng)
+    Y_tr = gen_response(psi_tr, contrast, truth, cfg, rng)
     X_te = gen_covariates(cfg, rng)
     Z_te, psi_te = gen_dm_counts(X_te, truth, cfg, rng)
-    Y_te = gen_response(psi_te, truth, cfg, rng)
+    Y_te = gen_response(psi_te, contrast, truth, cfg, rng)
     truth.psi_star = psi_tr
     train = Dataset(Y=Y_tr, Z=Z_tr, X=X_tr)
     test = TestSet(Z_test=Z_te, X_test=X_te, Y_test=Y_te)

@@ -1,4 +1,5 @@
 import json
+import shutil
 from dataclasses import replace
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 from dmjoint import io as dio
 from dmjoint.cli import main
 from dmjoint.model import Dataset, Hyperparams, PartitionSpec, sbp_pivot
-from dmjoint.predict import predict_y
+from dmjoint.predict import TestSet, predict_y
 from dmjoint.prep import preprocess
 from dmjoint.sampler import SamplerConfig, run_chain
 from dmjoint.simulate import SimConfig, gen_replicate, replicate_rng
@@ -413,9 +414,11 @@ def test_cli_predict_rejects_malformed_test_data(sim_dir, tmp_path, capsys):
     assert main(["fit", str(sim_dir / "rep000"), "--out", str(run), *FAST_FIT]) == 0
     test = dio.read_test(sim_dir / "rep000")
     Z, X, Y = test.Z_test, test.X_test, test.Y_test[:, None]
-    negative, empty_row = Z.copy(), Z.copy()
-    negative[1, 0], empty_row[1] = -3, 0
+    negative, empty_row, infinite = Z.copy(), Z.copy(), X.copy()
+    negative[1, 0], empty_row[1], infinite[4, 1] = -3, 0, -np.inf
     cases = {"negative": (negative, X, Y, "nonnegative"),
+             "infinite": (Z, infinite, Y, "test_x.csv has the non-finite value -inf at "
+                                          "row 5, column 2"),
              "short_x": (Z, X[:-1], Y, "'X_test': 11"),
              "short_y": (Z, X, Y[:-1], "'Y_test': 11"),
              "empty_row": (empty_row, X, Y, None)}  # shrinks to lambda: allowed
@@ -432,3 +435,34 @@ def test_cli_predict_rejects_malformed_test_data(sim_dir, tmp_path, capsys):
             assert code == 0 and not err, name
         else:
             assert code == 1 and err.startswith("error: ") and message in err, (name, err)
+
+
+
+@pytest.mark.parametrize("name, prefix, row, col, value", [("train_x.csv", "x", 2, 3, np.nan),
+                                                           ("train_y.csv", "y", 4, 1, np.inf)])
+def test_cli_fit_rejects_non_finite_training_data(sim_dir, tmp_path, capsys,
+                                                  name, prefix, row, col, value):
+    rep = tmp_path / "rep"
+    shutil.copytree(sim_dir / "rep000", rep)
+    M = dio.read_matrix(rep / name)
+    M[row - 1, col - 1] = value
+    dio.write_matrix(rep / name, M, prefix)
+    capsys.readouterr()
+    assert main(["fit", str(rep), "--out", str(tmp_path / "o"), *FAST_FIT]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(rep / name) in err, err
+    assert f"non-finite value {value} at row {row}, column {col}" in err, err
+
+def test_inputs_reject_non_finite_entries():
+    Y, Z, X = np.zeros(3), np.ones((3, 2)), np.ones((3, 2))
+    X[1, 0] = np.nan
+    with pytest.raises(ValueError, match="X has the non-finite value nan at row 2, column 1"):
+        Dataset(Y=Y, Z=Z, X=X)
+    with pytest.raises(ValueError, match="Y has the non-finite value inf at row 3"):
+        Dataset(Y=[0.0, 0.0, np.inf], Z=Z, X=np.ones((3, 2)))
+    with pytest.raises(ValueError, match="counts has the non-finite value inf"):
+        Dataset(Y=Y, Z=[[1.0, np.inf]] * 3, X=np.ones((3, 2)))
+    with pytest.raises(ValueError, match="X_test has the non-finite value nan"):
+        TestSet(Z_test=Z, X_test=X)
+    with pytest.raises(ValueError, match="Y_test has the non-finite value -inf"):
+        TestSet(Z_test=Z, X_test=np.ones((3, 2)), Y_test=[0.0, -np.inf, 0.0])

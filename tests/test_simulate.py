@@ -97,7 +97,8 @@ def test_response_variance_decomposition():
     truth.beta_true[[0, 2]] = [1.5, -1.5]
     _, psi = gen_dm_counts(np.zeros((n, 2)), truth, cfg,
                            np.random.default_rng(4))
-    Y = gen_response(psi, truth, cfg, np.random.default_rng(5))
+    Y = gen_response(psi, sbp_pivot(J).contrast_matrix(), truth, cfg,
+                     np.random.default_rng(5))
     B = balance_matrix(zero_replace(psi, cfg.delta), sbp_pivot(J))
     signal = truth.beta_true @ np.cov(B.T) @ truth.beta_true
     assert Y.var() == pytest.approx(signal + 1.0, rel=0.1)
@@ -109,12 +110,13 @@ def test_response_noiseless_and_null():
                     zdot_low=50, zdot_high=50)
     truth = null_truth(J, 1)
     psi = np.random.default_rng(6).dirichlet(np.ones(J), size=n)
-    Y = gen_response(psi, truth, cfg, np.random.default_rng(7))
+    contrast = sbp_pivot(J).contrast_matrix()
+    Y = gen_response(psi, contrast, truth, cfg, np.random.default_rng(7))
     assert np.array_equal(Y, np.zeros(n))  # beta = 0, sigma = 0
 
     truth.beta_true[1] = 2.0
-    Y1 = gen_response(psi, truth, cfg, np.random.default_rng(8))
-    Y2 = gen_response(psi, truth, cfg, np.random.default_rng(9))
+    Y1 = gen_response(psi, contrast, truth, cfg, np.random.default_rng(8))
+    Y2 = gen_response(psi, contrast, truth, cfg, np.random.default_rng(9))
     assert np.array_equal(Y1, Y2)  # deterministic without noise
     B = balance_matrix(zero_replace(psi, cfg.delta), sbp_pivot(J))
     assert np.allclose(Y1, 2.0 * B[:, 1], atol=1e-12)

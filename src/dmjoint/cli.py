@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
-import json
+import ctypes
 import sys
 import time
 from dataclasses import asdict, fields, replace
@@ -34,8 +34,7 @@ from .simulate import SimConfig, gen_replicate, replicate_rng
 HYPER_FLAGS = [f.name for f in fields(Hyperparams)]
 # --model decides the sampler modes, so mode is recorded but not a flag.
 SAMPLER_FLAGS = [f.name for f in fields(SamplerConfig) if f.name != "mode"]
-# The SimConfig fields simulate exposes, in --help order; --null overrides
-# the n_true_* fields.
+# The SimConfig fields simulate exposes, in --help order.
 SIM_FLAGS = ["N", "P", "J", "omega", "d", "n_true_cov", "n_true_bal", "sigma_eps", "delta"]
 # The balance partition a fit used, in PartitionSpec's file format; predict
 # rebuilds the training and test balances from it.
@@ -51,16 +50,26 @@ def _add_config_args(p, defaults, names):
                        dest=dest)
 
 
-def _hyper_from(args) -> Hyperparams:
-    return Hyperparams(**{k: getattr(args, k) for k in HYPER_FLAGS})
-
-
-def _config_from(args) -> SamplerConfig:
-    return SamplerConfig(**{k: getattr(args, k) for k in SAMPLER_FLAGS})
-
-
 def _derived_seed(master: int, index: int) -> int:
     return int(np.random.SeedSequence([master, index]).generate_state(1)[0])
+
+
+def _one_blas_thread():
+    """Set each OpenBLAS listed in /proc/self/maps to one thread, where it has a setter:
+    a chain's matrices are too small for a second thread to pay for the core it takes."""
+    try:
+        with open("/proc/self/maps") as f:
+            libs = sorted({ln.split()[-1] for ln in f if "openblas" in ln.lower()})
+    except OSError:
+        return
+    for lib in libs:
+        for symbol in ("scipy_openblas_set_num_threads64_", "openblas_set_num_threads64_",
+                       "openblas_set_num_threads"):
+            fn = getattr(ctypes.CDLL(lib), symbol, None)
+            if fn is not None:
+                fn.argtypes, fn.restype = [ctypes.c_int], None
+                fn(1)
+                break
 
 
 # ---------------------------------------------------------------------------
@@ -73,8 +82,6 @@ def cmd_simulate(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     sim = {name: getattr(args, name.lower()) for name in SIM_FLAGS}
-    if args.null:
-        sim.update(n_true_cov=0, n_true_bal=0)
     base = SimConfig(**sim, seed=args.seed)
     for r in range(args.replicates):
         rng = replicate_rng(args.seed, r)
@@ -94,6 +101,7 @@ def cmd_simulate(args) -> int:
 
 def _fit_one(repdir: Path, outdir: Path, model: str, hyper: Hyperparams,
              config: SamplerConfig, partition_file: str | None):
+    _one_blas_thread()
     started = time.time()
     train_raw = dio.read_train(repdir)
     train, _, prep_stats = preprocess(train_raw)
@@ -134,7 +142,8 @@ def cmd_fit(args) -> int:
     if not repdir.exists():
         print(f"error: dataset directory {repdir} not found", file=sys.stderr)
         return 1
-    hyper, config = _hyper_from(args), _config_from(args)
+    hyper = Hyperparams(**{k: getattr(args, k) for k in HYPER_FLAGS})
+    config = SamplerConfig(**{k: getattr(args, k) for k in SAMPLER_FLAGS})
     out = Path(args.out)
     if (repdir / "train_y.csv").exists():
         _fit_one(repdir, out, args.model, hyper, config, args.partition_file)
@@ -153,15 +162,11 @@ def cmd_fit(args) -> int:
         from concurrent.futures import ProcessPoolExecutor  # only a pooled fit pays for it
 
         with ProcessPoolExecutor(max_workers=args.jobs) as ex:
-            list(ex.map(_fit_one_star, tasks))
+            list(ex.map(_fit_one, *zip(*tasks)))
     else:
         for t in tasks:
             _fit_one(*t)
     return 0
-
-
-def _fit_one_star(t):
-    return _fit_one(*t)
 
 
 # ---------------------------------------------------------------------------
@@ -169,36 +174,30 @@ def _fit_one_star(t):
 # ---------------------------------------------------------------------------
 
 
-def _load_two_step(rundir: Path) -> TwoStepOutput:
-    stage1, _, _ = dio.read_chain(rundir / "stage1")
-    stage2, _, _ = dio.read_chain(rundir / "stage2")
-    psi_bar = dio.read_matrix(rundir / "psi_bar.csv")
-    return TwoStepOutput(stage1=stage1, psi_bar=psi_bar, stage2=stage2)
-
-
 def cmd_predict(args) -> int:
+    _one_blas_thread()
     started = time.time()
     rundir = Path(args.chain)
     two_step = (rundir / "stage1").exists()
-    # a two-step fit records its settings once, in its stage-one chain
-    with open((rundir / "stage1" if two_step else rundir) / "summary.json") as f:
-        summary = json.load(f)
-    hyper = Hyperparams(**summary["hyperparams"])
     if two_step:
-        two = _load_two_step(rundir)
+        # a two-step fit records its settings once, in its stage-one chain
+        chain, hyper, summary = dio.read_chain(rundir / "stage1")
+        stage2, _, _ = dio.read_chain(rundir / "stage2")
+        two = TwoStepOutput(stage1=chain, psi_bar=dio.read_matrix(rundir / "psi_bar.csv"),
+                            stage2=stage2)
     else:
-        chain, _, _ = dio.read_chain(rundir)
+        chain, hyper, summary = dio.read_chain(rundir)
     spec = PartitionSpec.from_file(rundir / PARTITION_FILE)
     train_dir = Path(args.train_dir or summary["dataset"])
     test_dir = Path(args.test_dir or train_dir)
     train_raw = dio.read_train(train_dir)
     test_raw = dio.read_test(test_dir)
-    counts = two.stage1 if two_step else chain
-    _, n_fit, j_fit = counts.psi.shape
+    # the chain that holds the count blocks: the joint one, or stage 1
+    _, n_fit, j_fit = chain.psi.shape
     for dim, fitted, given in (("N", n_fit, train_raw.n_subjects),
                                ("J", j_fit, train_raw.n_taxa),
                                ("J", spec.n_taxa, train_raw.n_taxa),
-                               ("P", counts.phi_shape[2], train_raw.n_covariates)):
+                               ("P", chain.phi_shape[2], train_raw.n_covariates)):
         if fitted != given:
             print(f"error: the fit in {rundir} has {dim}={fitted} but the training "
                   f"data in {train_dir} has {dim}={given}", file=sys.stderr)
@@ -331,14 +330,7 @@ def cmd_evaluate(args) -> int:
     _write_rows(out / "report.csv", rows)
     group = ["model", "a", "b", "a_m", "b_m", "b0"]
     _write_rows(out / "aggregate.csv", _aggregate(rows, group))
-    if args.sweep_b0:
-        wanted = [float(v) for v in args.sweep_b0.split(",")]
-        sweep_rows = [r for r in rows if r["b0"] in wanted]
-        _write_rows(out / "sweep_b0.csv",
-                    _aggregate(sweep_rows, ["model", "b", "b0"]))
-    dio.write_manifest(out, "evaluate",
-                       {"runs": [str(r) for r in args.runs],
-                        "sweep_b0": args.sweep_b0},
+    dio.write_manifest(out, "evaluate", {"runs": [str(r) for r in args.runs]},
                        None, args.runs, started)
     print(f"evaluated {len(rows)} runs -> {out}")
     return 0
@@ -362,8 +354,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--replicates", type=int, default=1)
     p.add_argument("--seed", type=int, default=0)
     _add_config_args(p, SimConfig(), SIM_FLAGS)
-    p.add_argument("--null", action="store_true",
-                   help="generate data with no true signals")
     p.set_defaults(func=cmd_simulate)
 
     # no prefix matching: "--mode" must not be read as "--model"
@@ -388,8 +378,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("evaluate", help="score runs against ground truth")
     p.add_argument("runs", nargs="+", help="fitted run directories")
     p.add_argument("--out", required=True)
-    p.add_argument("--sweep-b0", default=None,
-                   help="comma-separated b0 values for the sensitivity layout")
     p.set_defaults(func=cmd_evaluate)
     return parser
 

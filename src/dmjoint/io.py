@@ -159,12 +159,19 @@ def read_chain(rundir) -> tuple[ChainOutput, Hyperparams, dict]:
     if missing:
         raise ValueError(f"{rundir} is missing the chain block {missing[0]}.npy; "
                          "re-run fit to rewrite it")
-    with open(rundir / "summary.json") as f:
+    path = rundir / "summary.json"
+    with open(path) as f:
         summary = json.load(f)
     blocks = {name: np.load(rundir / f"{name}.npy", allow_pickle=False)
               for name in _BLOCKS}
-    accept = {k: (v["accepted"], v["proposed"])
-              for k, v in summary["acceptance"].items()}
-    chain = ChainOutput(**blocks, phi_shape=tuple(summary["phi_shape"]), accept=accept,
-                        config=SamplerConfig(**summary["config"]))
-    return chain, Hyperparams(**summary["hyperparams"]), summary
+    try:
+        accept = {k: (v["accepted"], v["proposed"])
+                  for k, v in summary["acceptance"].items()}
+        chain = ChainOutput(**blocks, phi_shape=tuple(summary["phi_shape"]), accept=accept,
+                            config=SamplerConfig(**summary["config"]))
+        return chain, Hyperparams(**summary["hyperparams"]), summary
+    except KeyError as e:
+        raise ValueError(f"{path} has no key {e}; re-run fit to rewrite it") from e
+    except TypeError as e:
+        raise ValueError(f"{path} does not match this version of dmjoint ({e}); "
+                         "re-run fit to rewrite it") from e

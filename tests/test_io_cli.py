@@ -1,3 +1,4 @@
+import csv
 import json
 import shutil
 from dataclasses import replace
@@ -12,6 +13,7 @@ from dmjoint.predict import TestSet, predict_y
 from dmjoint.prep import preprocess
 from dmjoint.sampler import SamplerConfig, run_chain
 from dmjoint.simulate import SimConfig, gen_replicate, replicate_rng
+from test_acceptance import _blas_threads
 
 
 # ---------------------------------------------------------------------------
@@ -165,12 +167,18 @@ def test_cli_simulate_outputs(sim_dir):
 
 def test_cli_simulate_null(tmp_path):
     out = tmp_path / "null"
-    assert main(["simulate", "--out", str(out), "--replicates", "1",
-                 "--seed", "4", "--n", "8", "--p", "2", "--j", "4",
-                 "--null"]) == 0
+    argv = ["simulate", "--out", str(out), "--replicates", "1",
+            "--seed", "4", "--n", "8", "--p", "2", "--j", "4"]
+    assert main([*argv, "--n-true-cov", "0", "--n-true-bal", "0"]) == 0
     truth = dio.read_truth(out / "rep000")
     assert truth.zeta_true.sum() == 0
     assert truth.xi_true.sum() == 0
+    config = dio.read_manifest(out)["config"]
+    assert (config["n_true_cov"], config["n_true_bal"]) == (0, 0)
+    # null data is made with the two counts; there is no --null shortcut
+    with pytest.raises(SystemExit) as e:
+        main([*argv, "--null"])
+    assert e.value.code == 2
 
 
 def test_cli_fit_predict_evaluate_joint(sim_dir, tmp_path):
@@ -226,6 +234,51 @@ def test_cli_fit_two_step(sim_dir, tmp_path):
     assert main(["evaluate", str(fit_dir), "--out", str(eval_dir)]) == 0
     with open(eval_dir / "report.csv") as f:
         assert "dmlm-bayes" in f.read()
+
+
+def _csv_rows(path):
+    with open(path, newline="") as f:
+        return list(csv.DictReader(f))
+
+
+def test_cli_evaluate_aggregates_one_row_per_b0(sim_dir, tmp_path):
+    runs = []
+    for b0 in ("1.0", "4.0"):
+        runs.append(tmp_path / f"b0_{b0}")
+        assert main(["fit", str(sim_dir / "rep000"), "--out", str(runs[-1]),
+                     "--b0", b0, "--seed", "5", *FAST_FIT]) == 0
+    assert main(["evaluate", *map(str, runs), "--out", str(tmp_path / "eval")]) == 0
+    report = _csv_rows(tmp_path / "eval" / "report.csv")
+    aggregate = _csv_rows(tmp_path / "eval" / "aggregate.csv")
+    assert [row["b0"] for row in aggregate] == ["1.0", "4.0"]
+    assert [row["b0"] for row in report] == ["1.0", "4.0"]
+    for agg, run in zip(aggregate, report):
+        assert agg["n_replicates"] == "1"
+        for col in (c.removesuffix("_mean") for c in agg if c.endswith("_mean")):
+            # one replicate per group: its mean is its value, blank stays blank
+            assert agg[col + "_mean"] == run[col] == "" or \
+                float(agg[col + "_mean"]) == float(run[col])
+    with pytest.raises(SystemExit) as e:
+        main(["evaluate", *map(str, runs), "--out", str(tmp_path / "o"),
+              "--sweep-b0", "1.0"])
+    assert e.value.code == 2
+
+
+def test_cli_fit_pooled_matches_serial(sim_dir, tmp_path):
+    serial, pooled = tmp_path / "serial", tmp_path / "pooled"
+    for out, jobs in ((serial, "1"), (pooled, "2")):
+        assert main(["fit", str(sim_dir), "--out", str(out), "--seed", "5",
+                     "--jobs", jobs, *FAST_FIT]) == 0
+    names = [*sorted(CHAIN_BLOCKS), "selected_zeta.csv", "selected_xi.csv", "fitted_y.csv"]
+    for rep in ("rep000", "rep001"):
+        for name in names:
+            assert (pooled / rep / name).read_bytes() == (serial / rep / name).read_bytes()
+
+
+def test_cli_fit_runs_one_blas_thread(sim_dir, tmp_path):
+    assert main(["fit", str(sim_dir / "rep000"), "--out", str(tmp_path / "o"),
+                 *FAST_FIT]) == 0
+    assert _blas_threads() in (1, None)  # None: no OpenBLAS with a thread getter
 
 
 def test_cli_fit_deterministic(sim_dir, tmp_path):
@@ -407,6 +460,27 @@ def test_cli_predict_chain_missing_a_block_exits_1(sim_dir, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "re-run fit" in err
     assert str(run / "stage2") in err and "alpha.npy" in err
+
+
+@pytest.mark.parametrize("model", ["joint", "dmlm-bayes"])
+@pytest.mark.parametrize("damage, message", [
+    (lambda summary: summary.pop("phi_shape"), "has no key 'phi_shape'"),
+    (lambda summary: summary["hyperparams"].update(bogus=1.0), "'bogus'"),
+], ids=["no-phi-shape", "unknown-hyperparameter"])
+def test_cli_predict_malformed_summary_exits_1(sim_dir, tmp_path, capsys, model,
+                                               damage, message):
+    run = tmp_path / "o"
+    assert main(["fit", str(sim_dir / "rep000"), "--out", str(run), "--model", model,
+                 *FAST_FIT]) == 0
+    path = run / "stage1" / "summary.json" if model == "dmlm-bayes" else run / "summary.json"
+    summary = json.loads(path.read_text())
+    damage(summary)
+    path.write_text(json.dumps(summary))
+    capsys.readouterr()
+    assert main(["predict", str(run)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert str(path) in err and message in err and "re-run fit" in err
 
 
 def test_cli_predict_rejects_malformed_test_data(sim_dir, tmp_path, capsys):

@@ -56,7 +56,8 @@ def _derived_seed(master: int, index: int) -> int:
 
 def _one_blas_thread():
     """Set each OpenBLAS listed in /proc/self/maps to one thread, where it has a setter:
-    a chain's matrices are too small for a second thread to pay for the core it takes."""
+    a chain's matrices are too small for a second thread to pay for the core it takes,
+    and the bits of a product then do not depend on the thread count."""
     try:
         with open("/proc/self/maps") as f:
             libs = sorted({ln.split()[-1] for ln in f if "openblas" in ln.lower()})
@@ -78,6 +79,7 @@ def _one_blas_thread():
 
 
 def cmd_simulate(args) -> int:
+    _one_blas_thread()
     started = time.time()
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -179,21 +181,26 @@ def cmd_predict(args) -> int:
     started = time.time()
     rundir = Path(args.chain)
     two_step = (rundir / "stage1").exists()
+    # the chain that holds the count blocks, and the fit's settings: the joint
+    # one, or stage 1
+    chain_dir = rundir / "stage1" if two_step else rundir
+    chain, hyper, summary = dio.read_chain(chain_dir)
     if two_step:
-        # a two-step fit records its settings once, in its stage-one chain
-        chain, hyper, summary = dio.read_chain(rundir / "stage1")
         stage2, _, _ = dio.read_chain(rundir / "stage2")
         two = TwoStepOutput(stage1=chain, psi_bar=dio.read_matrix(rundir / "psi_bar.csv"),
                             stage2=stage2)
+        # stage 1 keeps no composition samples; psi_bar is their mean
+        n_fit, j_fit = two.psi_bar.shape
     else:
-        chain, hyper, summary = dio.read_chain(rundir)
+        _, n_fit, j_fit = chain.psi.shape
+    if args.train_dir is None and "dataset" not in summary:
+        raise ValueError(f"{chain_dir / 'summary.json'} has no key 'dataset'; pass "
+                         "--train-dir, or re-run fit to rewrite it")
     spec = PartitionSpec.from_file(rundir / PARTITION_FILE)
     train_dir = Path(args.train_dir or summary["dataset"])
     test_dir = Path(args.test_dir or train_dir)
     train_raw = dio.read_train(train_dir)
     test_raw = dio.read_test(test_dir)
-    # the chain that holds the count blocks: the joint one, or stage 1
-    _, n_fit, j_fit = chain.psi.shape
     for dim, fitted, given in (("N", n_fit, train_raw.n_subjects),
                                ("J", j_fit, train_raw.n_taxa),
                                ("J", spec.n_taxa, train_raw.n_taxa),

@@ -5,10 +5,12 @@ row; reals are written with 17 significant digits so write -> read -> write
 round-trips byte-wise, counts as plain integers. A chain is seven raw
 ``.npy`` blocks (``alpha``, ``phi_index``, ``phi_value``, ``psi``, ``u``,
 ``xi``, ``log_posterior``) in their in-memory shape and dtype, so it
-round-trips bitwise; an xi-only (stage-2) chain writes its empty count blocks
-too. ``phi`` is sparse: ``phi_index`` holds the ascending flat indices of its
-non-zero entries in the S x J x P block whose shape ``summary.json`` records
-as ``phi_shape``, and ``phi_value`` their values. ``zeta`` (``phi != 0``) and
+round-trips bitwise; a block the chain does not keep is written empty: the
+count blocks of an xi-only (stage-2) chain, and the ``xi`` and ``psi`` of a
+two-step fit's stage 1, whose compositions ``psi_bar.csv`` records. ``phi``
+is sparse: ``phi_index`` holds the ascending flat indices of its non-zero
+entries in the S x J x P block whose shape ``summary.json`` records as
+``phi_shape``, and ``phi_value`` their values. ``zeta`` (``phi != 0``) and
 the MPPIs are derived on load. Settings, acceptance counts and provenance are
 JSON.
 """

@@ -5,9 +5,9 @@ covariate-inclusion pairs ``(zeta, phi)`` (between-model add/delete moves
 followed by a within-model refresh of every included coefficient); the
 latent ``c`` and ``u`` blocks via exact Gibbs draws; and the
 balance-inclusion indicators ``xi``. The ``dm_only`` mode skips the response
-block. The ``lm_only`` mode runs the ``xi`` block alone on a fixed balance
-matrix given by the caller (stage two of the two-step comparator) and keeps
-no count samples.
+block and keeps no balance samples. The ``lm_only`` mode runs the ``xi`` block
+alone on a fixed balance matrix given by the caller (stage two of the two-step
+comparator) and keeps no count samples.
 
 All acceptance ratios are exact because the augmented log likelihood drops
 only terms constant in (c, gamma, u): ``log Gamma(zdot)`` and the multinomial
@@ -123,7 +123,7 @@ class ChainOutput:
     phi_index: np.ndarray  # int64, ascending flat indices into phi_shape
     phi_value: np.ndarray  # phi at phi_index
     phi_shape: tuple  # (S, J, P)
-    xi: np.ndarray  # S x M, uint8
+    xi: np.ndarray  # S x M, uint8; S x 0 in dm_only
     psi: np.ndarray  # S x N x J
     u: np.ndarray  # S x N
     log_posterior: np.ndarray  # full pre-thinning trace, length iterations
@@ -272,6 +272,9 @@ def initial_state(data: Dataset, config: SamplerConfig, rng) -> ChainState:
     """Overdispersion-safe starting point: c matched to counts, sparse random supports.
 
     The ``lm_only`` mode draws no covariate support, only balance indicators.
+    The ``dm_only`` mode still draws them, though it never samples ``xi``: that
+    draw keeps its stream the joint chain's, and goes at the next
+    ``STREAM_VERSION`` bump.
     """
     n, J, P = data.n_subjects, data.n_taxa, data.n_covariates
     M = J - 1
@@ -484,15 +487,19 @@ def run_chain(
     contrast = spec.contrast_matrix()
 
     S = config.n_retained
-    # lm_only keeps no count samples: its count blocks have zero width
+    # lm_only keeps no count samples and dm_only no balance samples: the blocks
+    # a mode does not sample have zero width
     nk, Jk, Pk = (0, 0, 0) if mode == "lm_only" else (n, J, P)
+    Mk = 0 if mode == "dm_only" else M
     out_alpha = np.empty((S, Jk))
     phi_index, phi_value = [np.empty(0, dtype=np.int64)], [np.empty(0)]
-    out_xi = np.empty((S, M), dtype=np.uint8)
+    out_xi = np.empty((S, Mk), dtype=np.uint8)
     out_psi = np.empty((S, nk, Jk))
     out_u = np.empty((S, nk))
     log_post = np.empty(config.iterations)
-    moves = ("xi",) if mode == "lm_only" else ("alpha", "add", "delete", "within", "xi")
+    moves = {"joint": ("alpha", "add", "delete", "within", "xi"),
+             "dm_only": ("alpha", "add", "delete", "within"),
+             "lm_only": ("xi",)}[mode]
     accept = {k: [0, 0] for k in moves}  # move -> [accepted, proposed]
 
     s = 0
@@ -529,7 +536,8 @@ def run_chain(
                 phi_value.append(state.phi.ravel()[flat])
                 out_psi[s] = state.psi
                 out_u[s] = state.u
-            out_xi[s] = state.xi
+            if mode != "dm_only":
+                out_xi[s] = state.xi
             s += 1
 
     assert s == S

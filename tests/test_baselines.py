@@ -123,7 +123,7 @@ def test_dm_only_matches_joint_covariate_side_with_noise_response():
     # same stationary law; only the rng stream differs (the xi block draws
     # from the shared generator), so compare inclusion probabilities
     assert np.abs(joint.mppi_zeta - dm.mppi_zeta).mean() < 0.1
-    assert np.allclose(dm.mppi_xi, 0.0)
+    assert dm.xi.shape == (cfg.n_retained, 0)  # no balance samples
 
 
 def test_two_step_structure_and_fits():
@@ -149,6 +149,28 @@ def test_two_step_structure_and_fits():
     # the fitted values should beat the constant-only predictor in-sample
     const = np.full_like(fit, train.Y.mean())
     assert np.sum((train.Y - fit) ** 2) < np.sum((train.Y - const) ** 2)
+
+
+def test_two_step_keeps_psi_bar_not_stage_one_compositions():
+    # stage one is run_dm_only's chain bitwise, less its composition samples,
+    # whose normalised mean psi_bar keeps
+    train, _, _ = small_fixture(seed=12)
+    hyper = Hyperparams()
+    spec = sbp_pivot(train.n_taxa)
+    cfg = SamplerConfig(iterations=60, burn_in=20, thin=4, seed=13,
+                        between_moves_per_iter=5)
+    two = run_two_step(train, hyper, spec, cfg)
+    dm = run_dm_only(train, hyper, spec, cfg)
+    assert two.stage1.psi.shape == (cfg.n_retained, 0, 0)
+    assert two.stage1.psi.base is None  # no view holding the S x N x J buffer
+    psi_bar = dm.psi.mean(axis=0)
+    psi_bar /= psi_bar.sum(axis=1, keepdims=True)
+    assert two.psi_bar.tobytes() == psi_bar.tobytes()
+    for name in ("alpha", "phi_index", "phi_value", "u", "xi", "log_posterior"):
+        a, b = getattr(two.stage1, name), getattr(dm, name)
+        assert a.dtype == b.dtype and a.shape == b.shape, name
+        assert a.tobytes() == b.tobytes(), name
+    assert two.stage1.accept == dm.accept
 
 
 def test_two_step_deterministic():

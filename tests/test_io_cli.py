@@ -1,12 +1,18 @@
 import csv
 import json
+import os
 import shutil
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import dmjoint
 from dmjoint import io as dio
+from dmjoint.baselines import run_two_step, two_step_predict_y
 from dmjoint.cli import main
 from dmjoint.model import Dataset, Hyperparams, PartitionSpec, sbp_pivot
 from dmjoint.predict import TestSet, predict_y
@@ -222,13 +228,26 @@ def test_cli_fit_two_step(sim_dir, tmp_path):
         assert {p.name for p in (fit_dir / stage).glob("*.npy")} == CHAIN_BLOCKS
     # stage 2 keeps no count samples: its count blocks are empty
     assert np.load(fit_dir / "stage2" / "alpha.npy").size == 0
+    # stage 1 keeps no balance or composition samples; psi_bar.csv records
+    # its compositions
+    assert np.load(fit_dir / "stage1" / "xi.npy").shape == (10, 0)
+    assert np.load(fit_dir / "stage1" / "psi.npy").shape == (10, 0, 0)
     assert (fit_dir / "psi_bar.csv").exists()
     # the settings are recorded once, in the stage-one chain's summary
     assert not (fit_dir / "summary.json").exists()
     assert main(["predict", str(fit_dir),
                  "--test-dir", str(sim_dir / "rep000")]) == 0
-    assert (fit_dir / "predictions" / "predictions.csv").exists()
     assert not (fit_dir / "predictions" / "loglik.csv").exists()
+    got = dio.read_matrix(fit_dir / "predictions" / "predictions.csv").ravel()
+
+    # the predictions of the same two-step run held in memory
+    rep = sim_dir / "rep000"
+    train, test, stats = preprocess(dio.read_train(rep), dio.read_test(rep))
+    config = SamplerConfig(iterations=200, burn_in=100, thin=10, seed=6,
+                           between_moves_per_iter=5)
+    two = run_two_step(train, Hyperparams(), sbp_pivot(5), config)
+    want = two_step_predict_y(two, train, test, sbp_pivot(5), Hyperparams())
+    assert np.array_equal(got, want + stats["y_mean"])
 
     eval_dir = tmp_path / "eval2"
     assert main(["evaluate", str(fit_dir), "--out", str(eval_dir)]) == 0
@@ -279,6 +298,27 @@ def test_cli_fit_runs_one_blas_thread(sim_dir, tmp_path):
     assert main(["fit", str(sim_dir / "rep000"), "--out", str(tmp_path / "o"),
                  *FAST_FIT]) == 0
     assert _blas_threads() in (1, None)  # None: no OpenBLAS with a thread getter
+
+
+def test_cli_simulate_does_not_depend_on_blas_threads(tmp_path):
+    # paper-scale products whose bits differ between one and two OpenBLAS
+    # threads unless simulate runs one
+    src = Path(dmjoint.__file__).resolve().parents[1]
+    reps = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}"
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+               "PYTHONPATH": os.pathsep.join(filter(None, [str(src),
+                                                           os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run([sys.executable, "-m", "dmjoint.cli", "simulate", "--out",
+                               str(out), "--seed", "619"],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        reps.append(out / "rep000")
+    names = sorted(p.name for p in reps[0].iterdir())
+    assert "train_y.csv" in names and names == sorted(p.name for p in reps[1].iterdir())
+    for name in names:
+        assert (reps[0] / name).read_bytes() == (reps[1] / name).read_bytes(), name
 
 
 def test_cli_fit_deterministic(sim_dir, tmp_path):
@@ -338,9 +378,11 @@ def test_cli_fit_has_no_mode_flag(sim_dir, tmp_path):
 
 
 def test_cli_predict_rejects_train_dir_of_other_size(sim_dir, tmp_path, capsys):
-    other = tmp_path / "j6"
+    other, taller = tmp_path / "j6", tmp_path / "n13"
     assert main(["simulate", "--out", str(other), "--seed", "3", "--n", "12",
                  "--p", "3", "--j", "6", "--n-true-cov", "2", "--n-true-bal", "1"]) == 0
+    assert main(["simulate", "--out", str(taller), "--seed", "3", "--n", "13",
+                 "--p", "3", "--j", "5", "--n-true-cov", "2", "--n-true-bal", "1"]) == 0
     for model in ("joint", "dmlm-bayes"):
         run = tmp_path / model
         assert main(["fit", str(sim_dir / "rep000"), "--out", str(run),
@@ -350,6 +392,10 @@ def test_cli_predict_rejects_train_dir_of_other_size(sim_dir, tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.startswith("error:") and "J=5" in err and "J=6" in err
         assert str(run) in err and str(other / "rep000") in err
+        # N comes from the joint chain's psi, or from a two-step fit's psi_bar
+        assert main(["predict", str(run), "--train-dir", str(taller / "rep000")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "N=12" in err and "N=13" in err
 
     # a test set with another covariate count is caught before preprocessing
     wide = tmp_path / "p4"
@@ -466,7 +512,8 @@ def test_cli_predict_chain_missing_a_block_exits_1(sim_dir, tmp_path, capsys):
 @pytest.mark.parametrize("damage, message", [
     (lambda summary: summary.pop("phi_shape"), "has no key 'phi_shape'"),
     (lambda summary: summary["hyperparams"].update(bogus=1.0), "'bogus'"),
-], ids=["no-phi-shape", "unknown-hyperparameter"])
+    (lambda summary: summary.pop("dataset"), "has no key 'dataset'; pass --train-dir"),
+], ids=["no-phi-shape", "unknown-hyperparameter", "no-dataset"])
 def test_cli_predict_malformed_summary_exits_1(sim_dir, tmp_path, capsys, model,
                                                damage, message):
     run = tmp_path / "o"

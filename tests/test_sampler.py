@@ -524,7 +524,7 @@ def test_stream_version_pins_draw_order():
         "joint": ({"alpha": (107, 320), "add": (11, 140), "delete": (10, 20),
                    "within": (35, 112), "xi": (20, 160)}, 2, 16),
         "dm_only": ({"alpha": (98, 320), "add": (7, 142), "delete": (6, 18),
-                     "within": (28, 78), "xi": (0, 0)}, 0, 5),
+                     "within": (28, 78)}, 0, 5),
         "lm_only": ({"xi": (11, 160)}, 10, 0),
     }
 

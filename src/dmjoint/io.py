@@ -2,17 +2,18 @@
 
 Datasets, selections, predictions and reports are UTF-8 CSV with a header
 row; reals are written with 17 significant digits so write -> read -> write
-round-trips byte-wise, counts as plain integers. A chain is seven raw
-``.npy`` blocks (``alpha``, ``phi_index``, ``phi_value``, ``psi``, ``u``,
-``xi``, ``log_posterior``) in their in-memory shape and dtype, so it
+round-trips byte-wise, counts as plain integers. A chain is six raw
+``.npy`` blocks (``alpha``, ``phi_index``, ``phi_value``, ``psi``, ``xi``,
+``log_posterior``) in their in-memory shape and dtype, so it
 round-trips bitwise; a block the chain does not keep is written empty: the
 count blocks of an xi-only (stage-2) chain, and the ``xi`` and ``psi`` of a
 two-step fit's stage 1, whose compositions ``psi_bar.csv`` records. ``phi``
 is sparse: ``phi_index`` holds the ascending flat indices of its non-zero
 entries in the S x J x P block whose shape ``summary.json`` records as
 ``phi_shape``, and ``phi_value`` their values. ``zeta`` (``phi != 0``) and
-the MPPIs are derived on load. Settings, acceptance counts and provenance are
-JSON.
+the MPPIs are derived on load; a ``zeta.npy``, ``mppi_*.npy`` or (before
+manifest schema 5) ``u.npy`` of an older writer is ignored. Settings,
+acceptance counts and provenance are JSON.
 """
 
 from __future__ import annotations
@@ -59,7 +60,7 @@ def write_manifest(outdir, command: str, config: dict, seed, inputs, started: fl
         "output": str(outdir),
         "duration_s": round(time.time() - started, 3),
         "version": __version__,
-        "schema_version": 4,
+        "schema_version": 5,
     }
     with open(outdir / "manifest.json", "w") as f:
         json.dump(manifest, f, indent=2, sort_keys=True)
@@ -130,7 +131,7 @@ def read_truth(repdir) -> GroundTruth:
 # ---------------------------------------------------------------------------
 
 
-_BLOCKS = ("alpha", "phi_index", "phi_value", "psi", "u", "xi", "log_posterior")
+_BLOCKS = ("alpha", "phi_index", "phi_value", "psi", "xi", "log_posterior")
 
 
 def write_chain(outdir, chain: ChainOutput, hyper: Hyperparams, extra: dict | None = None):

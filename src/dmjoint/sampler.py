@@ -29,9 +29,12 @@ order of a one-move-at-a-time scan, so chains stay bitwise identical to it.
 A between-model move draws its taxon, its covariate, an add's proposal and
 its uniform; the within-model refresh a standard normal then a uniform per
 included pair, in ``np.argwhere`` order; an xi move its target then its
-uniform. Each block draws before it scores, and scores its moves in batches.
-Moving a draw changes every chain and the cached Part B numbers, and must
-bump ``STREAM_VERSION``, which keys that cache.
+uniform. Each block draws before it scores. The covariate and xi blocks
+then scan their moves in order: each pass scores every move not yet decided
+against the current state in one kernel call and applies the first
+acceptance (per taxon for the covariate moves). Moving a draw changes every
+chain and the cached Part B numbers, and must bump ``STREAM_VERSION``, which
+keys that cache.
 """
 
 from __future__ import annotations
@@ -125,7 +128,6 @@ class ChainOutput:
     phi_shape: tuple  # (S, J, P)
     xi: np.ndarray  # S x M, uint8; S x 0 in dm_only
     psi: np.ndarray  # S x N x J
-    u: np.ndarray  # S x N
     log_posterior: np.ndarray  # full pre-thinning trace, length iterations
     accept: dict  # per-move-type (accepted, proposed) counters
     config: SamplerConfig
@@ -220,29 +222,27 @@ def alpha_log_mh_ratio(logc, gamma, lgam, alpha, step, hyper: Hyperparams):
     return diff, gamma_new, lgam_new
 
 
-def pair_log_mh_ratio(move, logc_col, gamma_col, lgam_col, lam_col, x_col,
-                      phi_old, phi_new, hyper: Hyperparams, log_odds_on):
+def pair_log_mh_ratio(logc_col, gamma_col, lgam_col, lam_col, x_col, phi_old, phi_new,
+                      hyper: Hyperparams, log_odds_on):
     """Log MH ratio of one covariate-taxon pair move on taxon column j.
 
-    ``move`` is ``"add"`` (phi 0 -> phi_new), ``"delete"`` (phi_old -> 0) or
-    ``"within"`` (phi_old -> phi_new); ``x_col`` is the covariate column and
+    The spike is a point mass at 0, so ``phi_old`` and ``phi_new`` give the
+    move: an add (0 -> phi_new), a delete (phi_old -> 0) or a within-model
+    move (phi_old -> phi_new). ``x_col`` is the covariate column and
     ``log_odds_on`` the prior log odds of inclusion. Returns (ratio, proposed
-    lam, gamma and lgamma columns); a proposal whose gamma overflows has
-    ratio -inf, so it is rejected. Call under
+    lam, gamma and lgamma columns); a proposal whose gamma overflows has ratio
+    -inf, so it is rejected. Call under
     ``np.errstate(over="ignore", invalid="ignore")``, as ``update_zeta_phi``
     does, to keep that overflow and the inf - inf it leaves silent.
 
-    It also scores K pairs in K distinct taxa at once (C-contiguous K x N rows,
-    length-K phi), each row with the bits of the one-pair call.
+    It also scores K pairs at once (C-contiguous K x N rows, length-K phi),
+    each row with the bits of the one-pair call, whatever its move.
     """
-    if move == "add":
-        prior = log_odds_on + spike_slab_logprior(phi_new, 1, hyper.r2)
-    elif move == "delete":
-        prior = -log_odds_on - spike_slab_logprior(phi_old, 1, hyper.r2)
-    else:
-        prior = spike_slab_logprior(phi_new, 1, hyper.r2) - spike_slab_logprior(
-            phi_old, 1, hyper.r2
-        )
+    on_old, on_new = np.asarray(phi_old) != 0, np.asarray(phi_new) != 0
+    # a within move adds log_odds_on * 0: its prior is the slab difference's bits
+    prior = (np.where(on_new, spike_slab_logprior(phi_new, 1, hyper.r2), 0.0)
+             - np.where(on_old, spike_slab_logprior(phi_old, 1, hyper.r2), 0.0)
+             + log_odds_on * np.subtract(on_new, on_old, dtype=float))
     lam_new = lam_col + np.asarray(phi_new - phi_old)[..., None] * x_col
     gamma_new = np.exp(lam_new)
     lgam_new = gammaln(gamma_new)
@@ -308,77 +308,71 @@ def update_alpha(state, hyper, rng, accept):
     accept["alpha"][1] += J
 
 
-def _rounds(taxa):
-    """Positions of ``taxa`` in rounds: round r holds the r-th entry of every
-    taxon, so no round has two entries in one taxon."""
-    order = np.argsort(taxa, kind="stable")
-    ordered = taxa[order]
-    rank = np.empty(len(taxa), dtype=np.int64)
-    rank[order] = np.arange(len(taxa)) - np.searchsorted(ordered, ordered)
-    return [np.flatnonzero(rank == r) for r in range(rank.max(initial=-1) + 1)]
-
-
 def update_zeta_phi(state, data, hyper, rng, log_odds_on, accept, n_between=1):
     """Between-model add/delete moves followed by a within-model refresh.
 
     A pair is included when its ``phi`` is non-zero. Each between-model move
     draws its taxon, its covariate, for an add its proposal, and its uniform;
-    the moves are scored in batches, and a batch ends before a pair it already
-    holds, whose move type waits on the earlier move. The refresh then draws a
-    standard normal and a uniform per included pair, in ``np.argwhere`` order.
-    Moves are scored in rounds by taxon: round r takes the r-th move of every
-    taxon at once, one kernel call per move type, since pairs in different
-    taxa are independent given c.
+    a batch of moves ends before a pair it already holds, whose move type
+    waits on the earlier move. The refresh then draws a standard normal and a
+    uniform per included pair, in ``np.argwhere`` order. Both score their
+    moves in the order drawn with the first-acceptance scan of ``update_xi``,
+    taken per taxon since pairs in different taxa are independent given c:
+    each pass scores every move not yet decided in one kernel call; in each
+    taxon the moves before its first acceptance are rejected and that move is
+    applied, and the taxon's later moves wait for the next pass.
     """
     J, P = state.phi.shape
 
-    def score(move, j, p, phi_new, log_u):
-        # one move per pair (j, p), the taxa j distinct; a.T[j] is
-        # C-contiguous: each taxon's N values are one row
-        ratio, lam_new, gamma_new, lgam_new = pair_log_mh_ratio(
-            move, state.logc.T[j], state.gamma.T[j], state.lgam.T[j], state.lam.T[j],
-            data.X.T[p], state.phi[j, p], phi_new, hyper, log_odds_on)
-        ok = log_u < ratio
-        accept[move][1] += len(ok)
-        j = j[ok]
-        accept[move][0] += len(j)
-        state.phi[j, p[ok]] = phi_new[ok]
-        state.lam[:, j], state.gamma[:, j] = lam_new[ok].T, gamma_new[ok].T
-        state.lgam[:, j] = lgam_new[ok].T
-
-    def score_batch(batch):
-        is_add, j, p, phi_new, u = map(np.array, zip(*batch))
-        log_u = np.log(u)
-        for k in _rounds(j):
-            for move, kk in (("delete", k[~is_add[k]]), ("add", k[is_add[k]])):
-                if kk.size:
-                    score(move, j[kk], p[kk], phi_new[kk], log_u[kk])
+    def scan(moves, j, p, phi_new, u):
+        """Apply the moves on pairs (j, p), all distinct, and count them in accept."""
+        accepted = np.zeros(len(j), dtype=bool)
+        todo, log_u = np.arange(len(j)), np.log(u)
+        while todo.size:
+            jj, pp = j[todo], p[todo]
+            # a.T[jj] is C-contiguous: each taxon's N values are one row
+            ratio, lam_new, gamma_new, lgam_new = pair_log_mh_ratio(
+                state.logc.T[jj], state.gamma.T[jj], state.lgam.T[jj], state.lam.T[jj],
+                data.X.T[pp], state.phi[jj, pp], phi_new[todo], hyper, log_odds_on)
+            hits = np.flatnonzero(log_u[todo] < ratio)
+            _, first = np.unique(jj[hits], return_index=True)
+            k = hits[first]  # each taxon's first acceptance
+            jk = jj[k]
+            accepted[todo[k]] = True
+            state.phi[jk, pp[k]] = phi_new[todo[k]]
+            state.lam[:, jk], state.gamma[:, jk] = lam_new[k].T, gamma_new[k].T
+            state.lgam[:, jk] = lgam_new[k].T
+            # a taxon's moves after its acceptance are scored again
+            cut = np.full(J, len(todo))
+            cut[jk] = k
+            todo = todo[np.arange(len(todo)) > cut[jj]]
+        for move in set(moves.tolist()):
+            accept[move][0] += int(np.sum(accepted[moves == move]))
+            accept[move][1] += int(np.sum(moves == move))
 
     # an overflowing proposal is rejected by its -inf ratio
     with np.errstate(over="ignore", invalid="ignore"):
-        batch, pairs = [], set()  # moves (is_add, j, p, phi_new, u) not yet scored
+        batch, pairs = [], set()  # moves (move, j, p, phi_new, u) not yet scored
         for _ in range(n_between):
             j = int(rng.integers(J))
             p = int(rng.integers(P))
             if (j, p) in pairs:
-                score_batch(batch)
+                scan(*map(np.array, zip(*batch)))
                 batch, pairs = [], set()
             pairs.add((j, p))
             if state.phi[j, p]:
-                batch.append((False, j, p, 0.0, rng.random()))
+                batch.append(("delete", j, p, 0.0, rng.random()))
             else:
                 phi_new = rng.normal(0.0, hyper.proposal_sd)
-                batch.append((True, j, p, phi_new, rng.random()))
+                batch.append(("add", j, p, phi_new, rng.random()))
         if batch:
-            score_batch(batch)
+            scan(*map(np.array, zip(*batch)))
 
         taxa, covs = np.argwhere(state.phi != 0).T
         draws = [(rng.standard_normal(), rng.random()) for _ in taxa]
         z, u = np.array(draws).reshape(-1, 2).T
-        phi_new = state.phi[taxa, covs] + hyper.proposal_sd * z
-        log_u = np.log(u)
-        for k in _rounds(taxa):
-            score("within", taxa[k], covs[k], phi_new[k], log_u[k])
+        scan(np.full(len(taxa), "within"), taxa, covs,
+             state.phi[taxa, covs] + hyper.proposal_sd * z, u)
 
 
 def update_c(state, data, rng):
@@ -386,7 +380,10 @@ def update_c(state, data, rng):
     shape = data.Z + state.gamma
     if np.any(shape <= 0):
         raise ValueError("nonpositive gamma shape in c update")
-    state.c = np.maximum(rng.gamma(shape, 1.0 / (state.u + 1.0)[:, None]), _C_FLOOR)
+    # numpy's gamma(shape, scale) is scale * standard_gamma(shape): the same
+    # bits and stream, without the broadcast of scale to N x J
+    state.c = np.maximum(rng.standard_gamma(shape) * (1.0 / (state.u + 1.0))[:, None],
+                         _C_FLOOR)
     state.T = state.c.sum(axis=1)
     state.logc = np.log(state.c)
 
@@ -495,7 +492,6 @@ def run_chain(
     phi_index, phi_value = [np.empty(0, dtype=np.int64)], [np.empty(0)]
     out_xi = np.empty((S, Mk), dtype=np.uint8)
     out_psi = np.empty((S, nk, Jk))
-    out_u = np.empty((S, nk))
     log_post = np.empty(config.iterations)
     moves = {"joint": ("alpha", "add", "delete", "within", "xi"),
              "dm_only": ("alpha", "add", "delete", "within"),
@@ -535,7 +531,6 @@ def run_chain(
                 phi_index.append(flat + s * J * P)
                 phi_value.append(state.phi.ravel()[flat])
                 out_psi[s] = state.psi
-                out_u[s] = state.u
             if mode != "dm_only":
                 out_xi[s] = state.xi
             s += 1
@@ -548,7 +543,6 @@ def run_chain(
         phi_shape=(S, Jk, Pk),
         xi=out_xi,
         psi=out_psi,
-        u=out_u,
         log_posterior=log_post,
         accept={k: tuple(v) for k, v in accept.items()},
         config=config,

@@ -175,17 +175,17 @@ def test_criterion_a5_mh_reversibility():
                                        -step, hyper)
         return fwd[0] + bwd[0]
 
-    def pair_round_trip(move, back, phi_old, phi_new):
-        fwd, lam2, g, lg = pair_log_mh_ratio(move, logc, gamma, lgam, lam, x,
+    def pair_round_trip(phi_old, phi_new):
+        fwd, lam2, g, lg = pair_log_mh_ratio(logc, gamma, lgam, lam, x,
                                              phi_old, phi_new, hyper, odds)
-        bwd, _, _, _ = pair_log_mh_ratio(back, logc, g, lg, lam2, x, phi_new, phi_old,
+        bwd, _, _, _ = pair_log_mh_ratio(logc, g, lg, lam2, x, phi_new, phi_old,
                                          hyper, odds)
         return fwd + bwd
 
     checks = {
         "alpha": alpha_round_trip(0.3, -0.9),
-        "add/delete": pair_round_trip("add", "delete", 0.0, 0.8),
-        "within": pair_round_trip("within", "within", 0.5, 1.2),
+        "add/delete": pair_round_trip(0.0, 0.8),
+        "within": pair_round_trip(0.5, 1.2),
     }
     Y = rng.normal(size=8)
     B = rng.normal(size=(8, 3))
@@ -219,7 +219,7 @@ def test_criterion_a6_ridge_prediction_oracle():
         alpha=np.zeros((1, J)), phi_index=np.empty(0, dtype=np.int64),
         phi_value=np.empty(0), phi_shape=(1, J, 2),
         xi=np.array([[1, 0]], dtype=np.uint8), psi=psi[None, :, :],
-        u=np.ones((1, n)), log_posterior=np.zeros(2), accept={}, config=cfg,
+        log_posterior=np.zeros(2), accept={}, config=cfg,
     )
     Z_test = rng.integers(0, 40, size=(4, J))
     X_test = rng.normal(size=(4, 2))

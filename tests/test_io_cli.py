@@ -66,7 +66,7 @@ def test_replicate_round_trip(tmp_path):
     assert np.array_equal(btr.psi_star, truth.psi_star)
 
 
-CHAIN_BLOCKS = {"alpha.npy", "phi_index.npy", "phi_value.npy", "psi.npy", "u.npy", "xi.npy",
+CHAIN_BLOCKS = {"alpha.npy", "phi_index.npy", "phi_value.npy", "psi.npy", "xi.npy",
                 "log_posterior.npy"}
 
 
@@ -89,7 +89,7 @@ def small_chains():
 
 
 def test_chain_round_trip(tmp_path):
-    # every chain, the xi-only one included, is the same seven blocks
+    # every chain, the xi-only one included, is the same six blocks
     for mode, chain in small_chains().items():
         rundir = tmp_path / mode
         dio.write_chain(rundir, chain, Hyperparams(), extra={"note": "test"})
@@ -103,13 +103,17 @@ def test_chain_round_trip(tmp_path):
 
 
 def test_read_chain_ignores_derived_blocks_of_older_writers(tmp_path):
-    # older versions also wrote zeta and the MPPIs; they are derived on load now
+    # older versions also wrote zeta and the MPPIs, which are derived on load
+    # now, and before manifest schema 5 the u block, which nothing reads
     chain = small_chains()["joint"]
     dio.write_chain(tmp_path, chain, Hyperparams())
     np.save(tmp_path / "zeta.npy", np.zeros_like(chain.zeta))
     np.save(tmp_path / "mppi_zeta.npy", np.ones_like(chain.mppi_zeta))
     np.save(tmp_path / "mppi_xi.npy", np.ones_like(chain.mppi_xi))
-    assert_chains_equal(dio.read_chain(tmp_path)[0], chain)
+    np.save(tmp_path / "u.npy", np.ones((chain.n_samples, 10)))
+    back = dio.read_chain(tmp_path)[0]
+    assert_chains_equal(back, chain)
+    assert not hasattr(back, "u")
 
 
 def test_chains_hold_no_dense_phi(tmp_path):
@@ -124,7 +128,7 @@ def test_chains_hold_no_dense_phi(tmp_path):
 
 
 def assert_chains_equal(back, chain):
-    for name in ("alpha", "phi_index", "phi_value", "zeta", "xi", "psi", "u",
+    for name in ("alpha", "phi_index", "phi_value", "zeta", "xi", "psi",
                  "log_posterior", "mppi_zeta", "mppi_xi"):
         a, b = getattr(back, name), getattr(chain, name)
         assert a.dtype == b.dtype and np.array_equal(a, b), name

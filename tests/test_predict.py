@@ -30,18 +30,14 @@ def sparse_phi(phi):
     return {"phi_index": index, "phi_value": phi.ravel()[index], "phi_shape": phi.shape}
 
 
-def make_chain(alpha, phi, xi, psi, u=None):
+def make_chain(alpha, phi, xi, psi):
     alpha = np.asarray(alpha, dtype=float)
-    S = alpha.shape[0]
-    if u is None:
-        u = np.ones((S, psi.shape[1]))
     cfg = SamplerConfig(iterations=2, burn_in=1, thin=1)
     return ChainOutput(
         alpha=alpha,
         **sparse_phi(phi),
         xi=np.asarray(xi, dtype=np.uint8),
         psi=np.asarray(psi, dtype=float),
-        u=np.asarray(u, dtype=float),
         log_posterior=np.zeros(2),
         accept={},
         config=cfg,

@@ -1,5 +1,7 @@
 import warnings
+from copy import deepcopy
 from types import SimpleNamespace
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -17,6 +19,7 @@ from dmjoint.model import (
     log_marginal_y,
     marginal_gram,
     sbp_pivot,
+    spike_slab_logprior,
 )
 from dmjoint.predict import estimate_lambda_test
 from dmjoint.prep import preprocess
@@ -112,14 +115,14 @@ def test_reversibility_alpha():
     assert fwd[0] + bwd[0] == pytest.approx(0.0, abs=1e-10)
 
 
-def pair_ratio_round_trip(move, back, c, lam, x, phi_old, phi_new, hyper):
+def pair_ratio_round_trip(c, lam, x, phi_old, phi_new, hyper):
     """Forward ratio from (lam, phi_old) and reverse ratio from the accepted state."""
     logc, gamma, lgam = column_caches(c, lam)
     odds = log_odds_on(hyper)
     fwd, lam_new, gamma_new, lgam_new = pair_log_mh_ratio(
-        move, logc, gamma, lgam, lam, x, phi_old, phi_new, hyper, odds)
+        logc, gamma, lgam, lam, x, phi_old, phi_new, hyper, odds)
     bwd, _, _, _ = pair_log_mh_ratio(
-        back, logc, gamma_new, lgam_new, lam_new, x, phi_new, phi_old, hyper, odds)
+        logc, gamma_new, lgam_new, lam_new, x, phi_new, phi_old, hyper, odds)
     return fwd, bwd
 
 
@@ -129,7 +132,7 @@ def test_reversibility_add_delete():
     c = rng.gamma(2.0, size=6)
     lam = rng.normal(size=6)
     x = rng.normal(size=6)
-    add, delete = pair_ratio_round_trip("add", "delete", c, lam, x, 0.0, 0.8, hyper)
+    add, delete = pair_ratio_round_trip(c, lam, x, 0.0, 0.8, hyper)
     assert add + delete == pytest.approx(0.0, abs=1e-10)
 
 
@@ -139,7 +142,7 @@ def test_reversibility_within():
     c = rng.gamma(2.0, size=6)
     lam = rng.normal(size=6)
     x = rng.normal(size=6)
-    fwd, bwd = pair_ratio_round_trip("within", "within", c, lam, x, 0.5, 1.2, hyper)
+    fwd, bwd = pair_ratio_round_trip(c, lam, x, 0.5, 1.2, hyper)
     assert fwd + bwd == pytest.approx(0.0, abs=1e-10)
 
 
@@ -152,14 +155,15 @@ def test_pair_ratio_rejects_overflowing_proposal():
         warnings.simplefilter("error")
         with np.errstate(over="ignore", invalid="ignore"):
             ratio, _, _, _ = pair_log_mh_ratio(
-                "add", logc, gamma, lgam, np.zeros(2), np.array([1.0, 800.0]), 0.0, 1.0,
-                hyper, log_odds_on(hyper))
+                logc, gamma, lgam, np.zeros(2), np.array([1.0, 800.0]), 0.0, 1.0, hyper,
+                log_odds_on(hyper))
     assert ratio == -np.inf
 
 
 def test_pair_ratio_rows_match_one_pair_calls_bitwise():
-    # K pairs in K taxa at once give the bits of K one-pair calls, for every
-    # move type; N = 50 is long enough that the summation order shows
+    # K pairs at once give the bits of K one-pair calls, for each move type
+    # alone and for a call that mixes them; N = 50 is long enough that the
+    # summation order shows
     hyper = Hyperparams()
     rng = np.random.default_rng(14)
     K, n = 6, 50
@@ -168,17 +172,25 @@ def test_pair_ratio_rows_match_one_pair_calls_bitwise():
     x = rng.normal(size=(K, n))
     logc, gamma, lgam = column_caches(c, lam)
     phi_old, phi_new = rng.normal(size=K), rng.normal(size=K)
-    for move in ("add", "delete", "within"):
-        old = np.zeros(K) if move == "add" else phi_old
-        new = np.zeros(K) if move == "delete" else phi_new
-        rows = pair_log_mh_ratio(move, logc, gamma, lgam, lam, x, old, new, hyper,
+    add, delete = np.arange(K) % 3 == 0, np.arange(K) % 3 == 1  # the rest are within
+    for old, new in ((np.zeros(K), phi_new), (phi_old, np.zeros(K)), (phi_old, phi_new),
+                     (np.where(add, 0.0, phi_old), np.where(delete, 0.0, phi_new))):
+        rows = pair_log_mh_ratio(logc, gamma, lgam, lam, x, old, new, hyper,
                                  log_odds_on(hyper))
         for k in range(K):
-            one = pair_log_mh_ratio(move, logc[k], gamma[k], lgam[k], lam[k], x[k],
+            one = pair_log_mh_ratio(logc[k], gamma[k], lgam[k], lam[k], x[k],
                                     old[k], new[k], hyper, log_odds_on(hyper))
             assert np.float64(one[0]).tobytes() == rows[0][k].tobytes()
             for a, b in zip(one[1:], rows[1:]):
                 assert a.tobytes() == b[k].tobytes()
+    # with x = 0 the likelihood terms vanish and each row's ratio is its prior:
+    # the add, delete and within formulas of the spike-and-slab, bit for bit
+    odds = log_odds_on(hyper)
+    ratio = pair_log_mh_ratio(logc, gamma, lgam, lam, 0 * x, old, new, hyper, odds)[0]
+    slab_old, slab_new = (spike_slab_logprior(v, 1, hyper.r2) for v in (old, new))
+    want = np.where(add, odds + slab_new,
+                    np.where(delete, -odds - slab_old, slab_new - slab_old))
+    assert ratio.tobytes() == want.tobytes()
 
 
 def test_reversibility_xi():
@@ -237,17 +249,35 @@ def pair_accept():
     return {move: [0, 0] for move in ("add", "delete", "within")}
 
 
+class PairMove(NamedTuple):
+    """One move of the reference scan, as update_zeta_phi schedules it: moves
+    are scored in batches (``batch`` -1 is the within-model refresh), and a
+    move is last scored in pass ``scan_pass``, the number of earlier accepted
+    moves of its taxon in its batch. Each pass scores every move of the batch
+    not yet decided in one kernel call."""
+
+    move: str
+    j: int
+    p: int
+    batch: int
+    scan_pass: int
+    accepted: bool
+    overflowed: bool
+
+
 def one_pair_move(move, j, p, phi_new, log_u, state, X, hyper, accept):
-    """Reference move: score and apply one pair move; True if its gamma overflowed."""
+    """Reference move: score and apply one pair move; returns (accepted,
+    whether its gamma overflowed)."""
     ratio, lam_new, gamma_new, lgam_new = pair_log_mh_ratio(
-        move, state.logc[:, j], state.gamma[:, j], state.lgam[:, j], state.lam[:, j],
+        state.logc[:, j], state.gamma[:, j], state.lgam[:, j], state.lam[:, j],
         X[:, p], state.phi[j, p], phi_new, hyper, log_odds_on(hyper))
     accept[move][1] += 1
-    if log_u < ratio:
+    ok = bool(log_u < ratio)
+    if ok:
         state.phi[j, p] = phi_new
         state.lam[:, j], state.gamma[:, j], state.lgam[:, j] = lam_new, gamma_new, lgam_new
         accept[move][0] += 1
-    return not np.all(np.isfinite(gamma_new))
+    return ok, not np.all(np.isfinite(gamma_new))
 
 
 def sequential_pair_moves(state, X, hyper, rng, n_between):
@@ -257,32 +287,31 @@ def sequential_pair_moves(state, X, hyper, rng, n_between):
     it is included and otherwise adds it at rng.normal(0, proposal_sd), then
     draws its uniform. The refresh then moves the included pairs in
     np.argwhere order, drawing rng.normal then rng.uniform per pair. Returns
-    the accept table and, per move, (move, taxon, covariate, batch, round,
-    overflowed): update_zeta_phi scores a batch of moves that ends before a
-    pair it already holds, in rounds by each move's rank among the moves of
-    its taxon in the batch.
+    the accept table and a PairMove per move; a batch of between-model moves
+    ends before a pair it already holds.
     """
     accept = pair_accept()
     log, batch, pairs = [], 0, set()
     J, P = state.phi.shape
+
+    def record(move, j, p, phi_new, batch):
+        scan_pass = sum(m.j == j and m.batch == batch and m.accepted for m in log)
+        ok, over = one_pair_move(move, j, p, phi_new, np.log(rng.uniform()), state, X,
+                                 hyper, accept)
+        log.append(PairMove(move, j, p, batch, scan_pass, ok, over))
+
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(n_between):
             j, p = int(rng.integers(J)), int(rng.integers(P))
             if (j, p) in pairs:
                 batch, pairs = batch + 1, set()
             pairs.add((j, p))
-            move, phi_new = (("delete", 0.0) if state.phi[j, p]
-                             else ("add", rng.normal(0.0, hyper.proposal_sd)))
-            rank = sum(m[1] == j and m[3] == batch for m in log)
-            over = one_pair_move(move, j, p, phi_new, np.log(rng.uniform()), state, X,
-                                 hyper, accept)
-            log.append((move, j, p, batch, rank, over))
+            if state.phi[j, p]:
+                record("delete", j, p, 0.0, batch)
+            else:
+                record("add", j, p, rng.normal(0.0, hyper.proposal_sd), batch)
         for j, p in np.argwhere(state.phi != 0):
-            phi_new = rng.normal(state.phi[j, p], hyper.proposal_sd)
-            rank = sum(m[0] == "within" and m[1] == j for m in log)
-            over = one_pair_move("within", j, p, phi_new, np.log(rng.uniform()), state,
-                                 X, hyper, accept)
-            log.append(("within", j, p, -1, rank, over))
+            record("within", j, p, rng.normal(state.phi[j, p], hyper.proposal_sd), -1)
     return accept, log
 
 
@@ -325,49 +354,98 @@ def assert_same_pair_moves(data, start, hyper, seed, n_between):
     return accept_ref, log
 
 
-def overflow_in_shared_round(log, within):
-    """True if a within (or between-model) move overflowed in a round that
-    scored another taxon."""
-    moves = [m for m in log if (m[0] == "within") == within]
-    return any(over and any(j2 != j and b2 == b and r2 == r for _, j2, _, b2, r2, _ in moves)
-               for _, j, _, b, r, over in moves)
+def overflow_in_shared_call(log, within):
+    """True if a within (or between-model) move overflowed in a kernel call
+    shared with another taxon: a move of another taxon in its batch was still
+    undecided in the pass that decided it."""
+    moves = [m for m in log if (m.move == "within") == within]
+    return any(m.overflowed and any(o.j != m.j and o.batch == m.batch
+                                    and o.scan_pass >= m.scan_pass for o in moves)
+               for m in moves)
+
+
+def rescored(log, within):
+    """True if a within (or between-model) move was scored again after an
+    earlier move of its taxon accepted in the same scan."""
+    return any(m.scan_pass > 0 for m in log if (m.move == "within") == within)
 
 
 def test_within_refresh_matches_sequential_scan():
-    # taxa 3 and 4 score the pair on covariate 3 in a round shared with other
-    # taxa
+    # taxa 3 and 4 score the pair on covariate 3 in a kernel call shared with
+    # other taxa; taxa 0 and 3 hold 4 and 3 pairs, so an acceptance leaves
+    # later moves of the taxon to the next pass
     hyper = Hyperparams(proposal_sd=0.3)
     data, start = pair_move_fixture(hyper)
+    seen = set()
     for seed in range(20):
         accept, log = assert_same_pair_moves(data, start, hyper, seed, n_between=0)
         assert accept["within"][1] == 11 and 0 < accept["within"][0] < 11
-        if overflow_in_shared_round(log, within=True):
+        if overflow_in_shared_call(log, within=True):
+            seen.add("overflow in a shared call")
+        if rescored(log, within=True):
+            seen.add("rescored after an acceptance")
+        if len(seen) == 2:
             break
-    assert overflow_in_shared_round(log, within=True), "no seed overflowed in a shared round"
+    assert len(seen) == 2, f"the seeds covered only {seen}"
 
 
 def test_between_moves_match_sequential_scan():
     # 12 moves on 20 pairs: the seeds must between them move a pair twice (an
     # accepted add, then a delete), move two pairs of one taxon in one batch,
-    # and overflow a proposal in a round shared with other taxa
+    # score a taxon's later move again after an acceptance, and overflow a
+    # proposal in a kernel call shared with other taxa
     hyper = Hyperparams(proposal_sd=0.3, a=50.0, b=1.0)
     data, start = pair_move_fixture(hyper)
     seen = set()
     for seed in range(50):
         accept, log = assert_same_pair_moves(data, start, hyper, seed, n_between=12)
         assert accept["add"][1] + accept["delete"][1] == 12
-        between = [(m, j, p, b) for m, j, p, b, _, _ in log if m != "within"]
-        for i, (m, j, p, b) in enumerate(between):
-            if m == "delete" and any(m2 == "add" and (j2, p2) == (j, p)
-                                     for m2, j2, p2, _ in between[:i]):
+        between = [m for m in log if m.move != "within"]
+        for i, m in enumerate(between):
+            if m.move == "delete" and any(o.move == "add" and (o.j, o.p) == (m.j, m.p)
+                                          for o in between[:i]):
                 seen.add("add then delete")
-            if any(j2 == j and p2 != p and b2 == b for _, j2, p2, b2 in between[:i]):
+            if any(o.j == m.j and o.p != m.p and o.batch == m.batch for o in between[:i]):
                 seen.add("two pairs in one taxon")
-        if overflow_in_shared_round(log, within=False):
-            seen.add("overflow in a shared round")
-        if len(seen) == 3:
+        if rescored(log, within=False):
+            seen.add("rescored after an acceptance")
+        if overflow_in_shared_call(log, within=False):
+            seen.add("overflow in a shared call")
+        if len(seen) == 4:
             break
-    assert len(seen) == 3, f"the seeds covered only {seen}"
+    assert len(seen) == 4, f"the seeds covered only {seen}"
+
+
+def test_pair_moves_match_sequential_scan_at_paper_scale():
+    # a SimConfig() replicate (N = 50, P = 50, J = 150) with about 100
+    # included pairs, 10 taxa holding 4-8 of them; a few sweeps of 20
+    # between-model moves, each continuing from the state the last one left
+    train, _, _ = gen_replicate(SimConfig(), replicate_rng(7, 0))
+    train, _, _ = preprocess(train)
+    hyper = Hyperparams()
+    rng = np.random.default_rng(16)
+    J, P = train.n_taxa, train.n_covariates
+    phi = np.zeros((J, P))
+    for j, k in zip(range(10), rng.integers(4, 9, size=10)):
+        phi[j, rng.choice(P, size=k, replace=False)] = rng.normal(0.0, 0.3, size=k)
+    flat = rng.choice(np.flatnonzero(phi == 0), size=100 - np.count_nonzero(phi),
+                      replace=False)
+    phi.ravel()[flat] = rng.normal(0.0, 0.3, size=flat.size)
+    c = train.Z + 0.5
+    state = ChainState(alpha=np.zeros(J), phi=phi, c=c, u=train.row_totals / c.sum(axis=1),
+                       xi=np.zeros(J - 1, np.uint8), X=train.X)
+    ref, logs = deepcopy(state), []
+    for sweep in range(4):
+        accept_ref, log = sequential_pair_moves(ref, train.X, hyper,
+                                                np.random.default_rng(sweep), 20)
+        accept = pair_accept()
+        update_zeta_phi(state, train, hyper, np.random.default_rng(sweep),
+                        log_odds_on(hyper), accept, n_between=20)
+        assert accept == accept_ref
+        for name in ("phi", "lam", "gamma", "lgam"):
+            assert getattr(ref, name).tobytes() == getattr(state, name).tobytes()
+        logs += log
+    assert rescored(logs, within=True)
 
 
 def test_xi_scan_matches_sequential_moves():
@@ -431,6 +509,23 @@ def test_update_c_moments():
     draws = state.c[:, 0]
     assert draws.mean() == pytest.approx(4.5 / 3.0, abs=0.02)
     assert draws.var() == pytest.approx(4.5 / 9.0, abs=0.02)
+
+
+def test_update_c_draws_as_numpy_gamma():
+    # update_c takes rng.standard_gamma(shape) * scale, which numpy defines
+    # rng.gamma(shape, scale) to be: the same c and generator state, on shapes
+    # below 1 (zero counts) and above it, which numpy draws by different methods
+    rng = np.random.default_rng(17)
+    n, J = 50, 150
+    data = Dataset(Y=np.zeros(n), Z=rng.integers(0, 3, size=(n, J)), X=np.zeros((n, 1)))
+    state = fixed_gamma_state(data, rng.uniform(0.05, 2.0, size=J))
+    shape = data.Z + state.gamma
+    assert shape.min() < 1 < shape.max()
+    r_ref, r_new = np.random.default_rng(18), np.random.default_rng(18)
+    want = np.maximum(r_ref.gamma(shape, 1.0 / (state.u + 1.0)[:, None]), sampler._C_FLOOR)
+    update_c(state, data, r_new)
+    assert state.c.tobytes() == want.tobytes()
+    assert r_ref.bit_generator.state == r_new.bit_generator.state
 
 
 def test_update_u_moments():
@@ -588,7 +683,6 @@ def test_run_chain_preserves_state_invariants():
         estimate_lambda_test(out, test.X_test),
         build_gamma(out.alpha.mean(axis=0), dense.mean(axis=0), test.X_test)[1])
     assert np.all(out.psi > 0)
-    assert np.all(out.u > 0)
     assert np.all(np.isfinite(out.log_posterior))
     assert np.all(np.abs(out.psi.sum(axis=2) - 1.0) < 1e-10)
 
@@ -618,7 +712,7 @@ def test_lm_only_chain_keeps_xi_alone():
     cfg = SamplerConfig(iterations=30, burn_in=10, thin=2, seed=1, mode="lm_only",
                         between_moves_per_iter=2, init_xi_frac=0.5)
     out = run_chain(data, Hyperparams(), spec, cfg, balances=B)
-    assert out.alpha.shape == (10, 0) and out.u.shape == (10, 0)
+    assert out.alpha.shape == (10, 0)
     assert out.phi_shape == out.zeta.shape == out.psi.shape == (10, 0, 0)
     assert out.phi_index.size == out.phi_value.size == 0
     assert out.zeta.dtype == np.uint8 and out.mppi_zeta.shape == (0, 0)

@@ -8,7 +8,6 @@ freezing the composition: its balances are built once, from psi_bar."""
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from itertools import repeat
 
 import numpy as np
 
@@ -72,9 +71,11 @@ def run_two_step(data: Dataset, hyper: Hyperparams, spec: PartitionSpec,
 
 def _frozen_pass(two_step: TwoStepOutput, data: Dataset, contrast, hyper: Hyperparams,
                  B_test=None):
-    """``ridge_pass`` over the stage-two selections, every one on the same balances."""
-    frozen = _frozen_balances(two_step.psi_bar, contrast, hyper)
-    return ridge_pass(repeat(frozen), two_step.stage2.xi, data.Y, hyper, B_test)
+    """``ridge_pass`` over the stage-two selections, each a slice of the same balances."""
+    B_std, means, sds = _frozen_balances(two_step.psi_bar, contrast, hyper)
+    xi = two_step.stage2.xi
+    selected = ((B_std[:, sel], means[sel], sds[sel]) for sel in xi == 1)
+    return ridge_pass(selected, xi, data.Y, hyper, B_test)
 
 
 def two_step_fitted_y(two_step: TwoStepOutput, data: Dataset, spec: PartitionSpec,

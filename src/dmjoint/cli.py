@@ -116,7 +116,7 @@ def _fit_one(repdir: Path, outdir: Path, model: str, hyper: Hyperparams,
         dio.write_chain(outdir, chain, hyper, extra=extra)
         sel_zeta = median_model(chain.mppi_zeta)
         sel_xi = median_model(chain.mppi_xi)
-        yhat = fitted_y(chain, train, spec, hyper)
+        yhat = fitted_y(chain, train, hyper)
     else:  # dmlm-bayes
         two = run_two_step(train, hyper, spec, config)
         dio.write_chain(outdir / "stage1", two.stage1, hyper, extra=extra)
@@ -192,7 +192,7 @@ def cmd_predict(args) -> int:
         # stage 1 keeps no composition samples; psi_bar is their mean
         n_fit, j_fit = two.psi_bar.shape
     else:
-        _, n_fit, j_fit = chain.psi.shape
+        n_fit, j_fit = chain.n_subjects, chain.phi_shape[1]
     if args.train_dir is None and "dataset" not in summary:
         raise ValueError(f"{chain_dir / 'summary.json'} has no key 'dataset'; pass "
                          "--train-dir, or re-run fit to rewrite it")
@@ -221,7 +221,7 @@ def cmd_predict(args) -> int:
         loglik = None
     else:
         yhat = predict_y(chain, train, test, spec, hyper)
-        loglik = pointwise_loglik(chain, train, spec, hyper)
+        loglik = pointwise_loglik(chain, train, hyper)
     out = Path(args.out or rundir / "predictions")
     out.mkdir(parents=True, exist_ok=True)
     dio.write_matrix(out / "predictions.csv",

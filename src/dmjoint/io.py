@@ -2,18 +2,22 @@
 
 Datasets, selections, predictions and reports are UTF-8 CSV with a header
 row; reals are written with 17 significant digits so write -> read -> write
-round-trips byte-wise, counts as plain integers. A chain is six raw
-``.npy`` blocks (``alpha``, ``phi_index``, ``phi_value``, ``psi``, ``xi``,
-``log_posterior``) in their in-memory shape and dtype, so it
-round-trips bitwise; a block the chain does not keep is written empty: the
-count blocks of an xi-only (stage-2) chain, and the ``xi`` and ``psi`` of a
-two-step fit's stage 1, whose compositions ``psi_bar.csv`` records. ``phi``
-is sparse: ``phi_index`` holds the ascending flat indices of its non-zero
-entries in the S x J x P block whose shape ``summary.json`` records as
-``phi_shape``, and ``phi_value`` their values. ``zeta`` (``phi != 0``) and
-the MPPIs are derived on load; a ``zeta.npy``, ``mppi_*.npy`` or (before
-manifest schema 5) ``u.npy`` of an older writer is ignored. Settings,
-acceptance counts and provenance are JSON.
+round-trips byte-wise, counts as plain integers. A chain is seven raw
+``.npy`` blocks (``alpha``, ``phi_index``, ``phi_value``, ``psi``,
+``balances``, ``xi``, ``log_posterior``) in their in-memory shape and dtype,
+so it round-trips bitwise; a block the chain does not keep is written empty:
+the count blocks of an xi-only (stage-2) chain, the ``xi`` and ``psi`` of a
+two-step fit's stage 1, whose compositions ``psi_bar.csv`` records, and the
+``psi`` of a joint chain. A joint chain keeps instead, in ``balances``, the
+standardized balance columns each sample selected with their means and sds,
+one row per selection, so the rows are ``xi.sum()`` and the width N + 2
+(manifest schema 6). ``phi`` is sparse: ``phi_index`` holds the ascending
+flat indices of its non-zero entries in the S x J x P block whose shape
+``summary.json`` records as ``phi_shape``, and ``phi_value`` their values.
+``zeta`` (``phi != 0``) and the MPPIs are derived on load; a ``zeta.npy``,
+``mppi_*.npy`` or (before manifest schema 5) ``u.npy`` of an older writer is
+ignored, and a chain without ``balances.npy`` (before schema 6) must be
+fitted again. Settings, acceptance counts and provenance are JSON.
 """
 
 from __future__ import annotations
@@ -60,7 +64,7 @@ def write_manifest(outdir, command: str, config: dict, seed, inputs, started: fl
         "output": str(outdir),
         "duration_s": round(time.time() - started, 3),
         "version": __version__,
-        "schema_version": 5,
+        "schema_version": 6,
     }
     with open(outdir / "manifest.json", "w") as f:
         json.dump(manifest, f, indent=2, sort_keys=True)
@@ -131,7 +135,7 @@ def read_truth(repdir) -> GroundTruth:
 # ---------------------------------------------------------------------------
 
 
-_BLOCKS = ("alpha", "phi_index", "phi_value", "psi", "xi", "log_posterior")
+_BLOCKS = ("alpha", "phi_index", "phi_value", "psi", "balances", "xi", "log_posterior")
 
 
 def write_chain(outdir, chain: ChainOutput, hyper: Hyperparams, extra: dict | None = None):
@@ -172,9 +176,14 @@ def read_chain(rundir) -> tuple[ChainOutput, Hyperparams, dict]:
                   for k, v in summary["acceptance"].items()}
         chain = ChainOutput(**blocks, phi_shape=tuple(summary["phi_shape"]), accept=accept,
                             config=SamplerConfig(**summary["config"]))
-        return chain, Hyperparams(**summary["hyperparams"]), summary
+        hyper = Hyperparams(**summary["hyperparams"])
     except KeyError as e:
         raise ValueError(f"{path} has no key {e}; re-run fit to rewrite it") from e
     except TypeError as e:
         raise ValueError(f"{path} does not match this version of dmjoint ({e}); "
                          "re-run fit to rewrite it") from e
+    rows, selected = len(chain.balances), int(chain.xi.sum())
+    if chain.config.mode == "joint" and rows != selected:
+        raise ValueError(f"{rundir / 'balances.npy'} holds {rows} balance rows but xi "
+                         f"selects {selected}; re-run fit to rewrite it")
+    return chain, hyper, summary

@@ -4,9 +4,11 @@ Test compositions are estimated by shrinking observed test counts toward the
 posterior-mean concentrations of the training chain. ``ridge_pass`` then
 makes one pass over the retained samples: each contributes a ridge-form fit
 of the balances it selected, and every fitted value, prediction and
-log-likelihood comes from that pass. Test balances are standardized with each
-sample's training column statistics, so no test information leaks into the
-scaling.
+log-likelihood comes from that pass. A joint chain hands it the balance
+columns each sample kept, and a two-step fit slices its frozen balances with
+each stage-two selection, so no pass rebuilds a balance. Test balances are
+standardized with each sample's training column statistics, so no test
+information leaks into the scaling.
 """
 
 from __future__ import annotations
@@ -23,7 +25,6 @@ from .model import (
     integer_counts,
     log_balances,
     require_finite,
-    standardize_columns,
 )
 from .sampler import ChainOutput
 
@@ -88,10 +89,11 @@ def estimate_test_balances(counts_chain: ChainOutput, test: TestSet, contrast,
 def ridge_pass(balances, xi, Y, hyper: Hyperparams, B_test=None):
     """One ridge fit per retained sample, reduced over the samples in order.
 
-    ``balances`` yields each sample's standardized training balances with their
-    column means and sds, as ``standardize_columns`` returns them, and ``xi``
-    holds the samples' balance selections (S x M). ``B_test`` are raw test
-    balances; each sample standardizes them with its training statistics.
+    ``balances`` yields each sample's ``(B_sel, means, sds)``: the standardized
+    training balances it selected, N x k, with their column means and sds, and
+    ``xi`` holds the samples' balance selections (S x M). ``B_test`` are raw
+    test balances; each sample standardizes its selected ones with its
+    training statistics.
 
     Returns the fitted values and the test predictions (None without
     ``B_test``), both averaged over the samples, and the N x S matrix of
@@ -106,17 +108,15 @@ def ridge_pass(balances, xi, Y, hyper: Hyperparams, B_test=None):
     fit_total = np.zeros(n)
     pred_total = None if B_test is None else np.zeros(len(B_test))
     loglik = np.empty((n, S))
-    for s, ((B_std, means, sds), xi_s) in enumerate(zip(balances, xi)):
-        sel = xi_s == 1
+    for s, ((B_sel, means, sds), xi_s) in enumerate(zip(balances, xi)):
         fit = 0.0
-        if sel.any():
-            B_sel = B_std[:, sel]
+        if B_sel.shape[1]:
             A = B_sel.T @ B_sel + np.eye(B_sel.shape[1]) / hyper.h_beta
             beta = np.linalg.solve(A, B_sel.T @ Y)
             fit = B_sel @ beta
             fit_total += fit
             if B_test is not None:
-                pred_total += ((B_test[:, sel] - means[sel]) / sds[sel]) @ beta
+                pred_total += ((B_test[:, xi_s == 1] - means) / sds) @ beta
         resid = Y - (a0_hat + fit)
         sigma2 = (hyper.b0 + 0.5 * resid @ resid) / (hyper.a0 + 0.5 * n - 1.0)
         loglik[:, s] = -0.5 * (np.log(2.0 * np.pi * sigma2) + resid**2 / sigma2)
@@ -124,12 +124,11 @@ def ridge_pass(balances, xi, Y, hyper: Hyperparams, B_test=None):
     return a0_hat + fit_total / S, pred, loglik
 
 
-def _joint_pass(chain: ChainOutput, data: Dataset, contrast, hyper: Hyperparams,
-                B_test=None):
-    """``ridge_pass`` over the chain's samples, each on the balances of its own psi."""
-    balances = (standardize_columns(log_balances(psi_s, contrast, hyper.delta))
-                for psi_s in chain.psi)
-    return ridge_pass(balances, chain.xi, data.Y, hyper, B_test)
+def _joint_pass(chain: ChainOutput, data: Dataset, hyper: Hyperparams, B_test=None):
+    """``ridge_pass`` over the chain's samples, each on the balance columns it kept."""
+    if chain.config.mode != "joint":
+        raise ValueError(f"a {chain.config.mode} chain keeps no balance samples")
+    return ridge_pass(chain.selected_balances(), chain.xi, data.Y, hyper, B_test)
 
 
 def predict_y(
@@ -140,29 +139,16 @@ def predict_y(
     hyper: Hyperparams,
 ) -> np.ndarray:
     """Posterior-averaged predictions for the test responses."""
-    if chain.psi.shape[1] == 0:
-        raise ValueError("chain does not retain composition samples")
-    contrast = spec.contrast_matrix()
-    B_test = estimate_test_balances(chain, test, contrast, hyper)
-    return _joint_pass(chain, data_train, contrast, hyper, B_test)[1]
+    B_test = estimate_test_balances(chain, test, spec.contrast_matrix(), hyper)
+    return _joint_pass(chain, data_train, hyper, B_test)[1]
 
 
-def fitted_y(
-    chain: ChainOutput,
-    data_train: Dataset,
-    spec: PartitionSpec,
-    hyper: Hyperparams,
-) -> np.ndarray:
+def fitted_y(chain: ChainOutput, data_train: Dataset, hyper: Hyperparams) -> np.ndarray:
     """In-sample analogue of predict_y, using each sample's own training balances."""
-    return _joint_pass(chain, data_train, spec.contrast_matrix(), hyper)[0]
+    return _joint_pass(chain, data_train, hyper)[0]
 
 
-def pointwise_loglik(
-    chain: ChainOutput,
-    data: Dataset,
-    spec: PartitionSpec,
-    hyper: Hyperparams,
-) -> np.ndarray:
+def pointwise_loglik(chain: ChainOutput, data: Dataset, hyper: Hyperparams) -> np.ndarray:
     """N x S matrix of conditional normal log densities of each training response
     (see ``ridge_pass``)."""
-    return _joint_pass(chain, data, spec.contrast_matrix(), hyper)[2]
+    return _joint_pass(chain, data, hyper)[2]

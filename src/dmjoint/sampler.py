@@ -4,10 +4,11 @@ One iteration sweeps, in order: taxon intercepts ``alpha``; the
 covariate-inclusion pairs ``(zeta, phi)`` (between-model add/delete moves
 followed by a within-model refresh of every included coefficient); the
 latent ``c`` and ``u`` blocks via exact Gibbs draws; and the
-balance-inclusion indicators ``xi``. The ``dm_only`` mode skips the response
-block and keeps no balance samples. The ``lm_only`` mode runs the ``xi`` block
-alone on a fixed balance matrix given by the caller (stage two of the two-step
-comparator) and keeps no count samples.
+balance-inclusion indicators ``xi``, scored on balances rebuilt from the
+new composition. The ``dm_only`` mode skips the response block and keeps no
+balance samples. The ``lm_only`` mode runs the ``xi`` block alone on a fixed
+balance matrix given by the caller (stage two of the two-step comparator) and
+keeps no count samples.
 
 All acceptance ratios are exact because the augmented log likelihood drops
 only terms constant in (c, gamma, u): ``log Gamma(zdot)`` and the multinomial
@@ -22,7 +23,11 @@ The spike is a point mass at 0, so a pair is included exactly when its
 selections, and ``ChainOutput`` derives ``zeta = phi != 0`` and both MPPIs.
 Few pairs are included, so a chain keeps only the non-zero ``phi`` entries of
 each retained sample, as flat indices into the S x J x P block and their
-values.
+values. The composition reaches the response only through the selected
+balances, so a joint chain keeps, in place of each sample's S x N x J
+composition, the balance columns it selected from the ones the sweep built
+that iteration, with their means and sds (``pack_balances``). Only a
+``dm_only`` chain keeps ``psi``.
 
 Draw order is part of the contract: the batched blocks take every draw in the
 order of a one-move-at-a-time scan, so chains stay bitwise identical to it.
@@ -65,6 +70,7 @@ __all__ = [
     "ChainOutput",
     "ChainState",
     "run_chain",
+    "pack_balances",
     "mppi",
     "update_alpha",
     "update_zeta_phi",
@@ -120,6 +126,12 @@ class ChainOutput:
     ``phi`` is kept sparse: ``phi_index`` holds the ascending flat indices of
     the non-zero entries of the S x J x P block ``phi_shape``, and
     ``phi_value`` their values.
+
+    A joint chain keeps, in place of each sample's composition, the balance
+    columns the sample selected: ``balances`` stacks ``pack_balances`` of
+    every retained sample in sample order, so sample s owns the next
+    ``xi[s].sum()`` rows. Only a ``dm_only`` chain keeps ``psi``, which
+    two-step fits average into psi_bar.
     """
 
     alpha: np.ndarray  # S x J
@@ -127,7 +139,8 @@ class ChainOutput:
     phi_value: np.ndarray  # phi at phi_index
     phi_shape: tuple  # (S, J, P)
     xi: np.ndarray  # S x M, uint8; S x 0 in dm_only
-    psi: np.ndarray  # S x N x J
+    psi: np.ndarray  # S x N x J in dm_only, S x 0 x 0 otherwise
+    balances: np.ndarray  # xi.sum() x (N + 2) in joint, 0 x 0 otherwise
     log_posterior: np.ndarray  # full pre-thinning trace, length iterations
     accept: dict  # per-move-type (accepted, proposed) counters
     config: SamplerConfig
@@ -141,6 +154,11 @@ class ChainOutput:
     @property
     def n_samples(self) -> int:
         return self.alpha.shape[0]
+
+    @property
+    def n_subjects(self) -> int:
+        """A joint chain's N: its balance rows hold N values, a mean and an sd."""
+        return self.balances.shape[1] - 2
 
     @property
     def zeta(self) -> np.ndarray:
@@ -159,6 +177,25 @@ class ChainOutput:
         _, J, P = self.phi_shape
         pairs = self.phi_index % (J * P) if J * P else self.phi_index
         return np.bincount(pairs, weights, minlength=J * P).reshape(J, P)
+
+    def selected_balances(self):
+        """Each sample's ``(B_sel, means, sds)``, read from its rows of ``balances``.
+
+        ``B_sel`` is the transpose of a C-ordered k x N copy, so it has the
+        strides of the ``B_std[:, sel]`` the sweep sliced, and a ridge fit on
+        it has the same bits.
+        """
+        ends = np.cumsum(self.xi.sum(axis=1, dtype=np.int64))
+        for rows in np.split(self.balances, ends[:-1]):
+            yield rows[:, :-2].copy().T, rows[:, -2], rows[:, -1]
+
+
+def pack_balances(B_std, means, sds, xi) -> np.ndarray:
+    """The rows a joint chain keeps for one sample: one per balance ``xi``
+    selects, holding that column of ``B_std`` and then its mean and sd, as
+    ``standardize_columns`` returned them. k x (N + 2), C-ordered."""
+    sel = xi == 1
+    return np.column_stack([B_std[:, sel].T, means[sel], sds[sel]])
 
 
 @dataclass
@@ -484,14 +521,16 @@ def run_chain(
     contrast = spec.contrast_matrix()
 
     S = config.n_retained
-    # lm_only keeps no count samples and dm_only no balance samples: the blocks
-    # a mode does not sample have zero width
-    nk, Jk, Pk = (0, 0, 0) if mode == "lm_only" else (n, J, P)
+    # lm_only keeps no count samples, dm_only no balance samples, and only
+    # dm_only keeps compositions (a joint sample keeps its selected balance
+    # columns): the blocks a mode does not keep have zero width
+    Jk, Pk = (0, 0) if mode == "lm_only" else (J, P)
     Mk = 0 if mode == "dm_only" else M
     out_alpha = np.empty((S, Jk))
     phi_index, phi_value = [np.empty(0, dtype=np.int64)], [np.empty(0)]
     out_xi = np.empty((S, Mk), dtype=np.uint8)
-    out_psi = np.empty((S, nk, Jk))
+    out_psi = np.empty((S, n, J) if mode == "dm_only" else (S, 0, 0))
+    out_bal = [np.empty((0, n + 2) if mode == "joint" else (0, 0))]
     log_post = np.empty(config.iterations)
     moves = {"joint": ("alpha", "add", "delete", "within", "xi"),
              "dm_only": ("alpha", "add", "delete", "within"),
@@ -511,7 +550,7 @@ def run_chain(
             update_u(state, data, rng)
         if mode != "dm_only":
             if balances is None:
-                B_std, _, _ = standardize_columns(
+                B_std, means, sds = standardize_columns(
                     log_balances(state.psi, contrast, hyper.delta))
             if balances is None or it == 0:  # fixed balances: the scores carry over
                 state.gram = marginal_gram(data.Y, B_std, hyper)
@@ -530,9 +569,12 @@ def run_chain(
                 flat = np.flatnonzero(state.phi)
                 phi_index.append(flat + s * J * P)
                 phi_value.append(state.phi.ravel()[flat])
+            if mode == "dm_only":
                 out_psi[s] = state.psi
-            if mode != "dm_only":
+            else:
                 out_xi[s] = state.xi
+            if mode == "joint":
+                out_bal.append(pack_balances(B_std, means, sds, state.xi))
             s += 1
 
     assert s == S
@@ -543,6 +585,7 @@ def run_chain(
         phi_shape=(S, Jk, Pk),
         xi=out_xi,
         psi=out_psi,
+        balances=np.concatenate(out_bal),
         log_posterior=log_post,
         accept={k: tuple(v) for k, v in accept.items()},
         config=config,

@@ -1,14 +1,18 @@
 """Closed-form references the tests check the package against.
 
 Each is the textbook form of a quantity the package computes another way:
-the augmented DM density behind the sampler's MH ratios, and the balances
-that ``model.log_balances`` forms with one contrast matmul.
+the augmented DM density behind the sampler's MH ratios, the balances that
+``model.log_balances`` forms with one contrast matmul, and the ridge pass
+rebuilt from each sample's composition, as it ran when joint chains kept
+``psi``. ``balance_block`` builds a joint chain's ``balances`` block from
+compositions, for tests that make a chain by hand.
 """
 
 import numpy as np
 from scipy.special import gammaln
 
-from dmjoint.model import PartitionSpec, standardize_columns
+from dmjoint.model import PartitionSpec, log_balances, standardize_columns, zero_replace
+from dmjoint.sampler import pack_balances
 
 
 def log_augmented_dm(z_row, c_row, gamma_row, u_i) -> float:
@@ -55,3 +59,47 @@ def balance_matrix(Psi, spec: PartitionSpec, standardize: bool = False) -> np.nd
     if standardize:
         B, _, _ = standardize_columns(B)
     return B
+
+
+def balance_block(psi, xi, spec: PartitionSpec, hyper) -> np.ndarray:
+    """The ``balances`` block a joint chain keeps for compositions ``psi``
+    (S x N x J) and selections ``xi`` (S x M), packed as the sampler packs it."""
+    contrast = spec.contrast_matrix()
+    rows = [np.empty((0, np.shape(psi)[1] + 2))]
+    for psi_s, xi_s in zip(psi, xi):
+        B = log_balances(psi_s, contrast, hyper.delta)
+        rows.append(pack_balances(*standardize_columns(B), np.asarray(xi_s)))
+    return np.concatenate(rows)
+
+
+def one_sample_at_a_time(psi, xi, Y, psi_test, spec, hyper):
+    """Reference for the per-sample ridge pass: (fitted, predicted, N x S loglik).
+
+    Each sample s standardizes its full training balance matrix, built from
+    ``psi[s]``, fits its selected columns and adds its contribution in sample
+    order; an empty model contributes nothing to the averages. This is the
+    joint pass of the chains that kept ``psi``, and it has the bits of the
+    pass over their stored balance columns.
+    """
+    V = spec.contrast_matrix()
+    n, S = len(Y), len(xi)
+    B_test = np.log(zero_replace(psi_test, hyper.delta)) @ V
+    a0 = float(Y.sum() / (n + 1.0 / hyper.h_alpha0))
+    fit_sum, pred_sum = np.zeros(n), np.zeros(len(psi_test))
+    loglik = np.empty((n, S))
+    for s in range(S):
+        B = np.log(zero_replace(psi[s], hyper.delta)) @ V
+        mean, sd = B.mean(axis=0), B.std(axis=0, ddof=1)
+        sel = np.asarray(xi[s]) == 1
+        mu = np.full(n, a0)
+        if sel.any():
+            B_sel = ((B - mean) / sd)[:, sel]
+            beta = np.linalg.solve(B_sel.T @ B_sel + np.eye(sel.sum()) / hyper.h_beta,
+                                   B_sel.T @ Y)
+            fit_sum += B_sel @ beta
+            mu = mu + B_sel @ beta
+            pred_sum += ((B_test[:, sel] - mean[sel]) / sd[sel]) @ beta
+        resid = Y - mu
+        sigma2 = (hyper.b0 + 0.5 * resid @ resid) / (hyper.a0 + 0.5 * n - 1.0)
+        loglik[:, s] = -0.5 * (np.log(2.0 * np.pi * sigma2) + resid**2 / sigma2)
+    return a0 + fit_sum / S, a0 + pred_sum / S, loglik

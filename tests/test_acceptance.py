@@ -55,7 +55,7 @@ from dmjoint.sampler import (
     xi_log_mh_ratio,
 )
 from dmjoint.simulate import SimConfig, gen_replicate, replicate_rng
-from oracles import balance_matrix
+from oracles import balance_block, balance_matrix
 
 
 def report(criterion, detail):
@@ -218,7 +218,8 @@ def test_criterion_a6_ridge_prediction_oracle():
     chain = ChainOutput(
         alpha=np.zeros((1, J)), phi_index=np.empty(0, dtype=np.int64),
         phi_value=np.empty(0), phi_shape=(1, J, 2),
-        xi=np.array([[1, 0]], dtype=np.uint8), psi=psi[None, :, :],
+        xi=np.array([[1, 0]], dtype=np.uint8), psi=np.empty((1, 0, 0)),
+        balances=balance_block(psi[None, :, :], [[1, 0]], spec, hyper),
         log_posterior=np.zeros(2), accept={}, config=cfg,
     )
     Z_test = rng.integers(0, 40, size=(4, J))
@@ -276,7 +277,7 @@ def _joint_metrics(rep, b, b0, null=False):
     chain = run_chain(train, hyper, spec, cfg)
     cov = confusion(median_model(chain.mppi_zeta), truth.zeta_true)
     bal = confusion(median_model(chain.mppi_xi), truth.xi_true)
-    mse = squared_error(train.Y, fitted_y(chain, train, spec, hyper))
+    mse = squared_error(train.Y, fitted_y(chain, train, hyper))
     pmse = squared_error(test.Y_test, predict_y(chain, train, test, spec, hyper))
     return {
         "cov_selected": cov.n_selected, "cov_sens": cov.sensitivity,

@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -66,8 +67,8 @@ def test_replicate_round_trip(tmp_path):
     assert np.array_equal(btr.psi_star, truth.psi_star)
 
 
-CHAIN_BLOCKS = {"alpha.npy", "phi_index.npy", "phi_value.npy", "psi.npy", "xi.npy",
-                "log_posterior.npy"}
+CHAIN_BLOCKS = {"alpha.npy", "phi_index.npy", "phi_value.npy", "psi.npy", "balances.npy",
+                "xi.npy", "log_posterior.npy"}
 
 
 def small_chains():
@@ -89,7 +90,7 @@ def small_chains():
 
 
 def test_chain_round_trip(tmp_path):
-    # every chain, the xi-only one included, is the same six blocks
+    # every chain, the xi-only one included, is the same seven blocks
     for mode, chain in small_chains().items():
         rundir = tmp_path / mode
         dio.write_chain(rundir, chain, Hyperparams(), extra={"note": "test"})
@@ -128,7 +129,7 @@ def test_chains_hold_no_dense_phi(tmp_path):
 
 
 def assert_chains_equal(back, chain):
-    for name in ("alpha", "phi_index", "phi_value", "zeta", "xi", "psi",
+    for name in ("alpha", "phi_index", "phi_value", "zeta", "xi", "psi", "balances",
                  "log_posterior", "mppi_zeta", "mppi_xi"):
         a, b = getattr(back, name), getattr(chain, name)
         assert a.dtype == b.dtype and np.array_equal(a, b), name
@@ -152,6 +153,8 @@ def test_manifest_round_trip(tmp_path):
 
 FAST_FIT = ["--iterations", "200", "--burn-in", "100", "--thin", "10",
             "--between-moves-per-iter", "5"]
+# a balance prior of odds 1e-12 that starts empty: no sample selects a balance
+NO_BALANCES = ["--init-xi-frac", "0", "--b-m", "1e12"]
 
 
 @pytest.fixture(scope="module")
@@ -387,19 +390,23 @@ def test_cli_predict_rejects_train_dir_of_other_size(sim_dir, tmp_path, capsys):
                  "--p", "3", "--j", "6", "--n-true-cov", "2", "--n-true-bal", "1"]) == 0
     assert main(["simulate", "--out", str(taller), "--seed", "3", "--n", "13",
                  "--p", "3", "--j", "5", "--n-true-cov", "2", "--n-true-bal", "1"]) == 0
-    for model in ("joint", "dmlm-bayes"):
-        run = tmp_path / model
-        assert main(["fit", str(sim_dir / "rep000"), "--out", str(run),
-                     "--model", model, *FAST_FIT]) == 0
+    fits = {"joint": ["--model", "joint"], "dmlm-bayes": ["--model", "dmlm-bayes"],
+            "joint-no-balances": ["--model", "joint", *NO_BALANCES]}
+    for name, flags in fits.items():
+        run = tmp_path / name
+        assert main(["fit", str(sim_dir / "rep000"), "--out", str(run), *flags,
+                     *FAST_FIT]) == 0
         capsys.readouterr()
         assert main(["predict", str(run), "--train-dir", str(other / "rep000")]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and "J=5" in err and "J=6" in err
         assert str(run) in err and str(other / "rep000") in err
-        # N comes from the joint chain's psi, or from a two-step fit's psi_bar
+        # N comes from the joint chain's balance block, which keeps it when no
+        # sample selected a balance, or from a two-step fit's psi_bar
         assert main(["predict", str(run), "--train-dir", str(taller / "rep000")]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and "N=12" in err and "N=13" in err
+    assert np.load(tmp_path / "joint-no-balances" / "balances.npy").shape == (0, 14)
 
     # a test set with another covariate count is caught before preprocessing
     wide = tmp_path / "p4"
@@ -487,6 +494,48 @@ def test_cli_predict_schema_3_chain_exits_1(sim_dir, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "re-run fit" in err
     assert str(run) in err and "phi_index.npy" in err
+
+
+def test_cli_predict_schema_5_joint_chain_exits_1(sim_dir, tmp_path, capsys):
+    # a joint chain that kept its compositions in psi and no balance block
+    run = tmp_path / "o"
+    assert main(["fit", str(sim_dir / "rep000"), "--out", str(run), *FAST_FIT]) == 0
+    (run / "balances.npy").unlink()
+    np.save(run / "psi.npy", np.full((10, 12, 5), 0.2))
+    manifest = dio.read_manifest(run)
+    (run / "manifest.json").write_text(json.dumps({**manifest, "schema_version": 5}))
+    capsys.readouterr()
+    assert main(["predict", str(run)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: ")
+    assert str(run) in err and "balances.npy" in err and "re-run fit" in err
+
+
+def test_read_chain_rejects_balance_rows_that_disagree_with_xi(sim_dir, tmp_path):
+    run = tmp_path / "o"
+    assert main(["fit", str(sim_dir / "rep000"), "--out", str(run),
+                 "--init-xi-frac", "0.5", *FAST_FIT]) == 0
+    block = np.load(run / "balances.npy")
+    assert len(block) == np.load(run / "xi.npy").sum() > 0
+    for rows in (block[1:], np.vstack([block, block[:1]])):
+        np.save(run / "balances.npy", rows)
+        with pytest.raises(ValueError, match=re.escape(str(run / "balances.npy"))):
+            dio.read_chain(run)
+
+
+def test_cli_predict_without_selected_balances_is_a0_hat(sim_dir, tmp_path):
+    # no retained sample selects a balance, so every prediction and fitted
+    # value is the intercept's posterior mean
+    rep, run = sim_dir / "rep000", tmp_path / "o"
+    assert main(["fit", str(rep), "--out", str(run), *NO_BALANCES, *FAST_FIT]) == 0
+    assert main(["predict", str(run)]) == 0
+    assert np.load(run / "xi.npy").sum() == 0
+    train, test, stats = preprocess(dio.read_train(rep), dio.read_test(rep))
+    a0_hat = train.Y.sum() / (train.n_subjects + 1.0 / Hyperparams().h_alpha0)
+    for path, n in ((run / "fitted_y.csv", train.n_subjects),
+                    (run / "predictions" / "predictions.csv", len(test.X_test))):
+        assert np.array_equal(dio.read_matrix(path).ravel(),
+                              np.full(n, a0_hat + stats["y_mean"]))
 
 
 def test_cli_predict_manifest_records_fit_seed(sim_dir, tmp_path):

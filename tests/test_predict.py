@@ -21,6 +21,7 @@ from dmjoint.predict import (
     predict_y,
 )
 from dmjoint.sampler import ChainOutput, SamplerConfig
+from oracles import balance_block, one_sample_at_a_time
 
 
 def sparse_phi(phi):
@@ -30,14 +31,20 @@ def sparse_phi(phi):
     return {"phi_index": index, "phi_value": phi.ravel()[index], "phi_shape": phi.shape}
 
 
-def make_chain(alpha, phi, xi, psi):
+def make_chain(alpha, phi, xi, psi=None, spec=None, hyper=None):
+    """A joint chain of the given samples. Its balance block is built from the
+    compositions ``psi`` on ``spec``, as the sampler builds it; without ``psi``
+    it is empty."""
     alpha = np.asarray(alpha, dtype=float)
+    xi = np.asarray(xi, dtype=np.uint8)
     cfg = SamplerConfig(iterations=2, burn_in=1, thin=1)
     return ChainOutput(
         alpha=alpha,
         **sparse_phi(phi),
-        xi=np.asarray(xi, dtype=np.uint8),
-        psi=np.asarray(psi, dtype=float),
+        xi=xi,
+        psi=np.empty((len(alpha), 0, 0)),
+        balances=(np.empty((0, 0)) if psi is None
+                  else balance_block(psi, xi, spec, hyper or Hyperparams())),
         log_posterior=np.zeros(2),
         accept={},
         config=cfg,
@@ -55,9 +62,8 @@ def random_simplex(rng, n, J):
 
 
 def test_lambda_test_zero_chain_is_one():
-    S, J, P, n = 3, 4, 2, 5
-    psi = np.full((S, n, J), 1.0 / J)
-    chain = make_chain(np.zeros((S, J)), np.zeros((S, J, P)), np.zeros((S, J - 1)), psi)
+    S, J, P = 3, 4, 2
+    chain = make_chain(np.zeros((S, J)), np.zeros((S, J, P)), np.zeros((S, J - 1)))
     lam = estimate_lambda_test(chain, np.random.default_rng(0).normal(size=(6, P)))
     assert np.allclose(lam, 1.0)
 
@@ -65,17 +71,14 @@ def test_lambda_test_zero_chain_is_one():
 def test_lambda_test_averages_before_exponentiating():
     # two samples with intercepts 0 and log(4): posterior-mean lambda is
     # exp(log(2)) = 2, not the mean of (1, 4)
-    psi = np.full((2, 3, 2), 0.5)
     chain = make_chain(np.log(np.array([[1.0, 1.0], [4.0, 4.0]])),
-                       np.zeros((2, 2, 1)), np.zeros((2, 1)), psi)
+                       np.zeros((2, 2, 1)), np.zeros((2, 1)))
     lam = estimate_lambda_test(chain, np.zeros((4, 1)))
     assert np.allclose(lam, 2.0)
 
 
 def test_lambda_test_overflow_raises_without_warning():
-    psi = np.full((1, 3, 2), 0.5)
-    chain = make_chain(np.array([[1e4, 0.0]]), np.zeros((1, 2, 1)), np.zeros((1, 1)),
-                       psi)
+    chain = make_chain(np.array([[1e4, 0.0]]), np.zeros((1, 2, 1)), np.zeros((1, 1)))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(FloatingPointError, match="taxon 0"):
@@ -124,7 +127,8 @@ def test_predict_y_matches_scalar_ridge_oracle():
     rng = np.random.default_rng(2)
     train, psi, spec, hyper = single_sample_fixture(rng)
     J = 3
-    chain = make_chain(np.zeros((1, J)), np.zeros((1, J, 2)), np.array([[1, 0]]), psi)
+    chain = make_chain(np.zeros((1, J)), np.zeros((1, J, 2)), np.array([[1, 0]]), psi,
+                       spec, hyper)
     Z_test = rng.integers(0, 40, size=(4, J))
     X_test = rng.normal(size=(4, 2))
     got = predict_y(chain, train, TestSet(Z_test=Z_test, X_test=X_test),
@@ -147,7 +151,8 @@ def test_predict_y_matches_scalar_ridge_oracle():
 def test_predict_y_empty_model_is_constant():
     rng = np.random.default_rng(3)
     train, psi, spec, hyper = single_sample_fixture(rng)
-    chain = make_chain(np.zeros((1, 3)), np.zeros((1, 3, 2)), np.array([[0, 0]]), psi)
+    chain = make_chain(np.zeros((1, 3)), np.zeros((1, 3, 2)), np.array([[0, 0]]), psi,
+                       spec, hyper)
     got = predict_y(chain, train,
                     TestSet(Z_test=rng.integers(0, 20, size=(5, 3)),
                             X_test=rng.normal(size=(5, 2))), spec, hyper)
@@ -166,8 +171,8 @@ def test_fitted_y_recovers_noiseless_balance_response():
     train = Dataset(Y=Y, Z=np.ones((n, J), dtype=int), X=np.zeros((n, 1)))
     chain = make_chain(np.zeros((1, J)), np.zeros((1, J, 1)),
                        np.array([[1, 0, 0]]),
-                       psi[None, :, :])
-    got = fitted_y(chain, train, spec, hyper)
+                       psi[None, :, :], spec, hyper)
+    got = fitted_y(chain, train, hyper)
     assert np.allclose(got, Y, atol=1e-5)
 
 
@@ -182,9 +187,6 @@ def test_predictions_invariant_to_partition_choice_in_full_model():
     train = Dataset(Y=Y, Z=rng.integers(1, 20, size=(n, J)) + 1,
                     X=rng.normal(size=(n, 1)))
     hyper = Hyperparams(h_beta=1e10)
-    chain = make_chain(np.zeros((1, J)), np.zeros((1, J, 1)),
-                       np.array([[1, 1, 1]]),
-                       psi[None, :, :])
     test = TestSet(Z_test=rng.integers(0, 30, size=(6, J)),
                    X_test=rng.normal(size=(6, 1)))
     spec_a = sbp_pivot(J)
@@ -193,8 +195,12 @@ def test_predictions_invariant_to_partition_choice_in_full_model():
         ((0,), (1,)),
         ((2,), (3,)),
     ])
-    pa = predict_y(chain, train, test, spec_a, hyper)
-    pb = predict_y(chain, train, test, spec_b, hyper)
+    # the chain keeps balances, so each partition has its own chain
+    chain_a, chain_b = (make_chain(np.zeros((1, J)), np.zeros((1, J, 1)),
+                                   np.array([[1, 1, 1]]), psi[None, :, :], spec, hyper)
+                        for spec in (spec_a, spec_b))
+    pa = predict_y(chain_a, train, test, spec_a, hyper)
+    pb = predict_y(chain_b, train, test, spec_b, hyper)
     assert np.allclose(pa, pb, atol=1e-6)
 
 
@@ -206,8 +212,9 @@ def test_predictions_invariant_to_partition_choice_in_full_model():
 def test_pointwise_loglik_matches_normal_oracle():
     rng = np.random.default_rng(6)
     train, psi, spec, hyper = single_sample_fixture(rng, n=10)
-    chain = make_chain(np.zeros((1, 3)), np.zeros((1, 3, 2)), np.array([[0, 0]]), psi)
-    ll = pointwise_loglik(chain, train, spec, hyper)
+    chain = make_chain(np.zeros((1, 3)), np.zeros((1, 3, 2)), np.array([[0, 0]]), psi,
+                       spec, hyper)
+    ll = pointwise_loglik(chain, train, hyper)
     assert ll.shape == (10, 1)
     n = 10
     alpha0 = train.Y.sum() / (n + 1.0 / hyper.h_alpha0)
@@ -222,8 +229,8 @@ def test_pointwise_loglik_identical_samples_identical_columns():
     train, psi, spec, hyper = single_sample_fixture(rng, n=8)
     psi2 = np.repeat(psi, 3, axis=0)
     chain = make_chain(np.zeros((3, 3)), np.zeros((3, 3, 2)), np.tile([1, 0], (3, 1)),
-                       psi2)
-    ll = pointwise_loglik(chain, train, spec, hyper)
+                       psi2, spec, hyper)
+    ll = pointwise_loglik(chain, train, hyper)
     assert ll.shape == (8, 3)
     assert np.array_equal(ll[:, 0], ll[:, 1])
     assert np.array_equal(ll[:, 0], ll[:, 2])
@@ -235,7 +242,7 @@ def test_pointwise_loglik_identical_samples_identical_columns():
 # ---------------------------------------------------------------------------
 
 
-def test_joint_outputs_match_one_sample_at_a_time(ridge_reference):
+def test_joint_outputs_match_one_sample_at_a_time():
     # five samples with different compositions and selections, one of them
     # the empty model, so the averages mix models of every size
     rng = np.random.default_rng(8)
@@ -244,15 +251,15 @@ def test_joint_outputs_match_one_sample_at_a_time(ridge_reference):
                    [0, 1, 0, 0, 1], [1, 0, 1, 0, 0]])
     psi = np.stack([random_simplex(rng, n, J) for _ in range(S)])
     phi = rng.normal(size=(S, J, P)) * (rng.random((S, J, P)) < 0.3)
-    chain = make_chain(rng.normal(size=(S, J)), phi, xi, psi)
+    spec, hyper = sbp_pivot(J), Hyperparams()
+    chain = make_chain(rng.normal(size=(S, J)), phi, xi, psi, spec, hyper)
     Y = rng.normal(size=n)
     Y -= Y.mean()
     train = Dataset(Y=Y, Z=rng.integers(1, 30, size=(n, J)), X=rng.normal(size=(n, P)))
     test = TestSet(Z_test=rng.integers(0, 30, size=(4, J)), X_test=rng.normal(size=(4, P)))
-    spec, hyper = sbp_pivot(J), Hyperparams()
     psi_test = estimate_psi_test(estimate_lambda_test(chain, test.X_test), test.Z_test)
 
-    fit, pred, ll = ridge_reference(psi, xi, Y, psi_test, spec, hyper)
-    assert np.array_equal(fitted_y(chain, train, spec, hyper), fit)
+    fit, pred, ll = one_sample_at_a_time(psi, xi, Y, psi_test, spec, hyper)
+    assert np.array_equal(fitted_y(chain, train, hyper), fit)
     assert np.array_equal(predict_y(chain, train, test, spec, hyper), pred)
-    assert np.array_equal(pointwise_loglik(chain, train, spec, hyper), ll)
+    assert np.array_equal(pointwise_loglik(chain, train, hyper), ll)

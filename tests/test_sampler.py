@@ -1,5 +1,6 @@
 import warnings
 from copy import deepcopy
+from dataclasses import replace
 from types import SimpleNamespace
 from typing import NamedTuple
 
@@ -21,7 +22,13 @@ from dmjoint.model import (
     sbp_pivot,
     spike_slab_logprior,
 )
-from dmjoint.predict import estimate_lambda_test
+from dmjoint.predict import (
+    estimate_lambda_test,
+    estimate_psi_test,
+    fitted_y,
+    pointwise_loglik,
+    predict_y,
+)
 from dmjoint.prep import preprocess
 from dmjoint.sampler import (
     STREAM_VERSION,
@@ -39,7 +46,7 @@ from dmjoint.sampler import (
     xi_log_mh_ratio,
 )
 from dmjoint.simulate import SimConfig, gen_replicate, replicate_rng
-from oracles import log_augmented_dm
+from oracles import log_augmented_dm, one_sample_at_a_time
 
 
 def xi_only_inputs(Y, B):
@@ -590,9 +597,13 @@ def test_run_chain_retained_count_and_determinism():
     out1 = run_chain(train, hyper, spec, cfg)
     out2 = run_chain(train, hyper, spec, cfg)
     assert np.array_equal(out1.alpha, out2.alpha)
-    assert np.array_equal(out1.psi, out2.psi)
+    assert np.array_equal(out1.balances, out2.balances)
     assert np.array_equal(out1.xi, out2.xi)
     assert np.array_equal(out1.log_posterior, out2.log_posterior)
+    # only a dm_only chain keeps compositions
+    dm1, dm2 = (run_chain(train, hyper, spec, replace(cfg, mode="dm_only"))
+                for _ in range(2))
+    assert dm1.psi.size and np.array_equal(dm1.psi, dm2.psi)
 
 
 def test_stream_version_pins_draw_order():
@@ -682,9 +693,63 @@ def test_run_chain_preserves_state_invariants():
     assert np.array_equal(
         estimate_lambda_test(out, test.X_test),
         build_gamma(out.alpha.mean(axis=0), dense.mean(axis=0), test.X_test)[1])
-    assert np.all(out.psi > 0)
     assert np.all(np.isfinite(out.log_posterior))
-    assert np.all(np.abs(out.psi.sum(axis=2) - 1.0) < 1e-10)
+    # a joint chain keeps each sample's selected standardized balance columns
+    assert out.psi.shape == (S, 0, 0)
+    assert out.balances.shape == (out.xi.sum(), train.n_subjects + 2)
+    assert np.all(np.isfinite(out.balances))
+    for B_sel, _, _ in out.selected_balances():
+        np.testing.assert_allclose(B_sel.mean(axis=0), 0.0, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(B_sel.std(axis=0, ddof=1), 1.0, rtol=0, atol=1e-12)
+    # and a dm_only chain its compositions
+    dm = run_chain(train, Hyperparams(), sbp_pivot(train.n_taxa),
+                   replace(cfg, mode="dm_only"))
+    assert dm.psi.shape == (S, train.n_subjects, train.n_taxa)
+    assert dm.balances.shape == (0, 0)
+    assert np.all(dm.psi > 0)
+    assert np.all(np.abs(dm.psi.sum(axis=2) - 1.0) < 1e-10)
+
+
+def test_joint_chain_keeps_the_balance_columns_the_sweep_built(monkeypatch):
+    # every iteration's compositions and standardized balances, as the sweep
+    # built them, against what the chain kept of its retained samples
+    train, test, _ = small_fixture(seed=1)
+    hyper, spec = Hyperparams(), sbp_pivot(train.n_taxa)
+    psi, built = [], []
+    model_log_balances = sampler.log_balances
+    model_standardize_columns = sampler.standardize_columns
+
+    def log_balances(p, *args):
+        psi.append(p.copy())
+        return model_log_balances(p, *args)
+
+    def standardize_columns(B):
+        built.append(model_standardize_columns(B))
+        return built[-1]
+
+    monkeypatch.setattr(sampler, "log_balances", log_balances)
+    monkeypatch.setattr(sampler, "standardize_columns", standardize_columns)
+    cfg = SamplerConfig(iterations=300, burn_in=100, thin=1, seed=4,
+                        between_moves_per_iter=5)
+    out = run_chain(train, hyper, spec, cfg)
+    assert len(psi) == len(built) == 300
+    psi, built = np.stack(psi[100:]), built[100:]
+    kept = list(out.selected_balances())
+    assert len(kept) == out.n_samples == 200
+    for (B_std, means, sds), (B_sel, m_sel, sd_sel), xi_s in zip(built, kept, out.xi):
+        sel = xi_s == 1
+        assert B_sel.tobytes() == B_std[:, sel].tobytes()
+        assert B_sel.strides == B_std[:, sel].strides  # the layout the fits' bits need
+        assert m_sel.tobytes() == means[sel].tobytes()
+        assert sd_sel.tobytes() == sds[sel].tobytes()
+
+    # the ridge pass over the kept columns has the bits of rebuilding every
+    # sample's balances from its composition
+    psi_test = estimate_psi_test(estimate_lambda_test(out, test.X_test), test.Z_test)
+    fit, pred, ll = one_sample_at_a_time(psi, out.xi, train.Y, psi_test, spec, hyper)
+    assert fitted_y(out, train, hyper).tobytes() == fit.tobytes()
+    assert predict_y(out, train, test, spec, hyper).tobytes() == pred.tobytes()
+    assert pointwise_loglik(out, train, hyper).tobytes() == ll.tobytes()
 
 
 def test_run_chain_balances_only_in_lm_only_mode():

@@ -56,14 +56,10 @@ def run_two_step(data: Dataset, hyper: Hyperparams, spec: PartitionSpec,
     """Run both stages; stage two sees balances built from the stage-one mean
     composition and runs on seed ``config.seed + 1``.
 
-    Stage one is kept without its composition samples: once psi_bar is formed
-    nothing reads them, so its ``psi`` is an empty S x 0 x 0 block. A caller
-    who wants them runs ``run_dm_only``."""
+    psi_bar is stage one's ``psi_mean`` with its rows normalised: the chain
+    sums its compositions as it samples them and keeps no sample of them."""
     stage1 = run_dm_only(data, hyper, spec, config)
-    psi_bar = stage1.psi.mean(axis=0)
-    psi_bar /= psi_bar.sum(axis=1, keepdims=True)
-    # a fresh array, not a slice: a slice would keep the S x N x J buffer alive
-    stage1.psi = np.empty((stage1.n_samples, 0, 0))
+    psi_bar = stage1.psi_mean / stage1.psi_mean.sum(axis=1, keepdims=True)
     stage2 = run_balance_selection(data, psi_bar, hyper, spec,
                                    replace(config, seed=config.seed + 1))
     return TwoStepOutput(stage1=stage1, psi_bar=psi_bar, stage2=stage2)

@@ -6,14 +6,19 @@ round-trips byte-wise, counts as plain integers. A chain is seven raw
 ``.npy`` blocks (``alpha``, ``phi_index``, ``phi_value``, ``psi``,
 ``balances``, ``xi``, ``log_posterior``) in their in-memory shape and dtype,
 so it round-trips bitwise; a block the chain does not keep is written empty:
-the count blocks of an xi-only (stage-2) chain, the ``xi`` and ``psi`` of a
-two-step fit's stage 1, whose compositions ``psi_bar.csv`` records, and the
-``psi`` of a joint chain. A joint chain keeps instead, in ``balances``, the
-standardized balance columns each sample selected with their means and sds,
-one row per selection, so the rows are ``xi.sum()`` and the width N + 2
-(manifest schema 6). ``phi`` is sparse: ``phi_index`` holds the ascending
-flat indices of its non-zero entries in the S x J x P block whose shape
-``summary.json`` records as ``phi_shape``, and ``phi_value`` their values.
+the count blocks of an xi-only (stage-2) chain and the ``xi`` of a two-step
+fit's stage 1. ``psi`` is empty (S x 0 x 0) in every mode, since no chain
+keeps composition samples. It stays in the store, and in ``ChainOutput``,
+because the benchmark's fit check (``perfbench/run.py`` ``check_fit``) reads
+``psi`` of every chain it reads back; it can go with that check. A
+``dm_only`` chain's mean composition, ``psi_mean``, is not written: a
+two-step run records it, normalised, as ``psi_bar.csv``. A joint chain
+keeps, in ``balances``, the standardized balance columns each sample
+selected with their means and sds, one row per selection, so the rows are
+``xi.sum()`` and the width N + 2 (manifest schema 6). ``phi`` is sparse:
+``phi_index`` holds the ascending flat indices of its non-zero entries in
+the S x J x P block whose shape ``summary.json`` records as ``phi_shape``,
+and ``phi_value`` their values.
 ``zeta`` (``phi != 0``) and the MPPIs are derived on load; a ``zeta.npy``,
 ``mppi_*.npy`` or (before manifest schema 5) ``u.npy`` of an older writer is
 ignored, and a chain without ``balances.npy`` (before schema 6) must be

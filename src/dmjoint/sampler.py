@@ -26,8 +26,10 @@ each retained sample, as flat indices into the S x J x P block and their
 values. The composition reaches the response only through the selected
 balances, so a joint chain keeps, in place of each sample's S x N x J
 composition, the balance columns it selected from the ones the sweep built
-that iteration, with their means and sds (``pack_balances``). Only a
-``dm_only`` chain keeps ``psi``.
+that iteration, with their means and sds (``pack_balances``). Stage two of
+a two-step fit reads only the posterior-mean composition, so a ``dm_only``
+chain sums its retained compositions in sample order, with the bits of
+``mean(axis=0)`` over the S x N x J block, and no chain keeps them.
 
 Draw order is part of the contract: the batched blocks take every draw in the
 order of a one-move-at-a-time scan, so chains stay bitwise identical to it.
@@ -130,8 +132,11 @@ class ChainOutput:
     A joint chain keeps, in place of each sample's composition, the balance
     columns the sample selected: ``balances`` stacks ``pack_balances`` of
     every retained sample in sample order, so sample s owns the next
-    ``xi[s].sum()`` rows. Only a ``dm_only`` chain keeps ``psi``, which
-    two-step fits average into psi_bar.
+    ``xi[s].sum()`` rows. A ``dm_only`` chain keeps, in ``psi_mean``, the
+    mean of its retained compositions, from which two-step fits form psi_bar;
+    it is held in memory only, since ``psi_bar.csv`` records it. No chain
+    keeps composition samples: ``psi`` is S x 0 x 0 in every mode, an empty
+    block the chain store still writes and reads (see ``io``).
     """
 
     alpha: np.ndarray  # S x J
@@ -139,11 +144,12 @@ class ChainOutput:
     phi_value: np.ndarray  # phi at phi_index
     phi_shape: tuple  # (S, J, P)
     xi: np.ndarray  # S x M, uint8; S x 0 in dm_only
-    psi: np.ndarray  # S x N x J in dm_only, S x 0 x 0 otherwise
+    psi: np.ndarray  # S x 0 x 0 in every mode
     balances: np.ndarray  # xi.sum() x (N + 2) in joint, 0 x 0 otherwise
     log_posterior: np.ndarray  # full pre-thinning trace, length iterations
     accept: dict  # per-move-type (accepted, proposed) counters
     config: SamplerConfig
+    psi_mean: np.ndarray | None = None  # N x J in dm_only, None otherwise
     mppi_zeta: np.ndarray = field(init=False)  # J x P
     mppi_xi: np.ndarray = field(init=False)  # M
 
@@ -521,15 +527,15 @@ def run_chain(
     contrast = spec.contrast_matrix()
 
     S = config.n_retained
-    # lm_only keeps no count samples, dm_only no balance samples, and only
-    # dm_only keeps compositions (a joint sample keeps its selected balance
-    # columns): the blocks a mode does not keep have zero width
+    # lm_only keeps no count samples and dm_only no balance samples: the
+    # blocks a mode does not keep have zero width. No mode keeps compositions
+    # (a joint sample keeps its selected balance columns); dm_only sums them
     Jk, Pk = (0, 0) if mode == "lm_only" else (J, P)
     Mk = 0 if mode == "dm_only" else M
     out_alpha = np.empty((S, Jk))
     phi_index, phi_value = [np.empty(0, dtype=np.int64)], [np.empty(0)]
     out_xi = np.empty((S, Mk), dtype=np.uint8)
-    out_psi = np.empty((S, n, J) if mode == "dm_only" else (S, 0, 0))
+    psi_sum = np.zeros((n, J)) if mode == "dm_only" else None
     out_bal = [np.empty((0, n + 2) if mode == "joint" else (0, 0))]
     log_post = np.empty(config.iterations)
     moves = {"joint": ("alpha", "add", "delete", "within", "xi"),
@@ -570,7 +576,7 @@ def run_chain(
                 phi_index.append(flat + s * J * P)
                 phi_value.append(state.phi.ravel()[flat])
             if mode == "dm_only":
-                out_psi[s] = state.psi
+                psi_sum += state.psi
             else:
                 out_xi[s] = state.xi
             if mode == "joint":
@@ -584,11 +590,12 @@ def run_chain(
         phi_value=np.concatenate(phi_value),
         phi_shape=(S, Jk, Pk),
         xi=out_xi,
-        psi=out_psi,
+        psi=np.empty((S, 0, 0)),
         balances=np.concatenate(out_bal),
         log_posterior=log_post,
         accept={k: tuple(v) for k, v in accept.items()},
         config=config,
+        psi_mean=None if psi_sum is None else psi_sum / S,
     )
 
 

@@ -3,6 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from dmjoint import sampler
 from dmjoint.baselines import (
     TwoStepOutput,
     run_dm_only,
@@ -153,8 +154,8 @@ def test_two_step_structure_and_fits():
 
 
 def test_two_step_keeps_psi_bar_not_stage_one_compositions():
-    # stage one is run_dm_only's chain bitwise, less its composition samples,
-    # whose normalised mean psi_bar keeps
+    # stage one is run_dm_only's chain bitwise, with no composition samples;
+    # psi_bar is its mean composition normalised
     train, _, _ = small_fixture(seed=12)
     hyper = Hyperparams()
     spec = sbp_pivot(train.n_taxa)
@@ -163,15 +164,39 @@ def test_two_step_keeps_psi_bar_not_stage_one_compositions():
     two = run_two_step(train, hyper, spec, cfg)
     dm = run_dm_only(train, hyper, spec, cfg)
     assert two.stage1.psi.shape == (cfg.n_retained, 0, 0)
-    assert two.stage1.psi.base is None  # no view holding the S x N x J buffer
-    psi_bar = dm.psi.mean(axis=0)
-    psi_bar /= psi_bar.sum(axis=1, keepdims=True)
+    psi_bar = dm.psi_mean / dm.psi_mean.sum(axis=1, keepdims=True)
     assert two.psi_bar.tobytes() == psi_bar.tobytes()
-    for name in ("alpha", "phi_index", "phi_value", "xi", "log_posterior"):
+    for name in ("alpha", "phi_index", "phi_value", "xi", "psi_mean", "log_posterior"):
         a, b = getattr(two.stage1, name), getattr(dm, name)
         assert a.dtype == b.dtype and a.shape == b.shape, name
         assert a.tobytes() == b.tobytes(), name
     assert two.stage1.accept == dm.accept
+
+
+def test_psi_bar_is_the_mean_of_the_retained_compositions(monkeypatch):
+    # every iteration's composition, as the count blocks leave it, against the
+    # mean stage one kept and the psi_bar formed from it, bit for bit
+    train, _, _ = small_fixture(seed=14)
+    hyper = Hyperparams()
+    spec = sbp_pivot(train.n_taxa)
+    psi = []
+    model_update_u = sampler.update_u
+
+    def update_u(state, *args):
+        model_update_u(state, *args)
+        psi.append(state.psi)
+
+    monkeypatch.setattr(sampler, "update_u", update_u)
+    cfg = SamplerConfig(iterations=70, burn_in=21, thin=3, seed=15,
+                        between_moves_per_iter=5)
+    two = run_two_step(train, hyper, spec, cfg)
+    assert len(psi) == cfg.iterations  # stage two runs no count block
+    kept = np.stack(psi[cfg.burn_in + cfg.thin - 1::cfg.thin])
+    assert len(kept) == two.stage1.n_samples == 16
+    psi_mean = kept.mean(axis=0)
+    assert two.stage1.psi_mean.tobytes() == psi_mean.tobytes()
+    psi_bar = psi_mean / psi_mean.sum(axis=1, keepdims=True)
+    assert two.psi_bar.tobytes() == psi_bar.tobytes()
 
 
 def test_two_step_deterministic():

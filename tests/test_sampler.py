@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 from copy import deepcopy
 from dataclasses import replace
@@ -600,10 +601,12 @@ def test_run_chain_retained_count_and_determinism():
     assert np.array_equal(out1.balances, out2.balances)
     assert np.array_equal(out1.xi, out2.xi)
     assert np.array_equal(out1.log_posterior, out2.log_posterior)
-    # only a dm_only chain keeps compositions
+    # only a dm_only chain keeps a mean composition
+    assert out1.psi_mean is None
     dm1, dm2 = (run_chain(train, hyper, spec, replace(cfg, mode="dm_only"))
                 for _ in range(2))
-    assert dm1.psi.size and np.array_equal(dm1.psi, dm2.psi)
+    assert dm1.psi_mean.shape == (train.n_subjects, train.n_taxa)
+    assert np.array_equal(dm1.psi_mean, dm2.psi_mean)
 
 
 def test_stream_version_pins_draw_order():
@@ -695,19 +698,43 @@ def test_run_chain_preserves_state_invariants():
         build_gamma(out.alpha.mean(axis=0), dense.mean(axis=0), test.X_test)[1])
     assert np.all(np.isfinite(out.log_posterior))
     # a joint chain keeps each sample's selected standardized balance columns
-    assert out.psi.shape == (S, 0, 0)
+    assert out.psi.shape == (S, 0, 0) and out.psi_mean is None
     assert out.balances.shape == (out.xi.sum(), train.n_subjects + 2)
     assert np.all(np.isfinite(out.balances))
     for B_sel, _, _ in out.selected_balances():
         np.testing.assert_allclose(B_sel.mean(axis=0), 0.0, rtol=0, atol=1e-12)
         np.testing.assert_allclose(B_sel.std(axis=0, ddof=1), 1.0, rtol=0, atol=1e-12)
-    # and a dm_only chain its compositions
+    # and a dm_only chain the mean of its compositions, no sample of them
     dm = run_chain(train, Hyperparams(), sbp_pivot(train.n_taxa),
                    replace(cfg, mode="dm_only"))
-    assert dm.psi.shape == (S, train.n_subjects, train.n_taxa)
+    assert dm.psi.shape == (S, 0, 0)
+    assert dm.psi_mean.shape == (train.n_subjects, train.n_taxa)
     assert dm.balances.shape == (0, 0)
-    assert np.all(dm.psi > 0)
-    assert np.all(np.abs(dm.psi.sum(axis=2) - 1.0) < 1e-10)
+    assert np.all(dm.psi_mean > 0)
+    assert np.all(np.abs(dm.psi_mean.sum(axis=1) - 1.0) < 1e-10)
+
+
+def test_dm_only_chain_holds_no_composition_samples():
+    # a dm_only chain sums its compositions as it samples them, so its traced
+    # peak stays below half of one S x N x J float block; a chain that kept
+    # the samples would hold the whole block
+    cfg = SimConfig(N=40, P=3, J=12, n_true_cov=2, n_true_bal=2,
+                    zdot_low=200, zdot_high=400, seed=0)
+    train, _, _ = gen_replicate(cfg, replicate_rng(0, 0))
+    train, _, _ = preprocess(train)
+    hyper, spec = Hyperparams(), sbp_pivot(train.n_taxa)
+    chain = SamplerConfig(iterations=410, burn_in=10, thin=1, seed=5, mode="dm_only")
+    # a first short chain loads scipy and numpy's caches outside the trace
+    run_chain(train, hyper, spec, replace(chain, iterations=12))
+    tracemalloc.start()
+    try:
+        out = run_chain(train, hyper, spec, chain)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    S, N, J = out.n_samples, train.n_subjects, train.n_taxa
+    assert (S, N, J) == (400, 40, 12)
+    assert peak < S * N * J * 8 / 2
 
 
 def test_joint_chain_keeps_the_balance_columns_the_sweep_built(monkeypatch):

@@ -16,6 +16,7 @@ from .model import (
     Hyperparams,
     PartitionSpec,
     log_balances,
+    ridge_fit,
     standardize_columns,
 )
 from .predict import TestSet, estimate_test_balances, ridge_pass
@@ -67,11 +68,17 @@ def run_two_step(data: Dataset, hyper: Hyperparams, spec: PartitionSpec,
 
 def _frozen_pass(two_step: TwoStepOutput, data: Dataset, contrast, hyper: Hyperparams,
                  B_test=None):
-    """``ridge_pass`` over the stage-two selections, each a slice of the same balances."""
+    """``ridge_pass`` over the stage-two selections, each fitted on a slice of
+    the same balances."""
     B_std, means, sds = _frozen_balances(two_step.psi_bar, contrast, hyper)
     xi = two_step.stage2.xi
-    selected = ((B_std[:, sel], means[sel], sds[sel]) for sel in xi == 1)
-    return ridge_pass(selected, xi, data.Y, hyper, B_test)
+
+    def records():
+        for sel in xi == 1:
+            beta, fit = ridge_fit(B_std[:, sel], data.Y, hyper)
+            yield beta, means[sel], sds[sel], fit
+
+    return ridge_pass(records(), xi, data.Y, hyper, B_test)
 
 
 def two_step_fitted_y(two_step: TwoStepOutput, data: Dataset, spec: PartitionSpec,

@@ -2,27 +2,28 @@
 
 Datasets, selections, predictions and reports are UTF-8 CSV with a header
 row; reals are written with 17 significant digits so write -> read -> write
-round-trips byte-wise, counts as plain integers. A chain is seven raw
+round-trips byte-wise, counts as plain integers. A chain is eight raw
 ``.npy`` blocks (``alpha``, ``phi_index``, ``phi_value``, ``psi``,
-``balances``, ``xi``, ``log_posterior``) in their in-memory shape and dtype,
-so it round-trips bitwise; a block the chain does not keep is written empty:
-the count blocks of an xi-only (stage-2) chain and the ``xi`` of a two-step
-fit's stage 1. ``psi`` is empty (S x 0 x 0) in every mode, since no chain
-keeps composition samples. It stays in the store, and in ``ChainOutput``,
-because the benchmark's fit check (``perfbench/run.py`` ``check_fit``) reads
-``psi`` of every chain it reads back; it can go with that check. A
-``dm_only`` chain's mean composition, ``psi_mean``, is not written: a
-two-step run records it, normalised, as ``psi_bar.csv``. A joint chain
-keeps, in ``balances``, the standardized balance columns each sample
-selected with their means and sds, one row per selection, so the rows are
-``xi.sum()`` and the width N + 2 (manifest schema 6). ``phi`` is sparse:
+``ridge``, ``fits``, ``xi``, ``log_posterior``) in their in-memory shape and
+dtype, so it round-trips bitwise; a block the chain does not keep is written
+empty: the count blocks of an xi-only (stage-2) chain and the ``xi`` of a
+two-step fit's stage 1. ``psi`` is empty (S x 0 x 0) in every mode, since no
+chain keeps composition samples. It stays in the store, and in
+``ChainOutput``, because the benchmark's fit check (``perfbench/run.py``
+``check_fit``) reads ``psi`` of every chain it reads back; it can go with
+that check. A ``dm_only`` chain's mean composition, ``psi_mean``, is not
+written: a two-step run records it, normalised, as ``psi_bar.csv``. A joint
+chain keeps each sample's ridge fit on the balances it selected (manifest
+schema 7): ``ridge`` holds one row ``(beta, mean, sd)`` per selection, so its
+rows are ``xi.sum()``, and ``fits`` the S x N fitted values. The other modes
+write ``ridge`` as 0 x 3 and ``fits`` as S x 0. ``phi`` is sparse:
 ``phi_index`` holds the ascending flat indices of its non-zero entries in
 the S x J x P block whose shape ``summary.json`` records as ``phi_shape``,
 and ``phi_value`` their values.
 ``zeta`` (``phi != 0``) and the MPPIs are derived on load; a ``zeta.npy``,
 ``mppi_*.npy`` or (before manifest schema 5) ``u.npy`` of an older writer is
-ignored, and a chain without ``balances.npy`` (before schema 6) must be
-fitted again. Settings, acceptance counts and provenance are JSON.
+ignored, and a chain without ``ridge.npy`` (before schema 7) must be fitted
+again. Settings, acceptance counts and provenance are JSON.
 """
 
 from __future__ import annotations
@@ -69,7 +70,7 @@ def write_manifest(outdir, command: str, config: dict, seed, inputs, started: fl
         "output": str(outdir),
         "duration_s": round(time.time() - started, 3),
         "version": __version__,
-        "schema_version": 6,
+        "schema_version": 7,
     }
     with open(outdir / "manifest.json", "w") as f:
         json.dump(manifest, f, indent=2, sort_keys=True)
@@ -140,7 +141,8 @@ def read_truth(repdir) -> GroundTruth:
 # ---------------------------------------------------------------------------
 
 
-_BLOCKS = ("alpha", "phi_index", "phi_value", "psi", "balances", "xi", "log_posterior")
+_BLOCKS = ("alpha", "phi_index", "phi_value", "psi", "ridge", "fits", "xi",
+           "log_posterior")
 
 
 def write_chain(outdir, chain: ChainOutput, hyper: Hyperparams, extra: dict | None = None):
@@ -187,8 +189,14 @@ def read_chain(rundir) -> tuple[ChainOutput, Hyperparams, dict]:
     except TypeError as e:
         raise ValueError(f"{path} does not match this version of dmjoint ({e}); "
                          "re-run fit to rewrite it") from e
-    rows, selected = len(chain.balances), int(chain.xi.sum())
-    if chain.config.mode == "joint" and rows != selected:
-        raise ValueError(f"{rundir / 'balances.npy'} holds {rows} balance rows but xi "
-                         f"selects {selected}; re-run fit to rewrite it")
+    mode, S, selected = chain.config.mode, chain.n_samples, int(chain.xi.sum())
+    # a joint sample keeps one (beta, mean, sd) row per selected balance and N
+    # fitted values; the other modes keep neither
+    n = chain.fits.shape[-1:] if mode == "joint" else (0,)
+    for name, want in (("ridge", (selected if mode == "joint" else 0, 3)), ("fits", (S, *n))):
+        shape = getattr(chain, name).shape
+        if shape != want:
+            raise ValueError(f"{rundir / (name + '.npy')} has shape {shape}, but this {mode} "
+                             f"chain of {S} samples selecting {selected} balances needs "
+                             f"{want}; re-run fit to rewrite it")
     return chain, hyper, summary

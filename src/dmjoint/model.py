@@ -33,6 +33,7 @@ __all__ = [
     "marginal_gram",
     "flip_log_marginals",
     "log_marginal_y",
+    "ridge_fit",
     "spike_slab_logprior",
     "beta_binomial_logprior",
     "gammaln",
@@ -359,6 +360,18 @@ def log_marginal_y(Y, B_sel, hyper: Hyperparams) -> float:
     """
     gram = marginal_gram(Y, B_sel, hyper)
     return flip_log_marginals(gram, np.ones(len(gram[2]) - 1, np.uint8), hyper)[0]
+
+
+def ridge_fit(B_sel, Y, hyper: Hyperparams):
+    """Ridge-form fit of Y on the selected standardized balances ``B_sel`` (N x k).
+
+    Returns ``beta = (B'B + I / h_beta)^{-1} B'Y``, the coefficients' conditional
+    posterior mean given the selection, and the fit ``B_sel @ beta``. An empty
+    selection gives an empty ``beta`` and a zero fit.
+    """
+    A = B_sel.T @ B_sel + np.eye(B_sel.shape[1]) / hyper.h_beta
+    beta = np.linalg.solve(A, B_sel.T @ Y)
+    return beta, B_sel @ beta
 
 
 def spike_slab_logprior(value, included: int, slab_var: float):

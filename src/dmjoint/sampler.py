@@ -23,13 +23,15 @@ The spike is a point mass at 0, so a pair is included exactly when its
 selections, and ``ChainOutput`` derives ``zeta = phi != 0`` and both MPPIs.
 Few pairs are included, so a chain keeps only the non-zero ``phi`` entries of
 each retained sample, as flat indices into the S x J x P block and their
-values. The composition reaches the response only through the selected
-balances, so a joint chain keeps, in place of each sample's S x N x J
-composition, the balance columns it selected from the ones the sweep built
-that iteration, with their means and sds (``pack_balances``). Stage two of
-a two-step fit reads only the posterior-mean composition, so a ``dm_only``
-chain sums its retained compositions in sample order, with the bits of
-``mean(axis=0)`` over the S x N x J block, and no chain keeps them.
+values. The composition reaches the response only through the ridge fit on
+the balances a sample selected, so a joint chain runs that fit
+(``model.ridge_fit``) on the slice of the balances the sweep built at each
+retained iteration, and keeps, in place of the sample's S x N x J
+composition, its coefficients with the selected columns' means and sds and
+its N fitted values. Stage two of a two-step fit reads only the
+posterior-mean composition, so a ``dm_only`` chain sums its retained
+compositions in sample order, with the bits of ``mean(axis=0)`` over the
+S x N x J block, and no chain keeps them.
 
 Draw order is part of the contract: the batched blocks take every draw in the
 order of a one-move-at-a-time scan, so chains stay bitwise identical to it.
@@ -61,6 +63,7 @@ from .model import (
     gammaln,
     log_balances,
     marginal_gram,
+    ridge_fit,
     spike_slab_logprior,
     standardize_columns,
 )
@@ -72,7 +75,6 @@ __all__ = [
     "ChainOutput",
     "ChainState",
     "run_chain",
-    "pack_balances",
     "mppi",
     "update_alpha",
     "update_zeta_phi",
@@ -129,14 +131,16 @@ class ChainOutput:
     the non-zero entries of the S x J x P block ``phi_shape``, and
     ``phi_value`` their values.
 
-    A joint chain keeps, in place of each sample's composition, the balance
-    columns the sample selected: ``balances`` stacks ``pack_balances`` of
-    every retained sample in sample order, so sample s owns the next
-    ``xi[s].sum()`` rows. A ``dm_only`` chain keeps, in ``psi_mean``, the
-    mean of its retained compositions, from which two-step fits form psi_bar;
-    it is held in memory only, since ``psi_bar.csv`` records it. No chain
-    keeps composition samples: ``psi`` is S x 0 x 0 in every mode, an empty
-    block the chain store still writes and reads (see ``io``).
+    A joint chain keeps, in place of each sample's composition, the ridge
+    fit on the balances it selected (``model.ridge_fit``): ``ridge`` stacks,
+    in sample order, one row ``(beta, mean, sd)`` per selected balance, so
+    sample s owns the next ``xi[s].sum()`` rows, and row s of ``fits`` holds
+    the sample's N fitted values. A ``dm_only`` chain keeps, in
+    ``psi_mean``, the mean of its retained compositions, from which two-step
+    fits form psi_bar; it is held in memory only, since ``psi_bar.csv``
+    records it. No chain keeps composition samples: ``psi`` is S x 0 x 0 in
+    every mode, an empty block the chain store still writes and reads (see
+    ``io``).
     """
 
     alpha: np.ndarray  # S x J
@@ -145,7 +149,8 @@ class ChainOutput:
     phi_shape: tuple  # (S, J, P)
     xi: np.ndarray  # S x M, uint8; S x 0 in dm_only
     psi: np.ndarray  # S x 0 x 0 in every mode
-    balances: np.ndarray  # xi.sum() x (N + 2) in joint, 0 x 0 otherwise
+    ridge: np.ndarray  # xi.sum() x 3 in joint, 0 x 3 otherwise
+    fits: np.ndarray  # S x N in joint, S x 0 otherwise
     log_posterior: np.ndarray  # full pre-thinning trace, length iterations
     accept: dict  # per-move-type (accepted, proposed) counters
     config: SamplerConfig
@@ -163,8 +168,8 @@ class ChainOutput:
 
     @property
     def n_subjects(self) -> int:
-        """A joint chain's N: its balance rows hold N values, a mean and an sd."""
-        return self.balances.shape[1] - 2
+        """A joint chain's N: each sample keeps N fitted values."""
+        return self.fits.shape[1]
 
     @property
     def zeta(self) -> np.ndarray:
@@ -184,24 +189,13 @@ class ChainOutput:
         pairs = self.phi_index % (J * P) if J * P else self.phi_index
         return np.bincount(pairs, weights, minlength=J * P).reshape(J, P)
 
-    def selected_balances(self):
-        """Each sample's ``(B_sel, means, sds)``, read from its rows of ``balances``.
-
-        ``B_sel`` is the transpose of a C-ordered k x N copy, so it has the
-        strides of the ``B_std[:, sel]`` the sweep sliced, and a ridge fit on
-        it has the same bits.
-        """
+    def ridge_fits(self):
+        """Each sample's ``(beta, means, sds, fit)``, read from its rows of
+        ``ridge`` and its row of ``fits``. ``beta`` is a contiguous copy, as
+        the solve returned it, so a product with it has the solve's bits."""
         ends = np.cumsum(self.xi.sum(axis=1, dtype=np.int64))
-        for rows in np.split(self.balances, ends[:-1]):
-            yield rows[:, :-2].copy().T, rows[:, -2], rows[:, -1]
-
-
-def pack_balances(B_std, means, sds, xi) -> np.ndarray:
-    """The rows a joint chain keeps for one sample: one per balance ``xi``
-    selects, holding that column of ``B_std`` and then its mean and sd, as
-    ``standardize_columns`` returned them. k x (N + 2), C-ordered."""
-    sel = xi == 1
-    return np.column_stack([B_std[:, sel].T, means[sel], sds[sel]])
+        for rows, fit in zip(np.split(self.ridge, ends[:-1]), self.fits):
+            yield (*np.ascontiguousarray(rows.T), fit)
 
 
 @dataclass
@@ -529,14 +523,15 @@ def run_chain(
     S = config.n_retained
     # lm_only keeps no count samples and dm_only no balance samples: the
     # blocks a mode does not keep have zero width. No mode keeps compositions
-    # (a joint sample keeps its selected balance columns); dm_only sums them
+    # (a joint sample keeps its ridge fit); dm_only sums them
     Jk, Pk = (0, 0) if mode == "lm_only" else (J, P)
     Mk = 0 if mode == "dm_only" else M
     out_alpha = np.empty((S, Jk))
     phi_index, phi_value = [np.empty(0, dtype=np.int64)], [np.empty(0)]
     out_xi = np.empty((S, Mk), dtype=np.uint8)
     psi_sum = np.zeros((n, J)) if mode == "dm_only" else None
-    out_bal = [np.empty((0, n + 2) if mode == "joint" else (0, 0))]
+    out_ridge = [np.empty((0, 3))]
+    out_fits = np.empty((S, n if mode == "joint" else 0))
     log_post = np.empty(config.iterations)
     moves = {"joint": ("alpha", "add", "delete", "within", "xi"),
              "dm_only": ("alpha", "add", "delete", "within"),
@@ -580,7 +575,9 @@ def run_chain(
             else:
                 out_xi[s] = state.xi
             if mode == "joint":
-                out_bal.append(pack_balances(B_std, means, sds, state.xi))
+                sel = state.xi == 1
+                beta, out_fits[s] = ridge_fit(B_std[:, sel], data.Y, hyper)
+                out_ridge.append(np.column_stack([beta, means[sel], sds[sel]]))
             s += 1
 
     assert s == S
@@ -591,7 +588,8 @@ def run_chain(
         phi_shape=(S, Jk, Pk),
         xi=out_xi,
         psi=np.empty((S, 0, 0)),
-        balances=np.concatenate(out_bal),
+        ridge=np.concatenate(out_ridge),
+        fits=out_fits,
         log_posterior=log_post,
         accept={k: tuple(v) for k, v in accept.items()},
         config=config,

@@ -4,15 +4,20 @@ Each is the textbook form of a quantity the package computes another way:
 the augmented DM density behind the sampler's MH ratios, the balances that
 ``model.log_balances`` forms with one contrast matmul, and the ridge pass
 rebuilt from each sample's composition, as it ran when joint chains kept
-``psi``. ``balance_block`` builds a joint chain's ``balances`` block from
-compositions, for tests that make a chain by hand.
+``psi``. ``ridge_blocks`` builds a joint chain's ``ridge`` and ``fits``
+blocks from compositions, for tests that make a chain by hand.
 """
 
 import numpy as np
 from scipy.special import gammaln
 
-from dmjoint.model import PartitionSpec, log_balances, standardize_columns, zero_replace
-from dmjoint.sampler import pack_balances
+from dmjoint.model import (
+    PartitionSpec,
+    log_balances,
+    ridge_fit,
+    standardize_columns,
+    zero_replace,
+)
 
 
 def log_augmented_dm(z_row, c_row, gamma_row, u_i) -> float:
@@ -61,15 +66,19 @@ def balance_matrix(Psi, spec: PartitionSpec, standardize: bool = False) -> np.nd
     return B
 
 
-def balance_block(psi, xi, spec: PartitionSpec, hyper) -> np.ndarray:
-    """The ``balances`` block a joint chain keeps for compositions ``psi``
-    (S x N x J) and selections ``xi`` (S x M), packed as the sampler packs it."""
+def ridge_blocks(psi, xi, Y, spec: PartitionSpec, hyper):
+    """The ``ridge`` and ``fits`` blocks a joint chain keeps for compositions
+    ``psi`` (S x N x J), selections ``xi`` (S x M) and responses ``Y``, each
+    sample fitted on the slice of its standardized balances it selected, as
+    the sampler fits it."""
     contrast = spec.contrast_matrix()
-    rows = [np.empty((0, np.shape(psi)[1] + 2))]
-    for psi_s, xi_s in zip(psi, xi):
-        B = log_balances(psi_s, contrast, hyper.delta)
-        rows.append(pack_balances(*standardize_columns(B), np.asarray(xi_s)))
-    return np.concatenate(rows)
+    rows, fits = [np.empty((0, 3))], np.empty((len(xi), len(Y)))
+    for s, (psi_s, xi_s) in enumerate(zip(psi, xi)):
+        B_std, means, sds = standardize_columns(log_balances(psi_s, contrast, hyper.delta))
+        sel = np.asarray(xi_s) == 1
+        beta, fits[s] = ridge_fit(B_std[:, sel], Y, hyper)
+        rows.append(np.column_stack([beta, means[sel], sds[sel]]))
+    return np.concatenate(rows), fits
 
 
 def one_sample_at_a_time(psi, xi, Y, psi_test, spec, hyper):

@@ -55,7 +55,7 @@ from dmjoint.sampler import (
     xi_log_mh_ratio,
 )
 from dmjoint.simulate import SimConfig, gen_replicate, replicate_rng
-from oracles import balance_block, balance_matrix
+from oracles import balance_matrix, ridge_blocks
 
 
 def report(criterion, detail):
@@ -215,11 +215,12 @@ def test_criterion_a6_ridge_prediction_oracle():
     from dmjoint.sampler import ChainOutput
 
     cfg = SamplerConfig(iterations=2, burn_in=1, thin=1)
+    ridge, fits = ridge_blocks(psi[None, :, :], [[1, 0]], Y, spec, hyper)
     chain = ChainOutput(
         alpha=np.zeros((1, J)), phi_index=np.empty(0, dtype=np.int64),
         phi_value=np.empty(0), phi_shape=(1, J, 2),
         xi=np.array([[1, 0]], dtype=np.uint8), psi=np.empty((1, 0, 0)),
-        balances=balance_block(psi[None, :, :], [[1, 0]], spec, hyper),
+        ridge=ridge, fits=fits,
         log_posterior=np.zeros(2), accept={}, config=cfg,
     )
     Z_test = rng.integers(0, 40, size=(4, J))

@@ -67,8 +67,8 @@ def test_replicate_round_trip(tmp_path):
     assert np.array_equal(btr.psi_star, truth.psi_star)
 
 
-CHAIN_BLOCKS = {"alpha.npy", "phi_index.npy", "phi_value.npy", "psi.npy", "balances.npy",
-                "xi.npy", "log_posterior.npy"}
+CHAIN_BLOCKS = {"alpha.npy", "phi_index.npy", "phi_value.npy", "psi.npy", "ridge.npy",
+                "fits.npy", "xi.npy", "log_posterior.npy"}
 
 
 def small_chains():
@@ -90,7 +90,7 @@ def small_chains():
 
 
 def test_chain_round_trip(tmp_path):
-    # every chain, the xi-only one included, is the same seven blocks
+    # every chain, the xi-only one included, is the same eight blocks
     for mode, chain in small_chains().items():
         rundir = tmp_path / mode
         dio.write_chain(rundir, chain, Hyperparams(), extra={"note": "test"})
@@ -129,7 +129,7 @@ def test_chains_hold_no_dense_phi(tmp_path):
 
 
 def assert_chains_equal(back, chain):
-    for name in ("alpha", "phi_index", "phi_value", "zeta", "xi", "psi", "balances",
+    for name in ("alpha", "phi_index", "phi_value", "zeta", "xi", "psi", "ridge", "fits",
                  "log_posterior", "mppi_zeta", "mppi_xi"):
         a, b = getattr(back, name), getattr(chain, name)
         assert a.dtype == b.dtype and np.array_equal(a, b), name
@@ -401,12 +401,13 @@ def test_cli_predict_rejects_train_dir_of_other_size(sim_dir, tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.startswith("error:") and "J=5" in err and "J=6" in err
         assert str(run) in err and str(other / "rep000") in err
-        # N comes from the joint chain's balance block, which keeps it when no
-        # sample selected a balance, or from a two-step fit's psi_bar
+        # N comes from the joint chain's S x N fits block, which keeps it when
+        # no sample selected a balance, or from a two-step fit's psi_bar
         assert main(["predict", str(run), "--train-dir", str(taller / "rep000")]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and "N=12" in err and "N=13" in err
-    assert np.load(tmp_path / "joint-no-balances" / "balances.npy").shape == (0, 14)
+    assert np.load(tmp_path / "joint-no-balances" / "ridge.npy").shape == (0, 3)
+    assert np.load(tmp_path / "joint-no-balances" / "fits.npy").shape == (10, 12)
 
     # a test set with another covariate count is caught before preprocessing
     wide = tmp_path / "p4"
@@ -496,31 +497,37 @@ def test_cli_predict_schema_3_chain_exits_1(sim_dir, tmp_path, capsys):
     assert str(run) in err and "phi_index.npy" in err
 
 
-def test_cli_predict_schema_5_joint_chain_exits_1(sim_dir, tmp_path, capsys):
-    # a joint chain that kept its compositions in psi and no balance block
+def test_cli_predict_schema_6_joint_chain_exits_1(sim_dir, tmp_path, capsys):
+    # a joint chain that kept its selected balance columns, and no ridge fits
     run = tmp_path / "o"
     assert main(["fit", str(sim_dir / "rep000"), "--out", str(run), *FAST_FIT]) == 0
-    (run / "balances.npy").unlink()
-    np.save(run / "psi.npy", np.full((10, 12, 5), 0.2))
+    (run / "ridge.npy").unlink()
+    (run / "fits.npy").unlink()
+    np.save(run / "balances.npy", np.zeros((int(np.load(run / "xi.npy").sum()), 14)))
     manifest = dio.read_manifest(run)
-    (run / "manifest.json").write_text(json.dumps({**manifest, "schema_version": 5}))
+    (run / "manifest.json").write_text(json.dumps({**manifest, "schema_version": 6}))
     capsys.readouterr()
     assert main(["predict", str(run)]) == 1
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith("error: ")
-    assert str(run) in err and "balances.npy" in err and "re-run fit" in err
+    assert str(run) in err and "ridge.npy" in err and "re-run fit" in err
 
 
-def test_read_chain_rejects_balance_rows_that_disagree_with_xi(sim_dir, tmp_path):
+def test_read_chain_rejects_ridge_blocks_that_disagree_with_the_samples(sim_dir, tmp_path):
     run = tmp_path / "o"
     assert main(["fit", str(sim_dir / "rep000"), "--out", str(run),
                  "--init-xi-frac", "0.5", *FAST_FIT]) == 0
-    block = np.load(run / "balances.npy")
-    assert len(block) == np.load(run / "xi.npy").sum() > 0
-    for rows in (block[1:], np.vstack([block, block[:1]])):
-        np.save(run / "balances.npy", rows)
-        with pytest.raises(ValueError, match=re.escape(str(run / "balances.npy"))):
-            dio.read_chain(run)
+    good = {name: np.load(run / f"{name}.npy") for name in ("ridge", "fits")}
+    assert len(good["ridge"]) == np.load(run / "xi.npy").sum() > 0
+    assert good["fits"].shape == (10, 12)
+    # ridge rows other than xi.sum(), and fits other than S x N
+    for name, block in good.items():
+        for bad in (block[1:], np.vstack([block, block[:1]]), block[:, 1:].ravel()):
+            np.save(run / f"{name}.npy", bad)
+            with pytest.raises(ValueError, match=re.escape(str(run / f"{name}.npy"))):
+                dio.read_chain(run)
+        np.save(run / f"{name}.npy", block)
+    dio.read_chain(run)
 
 
 def test_cli_predict_without_selected_balances_is_a0_hat(sim_dir, tmp_path):

@@ -21,7 +21,7 @@ from dmjoint.predict import (
     predict_y,
 )
 from dmjoint.sampler import ChainOutput, SamplerConfig
-from oracles import balance_block, one_sample_at_a_time
+from oracles import one_sample_at_a_time, ridge_blocks
 
 
 def sparse_phi(phi):
@@ -31,20 +31,22 @@ def sparse_phi(phi):
     return {"phi_index": index, "phi_value": phi.ravel()[index], "phi_shape": phi.shape}
 
 
-def make_chain(alpha, phi, xi, psi=None, spec=None, hyper=None):
-    """A joint chain of the given samples. Its balance block is built from the
-    compositions ``psi`` on ``spec``, as the sampler builds it; without ``psi``
-    it is empty."""
+def make_chain(alpha, phi, xi, psi=None, spec=None, hyper=None, Y=None):
+    """A joint chain of the given samples. Its ridge blocks are the fits of
+    ``Y`` on the balances of the compositions ``psi`` on ``spec``, as the
+    sampler fits them; without ``psi`` they are empty."""
     alpha = np.asarray(alpha, dtype=float)
     xi = np.asarray(xi, dtype=np.uint8)
     cfg = SamplerConfig(iterations=2, burn_in=1, thin=1)
+    ridge, fits = ((np.empty((0, 3)), np.empty((len(alpha), 0))) if psi is None
+                   else ridge_blocks(psi, xi, Y, spec, hyper or Hyperparams()))
     return ChainOutput(
         alpha=alpha,
         **sparse_phi(phi),
         xi=xi,
         psi=np.empty((len(alpha), 0, 0)),
-        balances=(np.empty((0, 0)) if psi is None
-                  else balance_block(psi, xi, spec, hyper or Hyperparams())),
+        ridge=ridge,
+        fits=fits,
         log_posterior=np.zeros(2),
         accept={},
         config=cfg,
@@ -128,7 +130,7 @@ def test_predict_y_matches_scalar_ridge_oracle():
     train, psi, spec, hyper = single_sample_fixture(rng)
     J = 3
     chain = make_chain(np.zeros((1, J)), np.zeros((1, J, 2)), np.array([[1, 0]]), psi,
-                       spec, hyper)
+                       spec, hyper, Y=train.Y)
     Z_test = rng.integers(0, 40, size=(4, J))
     X_test = rng.normal(size=(4, 2))
     got = predict_y(chain, train, TestSet(Z_test=Z_test, X_test=X_test),
@@ -152,7 +154,7 @@ def test_predict_y_empty_model_is_constant():
     rng = np.random.default_rng(3)
     train, psi, spec, hyper = single_sample_fixture(rng)
     chain = make_chain(np.zeros((1, 3)), np.zeros((1, 3, 2)), np.array([[0, 0]]), psi,
-                       spec, hyper)
+                       spec, hyper, Y=train.Y)
     got = predict_y(chain, train,
                     TestSet(Z_test=rng.integers(0, 20, size=(5, 3)),
                             X_test=rng.normal(size=(5, 2))), spec, hyper)
@@ -171,7 +173,7 @@ def test_fitted_y_recovers_noiseless_balance_response():
     train = Dataset(Y=Y, Z=np.ones((n, J), dtype=int), X=np.zeros((n, 1)))
     chain = make_chain(np.zeros((1, J)), np.zeros((1, J, 1)),
                        np.array([[1, 0, 0]]),
-                       psi[None, :, :], spec, hyper)
+                       psi[None, :, :], spec, hyper, Y=train.Y)
     got = fitted_y(chain, train, hyper)
     assert np.allclose(got, Y, atol=1e-5)
 
@@ -197,7 +199,8 @@ def test_predictions_invariant_to_partition_choice_in_full_model():
     ])
     # the chain keeps balances, so each partition has its own chain
     chain_a, chain_b = (make_chain(np.zeros((1, J)), np.zeros((1, J, 1)),
-                                   np.array([[1, 1, 1]]), psi[None, :, :], spec, hyper)
+                                   np.array([[1, 1, 1]]), psi[None, :, :], spec, hyper,
+                                   Y=train.Y)
                         for spec in (spec_a, spec_b))
     pa = predict_y(chain_a, train, test, spec_a, hyper)
     pb = predict_y(chain_b, train, test, spec_b, hyper)
@@ -213,7 +216,7 @@ def test_pointwise_loglik_matches_normal_oracle():
     rng = np.random.default_rng(6)
     train, psi, spec, hyper = single_sample_fixture(rng, n=10)
     chain = make_chain(np.zeros((1, 3)), np.zeros((1, 3, 2)), np.array([[0, 0]]), psi,
-                       spec, hyper)
+                       spec, hyper, Y=train.Y)
     ll = pointwise_loglik(chain, train, hyper)
     assert ll.shape == (10, 1)
     n = 10
@@ -229,7 +232,7 @@ def test_pointwise_loglik_identical_samples_identical_columns():
     train, psi, spec, hyper = single_sample_fixture(rng, n=8)
     psi2 = np.repeat(psi, 3, axis=0)
     chain = make_chain(np.zeros((3, 3)), np.zeros((3, 3, 2)), np.tile([1, 0], (3, 1)),
-                       psi2, spec, hyper)
+                       psi2, spec, hyper, Y=train.Y)
     ll = pointwise_loglik(chain, train, hyper)
     assert ll.shape == (8, 3)
     assert np.array_equal(ll[:, 0], ll[:, 1])
@@ -252,9 +255,10 @@ def test_joint_outputs_match_one_sample_at_a_time():
     psi = np.stack([random_simplex(rng, n, J) for _ in range(S)])
     phi = rng.normal(size=(S, J, P)) * (rng.random((S, J, P)) < 0.3)
     spec, hyper = sbp_pivot(J), Hyperparams()
-    chain = make_chain(rng.normal(size=(S, J)), phi, xi, psi, spec, hyper)
+    alpha = rng.normal(size=(S, J))
     Y = rng.normal(size=n)
     Y -= Y.mean()
+    chain = make_chain(alpha, phi, xi, psi, spec, hyper, Y=Y)
     train = Dataset(Y=Y, Z=rng.integers(1, 30, size=(n, J)), X=rng.normal(size=(n, P)))
     test = TestSet(Z_test=rng.integers(0, 30, size=(4, J)), X_test=rng.normal(size=(4, P)))
     psi_test = estimate_psi_test(estimate_lambda_test(chain, test.X_test), test.Z_test)

@@ -20,6 +20,7 @@ from dmjoint.model import (
     flip_log_marginals,
     log_marginal_y,
     marginal_gram,
+    ridge_fit,
     sbp_pivot,
     spike_slab_logprior,
 )
@@ -598,7 +599,8 @@ def test_run_chain_retained_count_and_determinism():
     out1 = run_chain(train, hyper, spec, cfg)
     out2 = run_chain(train, hyper, spec, cfg)
     assert np.array_equal(out1.alpha, out2.alpha)
-    assert np.array_equal(out1.balances, out2.balances)
+    assert np.array_equal(out1.ridge, out2.ridge)
+    assert np.array_equal(out1.fits, out2.fits)
     assert np.array_equal(out1.xi, out2.xi)
     assert np.array_equal(out1.log_posterior, out2.log_posterior)
     # only a dm_only chain keeps a mean composition
@@ -697,19 +699,20 @@ def test_run_chain_preserves_state_invariants():
         estimate_lambda_test(out, test.X_test),
         build_gamma(out.alpha.mean(axis=0), dense.mean(axis=0), test.X_test)[1])
     assert np.all(np.isfinite(out.log_posterior))
-    # a joint chain keeps each sample's selected standardized balance columns
+    # a joint chain keeps each sample's ridge fit on its selected standardized
+    # balance columns, whose means are 0, so every fit has mean 0
     assert out.psi.shape == (S, 0, 0) and out.psi_mean is None
-    assert out.balances.shape == (out.xi.sum(), train.n_subjects + 2)
-    assert np.all(np.isfinite(out.balances))
-    for B_sel, _, _ in out.selected_balances():
-        np.testing.assert_allclose(B_sel.mean(axis=0), 0.0, rtol=0, atol=1e-12)
-        np.testing.assert_allclose(B_sel.std(axis=0, ddof=1), 1.0, rtol=0, atol=1e-12)
+    assert out.ridge.shape == (out.xi.sum(), 3)
+    assert out.fits.shape == (S, train.n_subjects) == (S, out.n_subjects)
+    assert np.all(np.isfinite(out.ridge)) and np.all(np.isfinite(out.fits))
+    assert np.all(out.ridge[:, 2] > 0)  # the columns' sds
+    np.testing.assert_allclose(out.fits.mean(axis=1), 0.0, rtol=0, atol=1e-12)
     # and a dm_only chain the mean of its compositions, no sample of them
     dm = run_chain(train, Hyperparams(), sbp_pivot(train.n_taxa),
                    replace(cfg, mode="dm_only"))
     assert dm.psi.shape == (S, 0, 0)
     assert dm.psi_mean.shape == (train.n_subjects, train.n_taxa)
-    assert dm.balances.shape == (0, 0)
+    assert dm.ridge.shape == (0, 3) and dm.fits.shape == (S, 0)
     assert np.all(dm.psi_mean > 0)
     assert np.all(np.abs(dm.psi_mean.sum(axis=1) - 1.0) < 1e-10)
 
@@ -737,9 +740,34 @@ def test_dm_only_chain_holds_no_composition_samples():
     assert peak < S * N * J * 8 / 2
 
 
-def test_joint_chain_keeps_the_balance_columns_the_sweep_built(monkeypatch):
+def test_joint_chain_holds_no_balance_columns():
+    # a joint chain keeps 3 floats per selected balance and N fitted values
+    # per sample, so its traced peak stays below half of the N + 2 floats per
+    # selected balance that a chain keeping the selected columns would hold.
+    # A balance prior of inclusion odds 9 has each sample select most of the
+    # 29 balances, so the columns would outweigh the chain's other blocks.
+    cfg = SimConfig(N=40, P=3, J=30, n_true_cov=2, n_true_bal=6,
+                    zdot_low=200, zdot_high=400, seed=0)
+    train, _, _ = gen_replicate(cfg, replicate_rng(0, 0))
+    train, _, _ = preprocess(train)
+    hyper, spec = Hyperparams(a_m=9.0, b_m=1.0), sbp_pivot(train.n_taxa)
+    chain = SamplerConfig(iterations=410, burn_in=10, thin=1, seed=5, init_xi_frac=0.5)
+    # a first short chain loads scipy and numpy's caches outside the trace
+    run_chain(train, hyper, spec, replace(chain, iterations=12))
+    tracemalloc.start()
+    try:
+        out = run_chain(train, hyper, spec, chain)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    S, N = out.n_samples, train.n_subjects
+    assert (S, N, train.n_taxa) == (400, 40, 30)
+    assert peak < out.xi.sum() * (N + 2) * 8 / 2
+
+
+def test_joint_chain_keeps_the_ridge_fits_of_the_columns_the_sweep_built(monkeypatch):
     # every iteration's compositions and standardized balances, as the sweep
-    # built them, against what the chain kept of its retained samples
+    # built them, against the ridge fits the chain kept of its retained samples
     train, test, _ = small_fixture(seed=1)
     hyper, spec = Hyperparams(), sbp_pivot(train.n_taxa)
     psi, built = [], []
@@ -761,16 +789,18 @@ def test_joint_chain_keeps_the_balance_columns_the_sweep_built(monkeypatch):
     out = run_chain(train, hyper, spec, cfg)
     assert len(psi) == len(built) == 300
     psi, built = np.stack(psi[100:]), built[100:]
-    kept = list(out.selected_balances())
+    kept = list(out.ridge_fits())
     assert len(kept) == out.n_samples == 200
-    for (B_std, means, sds), (B_sel, m_sel, sd_sel), xi_s in zip(built, kept, out.xi):
+    assert len(out.ridge) == out.xi.sum() > 0
+    for (B_std, means, sds), (beta, m_sel, sd_sel, fit), xi_s in zip(built, kept, out.xi):
         sel = xi_s == 1
-        assert B_sel.tobytes() == B_std[:, sel].tobytes()
-        assert B_sel.strides == B_std[:, sel].strides  # the layout the fits' bits need
+        want_beta, want_fit = ridge_fit(B_std[:, sel], train.Y, hyper)
+        assert beta.tobytes() == want_beta.tobytes()
+        assert fit.tobytes() == want_fit.tobytes()
         assert m_sel.tobytes() == means[sel].tobytes()
         assert sd_sel.tobytes() == sds[sel].tobytes()
 
-    # the ridge pass over the kept columns has the bits of rebuilding every
+    # the ridge pass over the kept fits has the bits of rebuilding every
     # sample's balances from its composition
     psi_test = estimate_psi_test(estimate_lambda_test(out, test.X_test), test.Z_test)
     fit, pred, ll = one_sample_at_a_time(psi, out.xi, train.Y, psi_test, spec, hyper)

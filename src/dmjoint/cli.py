@@ -110,7 +110,8 @@ def _fit_one(repdir: Path, outdir: Path, model: str, hyper: Hyperparams,
     spec = (PartitionSpec.from_file(partition_file) if partition_file
             else sbp_pivot(train.n_taxa))
     outdir.mkdir(parents=True, exist_ok=True)
-    extra = {"dataset": str(repdir), "preprocess": prep_stats, "model": model}
+    extra = {"dataset": str(repdir), "preprocess": prep_stats, "model": model,
+             "train_sha256": dio.train_digest(train_raw)}
     if model == "joint":
         chain = run_chain(train, hyper, spec, config)
         dio.write_chain(outdir, chain, hyper, extra=extra)
@@ -196,6 +197,9 @@ def cmd_predict(args) -> int:
     if args.train_dir is None and "dataset" not in summary:
         raise ValueError(f"{chain_dir / 'summary.json'} has no key 'dataset'; pass "
                          "--train-dir, or re-run fit to rewrite it")
+    if "train_sha256" not in summary:
+        raise ValueError(f"{chain_dir / 'summary.json'} has no key 'train_sha256'; "
+                         "re-run fit to rewrite it")
     spec = PartitionSpec.from_file(rundir / PARTITION_FILE)
     train_dir = Path(args.train_dir or summary["dataset"])
     test_dir = Path(args.test_dir or train_dir)
@@ -209,6 +213,10 @@ def cmd_predict(args) -> int:
             print(f"error: the fit in {rundir} has {dim}={fitted} but the training "
                   f"data in {train_dir} has {dim}={given}", file=sys.stderr)
             return 1
+    if dio.train_digest(train_raw) != summary["train_sha256"]:
+        print(f"error: the training data in {train_dir} differ from the data the fit "
+              f"in {rundir} used", file=sys.stderr)
+        return 1
     n_taxa, n_cov = test_raw.Z_test.shape[1], test_raw.X_test.shape[1]
     if n_taxa != train_raw.n_taxa or n_cov != train_raw.n_covariates:
         print(

@@ -3,7 +3,7 @@
 Datasets, selections, predictions and reports are UTF-8 CSV with a header
 row; reals are written with 17 significant digits so write -> read -> write
 round-trips byte-wise, counts as plain integers. A chain is eight raw
-``.npy`` blocks (``alpha``, ``phi_index``, ``phi_value``, ``psi``,
+``.npy`` blocks (``alpha_mean``, ``phi_index``, ``phi_mean``, ``psi``,
 ``ridge``, ``fits``, ``xi``, ``log_posterior``) in their in-memory shape and
 dtype, so it round-trips bitwise; a block the chain does not keep is written
 empty: the count blocks of an xi-only (stage-2) chain and the ``xi`` of a
@@ -13,21 +13,26 @@ chain keeps composition samples. It stays in the store, and in
 ``check_fit``) reads ``psi`` of every chain it reads back; it can go with
 that check. A ``dm_only`` chain's mean composition, ``psi_mean``, is not
 written: a two-step run records it, normalised, as ``psi_bar.csv``. A joint
-chain keeps each sample's ridge fit on the balances it selected (manifest
-schema 7): ``ridge`` holds one row ``(beta, mean, sd)`` per selection, so its
-rows are ``xi.sum()``, and ``fits`` the S x N fitted values. The other modes
-write ``ridge`` as 0 x 3 and ``fits`` as S x 0. ``phi`` is sparse:
-``phi_index`` holds the ascending flat indices of its non-zero entries in
-the S x J x P block whose shape ``summary.json`` records as ``phi_shape``,
-and ``phi_value`` their values.
-``zeta`` (``phi != 0``) and the MPPIs are derived on load; a ``zeta.npy``,
-``mppi_*.npy`` or (before manifest schema 5) ``u.npy`` of an older writer is
-ignored, and a chain without ``ridge.npy`` (before schema 7) must be fitted
-again. Settings, acceptance counts and provenance are JSON.
+chain keeps each sample's ridge fit on the balances it selected (schema 7):
+``ridge`` holds one row ``(beta, mean, sd)`` per selection, so its rows are
+``xi.sum()``, and ``fits`` the S x N fitted values. The other modes write
+``ridge`` as 0 x 3 and ``fits`` as S x 0. ``phi_index`` holds the ascending
+flat indices of the non-zero entries of the S x J x P ``phi`` block whose
+shape ``summary.json`` records as ``phi_shape``. The count blocks are kept
+as their posterior means (manifest schema 8): ``alpha_mean`` (J) and
+``phi_mean``, the mean ``phi`` at the pairs with ``mppi_zeta > 0`` in C
+order. ``zeta`` (``phi != 0``) and the MPPIs are derived on load; a
+``zeta.npy``, ``mppi_*.npy`` or (before manifest schema 5) ``u.npy`` of an
+older writer is ignored, and a chain without ``ridge.npy`` (before schema 7)
+or ``alpha_mean.npy`` (before schema 8) must be fitted again. Settings,
+acceptance counts and provenance are JSON; a fit's ``summary.json`` also
+records ``train_sha256``, a digest of the training data it read
+(``train_digest``), so ``predict`` can refuse other data.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import time
 from dataclasses import asdict
@@ -70,7 +75,7 @@ def write_manifest(outdir, command: str, config: dict, seed, inputs, started: fl
         "output": str(outdir),
         "duration_s": round(time.time() - started, 3),
         "version": __version__,
-        "schema_version": 7,
+        "schema_version": 8,
     }
     with open(outdir / "manifest.json", "w") as f:
         json.dump(manifest, f, indent=2, sort_keys=True)
@@ -114,6 +119,15 @@ def read_train(repdir) -> Dataset:
     )
 
 
+def train_digest(train: Dataset) -> str:
+    """SHA-256 of the training ``Y``, ``Z`` and ``X`` values, shapes and dtypes."""
+    h = hashlib.sha256()
+    for arr in (train.Y, train.Z, train.X):
+        h.update(f"{arr.dtype.str}{arr.shape}".encode())
+        h.update(arr.tobytes())
+    return h.hexdigest()
+
+
 def read_test(repdir) -> TestSet:
     repdir = Path(repdir)
     y_path = repdir / "test_y.csv"
@@ -141,7 +155,7 @@ def read_truth(repdir) -> GroundTruth:
 # ---------------------------------------------------------------------------
 
 
-_BLOCKS = ("alpha", "phi_index", "phi_value", "psi", "ridge", "fits", "xi",
+_BLOCKS = ("alpha_mean", "phi_index", "phi_mean", "psi", "ridge", "fits", "xi",
            "log_posterior")
 
 
@@ -189,14 +203,18 @@ def read_chain(rundir) -> tuple[ChainOutput, Hyperparams, dict]:
     except TypeError as e:
         raise ValueError(f"{path} does not match this version of dmjoint ({e}); "
                          "re-run fit to rewrite it") from e
-    mode, S, selected = chain.config.mode, chain.n_samples, int(chain.xi.sum())
-    # a joint sample keeps one (beta, mean, sd) row per selected balance and N
-    # fitted values; the other modes keep neither
+    mode, (S, J, _) = chain.config.mode, chain.phi_shape
+    selected, included = int(chain.xi.sum()), int(np.count_nonzero(chain.mppi_zeta))
+    # the means cover J taxa and the pairs some sample included; a joint sample
+    # keeps one (beta, mean, sd) row per selected balance and N fitted values,
+    # and the other modes keep neither
     n = chain.fits.shape[-1:] if mode == "joint" else (0,)
-    for name, want in (("ridge", (selected if mode == "joint" else 0, 3)), ("fits", (S, *n))):
+    for name, want in (("alpha_mean", (J,)), ("phi_mean", (included,)),
+                       ("ridge", (selected if mode == "joint" else 0, 3)), ("fits", (S, *n))):
         shape = getattr(chain, name).shape
         if shape != want:
             raise ValueError(f"{rundir / (name + '.npy')} has shape {shape}, but this {mode} "
-                             f"chain of {S} samples selecting {selected} balances needs "
-                             f"{want}; re-run fit to rewrite it")
+                             f"chain of {S} samples over {J} taxa, including {included} "
+                             f"pairs and selecting {selected} balances, needs {want}; "
+                             "re-run fit to rewrite it")
     return chain, hyper, summary

@@ -65,8 +65,9 @@ def estimate_lambda_test(chain: ChainOutput, X_test) -> np.ndarray:
     """Exponential of the posterior-mean linear predictor for test subjects."""
     if chain.n_samples < 1:
         raise ValueError("chain has no retained samples")
-    phi_mean = chain.pair_sums(chain.phi_value) / chain.n_samples
-    return build_gamma(chain.alpha.mean(axis=0), phi_mean, X_test)[1]
+    phi_mean = np.zeros(chain.phi_shape[1:])
+    phi_mean[chain.mppi_zeta > 0] = chain.phi_mean
+    return build_gamma(chain.alpha_mean, phi_mean, X_test)[1]
 
 
 def estimate_psi_test(lambda_hat, Z_test) -> np.ndarray:

@@ -21,9 +21,12 @@ None.
 The spike is a point mass at 0, so a pair is included exactly when its
 ``phi`` is non-zero: ``phi`` and ``xi`` are the only record of the
 selections, and ``ChainOutput`` derives ``zeta = phi != 0`` and both MPPIs.
-Few pairs are included, so a chain keeps only the non-zero ``phi`` entries of
-each retained sample, as flat indices into the S x J x P block and their
-values. The composition reaches the response only through the ridge fit on
+Few pairs are included, so a chain keeps only where ``phi`` is non-zero in
+each retained sample, as flat indices into the S x J x P block. Prediction
+reads the count blocks only through their posterior means, so the chain sums
+the retained ``alpha`` and ``phi`` in sample order, with the bits of
+``mean(axis=0)`` over the stacked samples, and keeps those means, not the
+samples. The composition reaches the response only through the ridge fit on
 the balances a sample selected, so a joint chain runs that fit
 (``model.ridge_fit``) on the slice of the balances the sweep built at each
 retained iteration, and keeps, in place of the sample's S x N x J
@@ -125,11 +128,15 @@ class SamplerConfig:
 
 @dataclass
 class ChainOutput:
-    """Thinned post-burn-in samples plus the summaries derived from them.
+    """What a chain keeps of its thinned post-burn-in samples, and the
+    summaries derived from them.
 
-    ``phi`` is kept sparse: ``phi_index`` holds the ascending flat indices of
-    the non-zero entries of the S x J x P block ``phi_shape``, and
-    ``phi_value`` their values.
+    Of the count blocks a chain keeps each sample's inclusions and the
+    posterior means: ``phi_index`` holds the ascending flat indices of the
+    non-zero entries of the S x J x P ``phi`` block ``phi_shape``,
+    ``alpha_mean`` the mean intercepts, and ``phi_mean`` the mean ``phi`` at
+    the pairs some sample included (``mppi_zeta > 0``), in C order; it is 0
+    at every other pair.
 
     A joint chain keeps, in place of each sample's composition, the ridge
     fit on the balances it selected (``model.ridge_fit``): ``ridge`` stacks,
@@ -143,9 +150,9 @@ class ChainOutput:
     ``io``).
     """
 
-    alpha: np.ndarray  # S x J
+    alpha_mean: np.ndarray  # J
     phi_index: np.ndarray  # int64, ascending flat indices into phi_shape
-    phi_value: np.ndarray  # phi at phi_index
+    phi_mean: np.ndarray  # mean phi at the pairs with mppi_zeta > 0
     phi_shape: tuple  # (S, J, P)
     xi: np.ndarray  # S x M, uint8; S x 0 in dm_only
     psi: np.ndarray  # S x 0 x 0 in every mode
@@ -164,7 +171,7 @@ class ChainOutput:
 
     @property
     def n_samples(self) -> int:
-        return self.alpha.shape[0]
+        return self.phi_shape[0]
 
     @property
     def n_subjects(self) -> int:
@@ -178,16 +185,11 @@ class ChainOutput:
         zeta.ravel()[self.phi_index] = 1
         return zeta
 
-    def pair_sums(self, weights=None) -> np.ndarray:
-        """J x P sums over the samples of ``weights`` (one per stored entry),
-        or of the inclusion indicators when None.
-
-        Each pair's terms are added in sample order, as ``sum(axis=0)`` of the
-        dense block adds them.
-        """
+    def pair_sums(self) -> np.ndarray:
+        """J x P counts of the samples that include each pair."""
         _, J, P = self.phi_shape
         pairs = self.phi_index % (J * P) if J * P else self.phi_index
-        return np.bincount(pairs, weights, minlength=J * P).reshape(J, P)
+        return np.bincount(pairs, minlength=J * P).reshape(J, P)
 
     def ridge_fits(self):
         """Each sample's ``(beta, means, sds, fit)``, read from its rows of
@@ -518,7 +520,8 @@ def run_chain(
     if balances is not None and np.shape(balances) != (n, M):
         raise ValueError(f"balances must be {n} x {M}, got {np.shape(balances)}")
     state = initial_state(data, config, rng)
-    contrast = spec.contrast_matrix()
+    # only a joint chain rebuilds balances from its compositions
+    contrast = spec.contrast_matrix() if mode == "joint" else None
 
     S = config.n_retained
     # lm_only keeps no count samples and dm_only no balance samples: the
@@ -526,8 +529,11 @@ def run_chain(
     # (a joint sample keeps its ridge fit); dm_only sums them
     Jk, Pk = (0, 0) if mode == "lm_only" else (J, P)
     Mk = 0 if mode == "dm_only" else M
-    out_alpha = np.empty((S, Jk))
-    phi_index, phi_value = [np.empty(0, dtype=np.int64)], [np.empty(0)]
+    # the count blocks are read only through their means: sum them in sample
+    # order, as mean(axis=0) over the stacked samples adds them
+    alpha_sum, phi_sum = np.zeros(Jk), np.zeros((Jk, Pk))
+    included = np.zeros(Jk * Pk, dtype=bool)  # pairs some sample included
+    phi_index = [np.empty(0, dtype=np.int64)]
     out_xi = np.empty((S, Mk), dtype=np.uint8)
     psi_sum = np.zeros((n, J)) if mode == "dm_only" else None
     out_ridge = [np.empty((0, 3))]
@@ -566,10 +572,11 @@ def run_chain(
         t = it + 1
         if t > config.burn_in and (t - config.burn_in) % config.thin == 0:
             if mode != "lm_only":
-                out_alpha[s] = state.alpha
+                alpha_sum += state.alpha
+                phi_sum += state.phi
                 flat = np.flatnonzero(state.phi)
+                included[flat] = True
                 phi_index.append(flat + s * J * P)
-                phi_value.append(state.phi.ravel()[flat])
             if mode == "dm_only":
                 psi_sum += state.psi
             else:
@@ -582,9 +589,9 @@ def run_chain(
 
     assert s == S
     return ChainOutput(
-        alpha=out_alpha,
+        alpha_mean=alpha_sum / S,
         phi_index=np.concatenate(phi_index),
-        phi_value=np.concatenate(phi_value),
+        phi_mean=(phi_sum / S).ravel()[included],  # mppi_zeta > 0
         phi_shape=(S, Jk, Pk),
         xi=out_xi,
         psi=np.empty((S, 0, 0)),

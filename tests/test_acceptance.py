@@ -217,8 +217,8 @@ def test_criterion_a6_ridge_prediction_oracle():
     cfg = SamplerConfig(iterations=2, burn_in=1, thin=1)
     ridge, fits = ridge_blocks(psi[None, :, :], [[1, 0]], Y, spec, hyper)
     chain = ChainOutput(
-        alpha=np.zeros((1, J)), phi_index=np.empty(0, dtype=np.int64),
-        phi_value=np.empty(0), phi_shape=(1, J, 2),
+        alpha_mean=np.zeros(J), phi_index=np.empty(0, dtype=np.int64),
+        phi_mean=np.empty(0), phi_shape=(1, J, 2),
         xi=np.array([[1, 0]], dtype=np.uint8), psi=np.empty((1, 0, 0)),
         ridge=ridge, fits=fits,
         log_posterior=np.zeros(2), accept={}, config=cfg,

@@ -166,7 +166,7 @@ def test_two_step_keeps_psi_bar_not_stage_one_compositions():
     assert two.stage1.psi.shape == (cfg.n_retained, 0, 0)
     psi_bar = dm.psi_mean / dm.psi_mean.sum(axis=1, keepdims=True)
     assert two.psi_bar.tobytes() == psi_bar.tobytes()
-    for name in ("alpha", "phi_index", "phi_value", "xi", "psi_mean", "log_posterior"):
+    for name in ("alpha_mean", "phi_index", "phi_mean", "xi", "psi_mean", "log_posterior"):
         a, b = getattr(two.stage1, name), getattr(dm, name)
         assert a.dtype == b.dtype and a.shape == b.shape, name
         assert a.tobytes() == b.tobytes(), name

@@ -67,7 +67,7 @@ def test_replicate_round_trip(tmp_path):
     assert np.array_equal(btr.psi_star, truth.psi_star)
 
 
-CHAIN_BLOCKS = {"alpha.npy", "phi_index.npy", "phi_value.npy", "psi.npy", "ridge.npy",
+CHAIN_BLOCKS = {"alpha_mean.npy", "phi_index.npy", "phi_mean.npy", "psi.npy", "ridge.npy",
                 "fits.npy", "xi.npy", "log_posterior.npy"}
 
 
@@ -98,7 +98,7 @@ def test_chain_round_trip(tmp_path):
         back, hyper, summary = dio.read_chain(rundir)
         assert_chains_equal(back, chain)
         assert back.zeta.dtype == back.xi.dtype == np.uint8
-        assert back.phi_index.dtype == np.int64 and back.phi_value.dtype == np.float64
+        assert back.phi_index.dtype == np.int64 and back.phi_mean.dtype == np.float64
         assert hyper == Hyperparams()
         assert summary["note"] == "test"
 
@@ -129,7 +129,7 @@ def test_chains_hold_no_dense_phi(tmp_path):
 
 
 def assert_chains_equal(back, chain):
-    for name in ("alpha", "phi_index", "phi_value", "zeta", "xi", "psi", "ridge", "fits",
+    for name in ("alpha_mean", "phi_index", "phi_mean", "zeta", "xi", "psi", "ridge", "fits",
                  "log_posterior", "mppi_zeta", "mppi_xi"):
         a, b = getattr(back, name), getattr(chain, name)
         assert a.dtype == b.dtype and np.array_equal(a, b), name
@@ -234,7 +234,7 @@ def test_cli_fit_two_step(sim_dir, tmp_path):
     for stage in ("stage1", "stage2"):
         assert {p.name for p in (fit_dir / stage).glob("*.npy")} == CHAIN_BLOCKS
     # stage 2 keeps no count samples: its count blocks are empty
-    assert np.load(fit_dir / "stage2" / "alpha.npy").size == 0
+    assert np.load(fit_dir / "stage2" / "alpha_mean.npy").size == 0
     # stage 1 keeps no balance or composition samples; psi_bar.csv records
     # its compositions
     assert np.load(fit_dir / "stage1" / "xi.npy").shape == (10, 0)
@@ -333,7 +333,7 @@ def test_cli_fit_deterministic(sim_dir, tmp_path):
     args = ["fit", str(sim_dir / "rep000"), "--seed", "9", *FAST_FIT]
     assert main(args + ["--out", str(a)]) == 0
     assert main(args + ["--out", str(b)]) == 0
-    for name in ("alpha.npy", "phi_index.npy", "phi_value.npy", "xi.npy",
+    for name in ("alpha_mean.npy", "phi_index.npy", "phi_mean.npy", "xi.npy",
                  "selected_zeta.csv"):
         assert (a / name).read_bytes() == (b / name).read_bytes()
 
@@ -417,6 +417,34 @@ def test_cli_predict_rejects_train_dir_of_other_size(sim_dir, tmp_path, capsys):
     assert "test dimensions (J=5, P=4)" in capsys.readouterr().err
 
 
+def test_cli_predict_rejects_other_training_data(sim_dir, tmp_path, capsys):
+    # a replicate of the same N, J and P is refused; a copy of the fit's own
+    # training data elsewhere predicts the same bytes
+    other, copy = tmp_path / "seed4", tmp_path / "copy"
+    assert main(["simulate", "--out", str(other), "--seed", "4", "--n", "12",
+                 "--p", "3", "--j", "5", "--n-true-cov", "2", "--n-true-bal", "1"]) == 0
+    shutil.copytree(sim_dir / "rep000", copy)
+    for model in ("joint", "dmlm-bayes"):
+        run = tmp_path / model
+        assert main(["fit", str(sim_dir / "rep000"), "--out", str(run), "--model", model,
+                     *FAST_FIT]) == 0
+        capsys.readouterr()
+        assert main(["predict", str(run), "--train-dir", str(other / "rep000"),
+                     "--test-dir", str(sim_dir / "rep000"), "--out", str(tmp_path / "x")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert str(other / "rep000") in err and str(run) in err and "differ" in err
+        assert not (tmp_path / "x").exists()
+        assert main(["predict", str(run)]) == 0
+        assert main(["predict", str(run), "--train-dir", str(copy),
+                     "--out", str(run / "copy")]) == 0
+        names = [p.name for p in (run / "predictions").glob("*.csv")]
+        assert "predictions.csv" in names
+        for name in names:
+            assert ((run / "copy" / name).read_bytes()
+                    == (run / "predictions" / name).read_bytes()), (model, name)
+
+
 def test_cli_invalid_hyperparameter_is_runtime_error(sim_dir, tmp_path):
     code = main(["fit", str(sim_dir / "rep000"), "--out", str(tmp_path / "o"),
                  "--b0", "-1.0", *FAST_FIT])
@@ -481,15 +509,13 @@ def test_cli_predict_old_csv_chain_exits_1(sim_dir, tmp_path, capsys):
 
 
 def test_cli_predict_schema_3_chain_exits_1(sim_dir, tmp_path, capsys):
-    # a chain written with a dense phi.npy in place of phi_index/phi_value
+    # a chain written with a dense phi.npy in place of phi_index/phi_mean
     run = tmp_path / "o"
     assert main(["fit", str(sim_dir / "rep000"), "--out", str(run), *FAST_FIT]) == 0
     chain, _, _ = dio.read_chain(run)
     (run / "phi_index.npy").unlink()
-    (run / "phi_value.npy").unlink()
-    dense = np.zeros(chain.phi_shape)
-    dense.ravel()[chain.phi_index] = chain.phi_value
-    np.save(run / "phi.npy", dense)
+    (run / "phi_mean.npy").unlink()
+    np.save(run / "phi.npy", chain.zeta.astype(float))
     capsys.readouterr()
     assert main(["predict", str(run)]) == 1
     err = capsys.readouterr().err
@@ -511,6 +537,41 @@ def test_cli_predict_schema_6_joint_chain_exits_1(sim_dir, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith("error: ")
     assert str(run) in err and "ridge.npy" in err and "re-run fit" in err
+
+
+def test_cli_predict_schema_7_chain_exits_1(sim_dir, tmp_path, capsys):
+    # a chain that kept every sample's alpha and phi values, not their means
+    run = tmp_path / "o"
+    assert main(["fit", str(sim_dir / "rep000"), "--out", str(run), *FAST_FIT]) == 0
+    chain, _, _ = dio.read_chain(run)
+    (run / "alpha_mean.npy").unlink()
+    (run / "phi_mean.npy").unlink()
+    np.save(run / "alpha.npy", np.tile(chain.alpha_mean, (chain.n_samples, 1)))
+    np.save(run / "phi_value.npy", np.ones(chain.phi_index.size))
+    manifest = dio.read_manifest(run)
+    (run / "manifest.json").write_text(json.dumps({**manifest, "schema_version": 7}))
+    capsys.readouterr()
+    assert main(["predict", str(run)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: ")
+    assert str(run) in err and "alpha_mean.npy" in err and "re-run fit" in err
+
+
+def test_read_chain_rejects_count_means_that_disagree_with_the_samples(sim_dir, tmp_path):
+    run = tmp_path / "o"
+    assert main(["fit", str(sim_dir / "rep000"), "--out", str(run), *FAST_FIT]) == 0
+    good = {name: np.load(run / f"{name}.npy") for name in ("alpha_mean", "phi_mean")}
+    chain = dio.read_chain(run)[0]
+    assert good["alpha_mean"].shape == (5,)
+    assert good["phi_mean"].shape == (np.count_nonzero(chain.mppi_zeta),) != (0,)
+    # a mean other than one per taxon, or one per pair some sample included
+    for name, block in good.items():
+        for bad in (block[1:], np.append(block, 1.0), block[:, None]):
+            np.save(run / f"{name}.npy", bad)
+            with pytest.raises(ValueError, match=re.escape(str(run / f"{name}.npy"))):
+                dio.read_chain(run)
+        np.save(run / f"{name}.npy", block)
+    dio.read_chain(run)
 
 
 def test_read_chain_rejects_ridge_blocks_that_disagree_with_the_samples(sim_dir, tmp_path):
@@ -561,11 +622,11 @@ def test_cli_predict_chain_missing_a_block_exits_1(sim_dir, tmp_path, capsys):
     run = tmp_path / "two"
     assert main(["fit", str(sim_dir / "rep000"), "--out", str(run),
                  "--model", "dmlm-bayes", *FAST_FIT]) == 0
-    (run / "stage2" / "alpha.npy").unlink()
+    (run / "stage2" / "alpha_mean.npy").unlink()
     assert main(["predict", str(run)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "re-run fit" in err
-    assert str(run / "stage2") in err and "alpha.npy" in err
+    assert str(run / "stage2") in err and "alpha_mean.npy" in err
 
 
 @pytest.mark.parametrize("model", ["joint", "dmlm-bayes"])
@@ -573,7 +634,8 @@ def test_cli_predict_chain_missing_a_block_exits_1(sim_dir, tmp_path, capsys):
     (lambda summary: summary.pop("phi_shape"), "has no key 'phi_shape'"),
     (lambda summary: summary["hyperparams"].update(bogus=1.0), "'bogus'"),
     (lambda summary: summary.pop("dataset"), "has no key 'dataset'; pass --train-dir"),
-], ids=["no-phi-shape", "unknown-hyperparameter", "no-dataset"])
+    (lambda summary: summary.pop("train_sha256"), "has no key 'train_sha256'"),
+], ids=["no-phi-shape", "unknown-hyperparameter", "no-dataset", "no-train-digest"])
 def test_cli_predict_malformed_summary_exits_1(sim_dir, tmp_path, capsys, model,
                                                damage, message):
     run = tmp_path / "o"

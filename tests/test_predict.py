@@ -24,11 +24,13 @@ from dmjoint.sampler import ChainOutput, SamplerConfig
 from oracles import one_sample_at_a_time, ridge_blocks
 
 
-def sparse_phi(phi):
-    """The (index, value, shape) fields of ChainOutput for a dense S x J x P phi."""
+def phi_blocks(phi):
+    """The (index, mean, shape) fields of ChainOutput for a dense S x J x P phi:
+    the mean is kept at the pairs some sample includes."""
     phi = np.asarray(phi, dtype=float)
-    index = np.flatnonzero(phi)
-    return {"phi_index": index, "phi_value": phi.ravel()[index], "phi_shape": phi.shape}
+    included = (phi != 0).any(axis=0)
+    return {"phi_index": np.flatnonzero(phi), "phi_mean": phi.mean(axis=0)[included],
+            "phi_shape": phi.shape}
 
 
 def make_chain(alpha, phi, xi, psi=None, spec=None, hyper=None, Y=None):
@@ -41,8 +43,8 @@ def make_chain(alpha, phi, xi, psi=None, spec=None, hyper=None, Y=None):
     ridge, fits = ((np.empty((0, 3)), np.empty((len(alpha), 0))) if psi is None
                    else ridge_blocks(psi, xi, Y, spec, hyper or Hyperparams()))
     return ChainOutput(
-        alpha=alpha,
-        **sparse_phi(phi),
+        alpha_mean=alpha.mean(axis=0),
+        **phi_blocks(phi),
         xi=xi,
         psi=np.empty((len(alpha), 0, 0)),
         ridge=ridge,

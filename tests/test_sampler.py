@@ -598,7 +598,8 @@ def test_run_chain_retained_count_and_determinism():
                         between_moves_per_iter=2)
     out1 = run_chain(train, hyper, spec, cfg)
     out2 = run_chain(train, hyper, spec, cfg)
-    assert np.array_equal(out1.alpha, out2.alpha)
+    assert np.array_equal(out1.alpha_mean, out2.alpha_mean)
+    assert np.array_equal(out1.phi_mean, out2.phi_mean)
     assert np.array_equal(out1.ridge, out2.ridge)
     assert np.array_equal(out1.fits, out2.fits)
     assert np.array_equal(out1.xi, out2.xi)
@@ -680,7 +681,7 @@ def test_state_caches_match_recomputation_after_every_block(monkeypatch):
 
 
 def test_run_chain_preserves_state_invariants():
-    train, test, _ = small_fixture(seed=1)
+    train, _, _ = small_fixture(seed=1)
     cfg = SamplerConfig(iterations=300, burn_in=100, thin=10, seed=4,
                         between_moves_per_iter=5)
     out = run_chain(train, Hyperparams(), sbp_pivot(train.n_taxa), cfg)
@@ -689,15 +690,11 @@ def test_run_chain_preserves_state_invariants():
     index = out.phi_index
     assert index.size and np.all(np.diff(index) > 0)
     assert index[0] >= 0 and index[-1] < S * J * P
-    assert np.all(out.phi_value != 0)
-    dense = np.zeros((S, J, P))
-    dense.ravel()[index] = out.phi_value
-    assert np.array_equal(out.zeta, dense != 0)
-    assert np.array_equal(out.mppi_zeta, (dense != 0).mean(axis=0))
-    assert np.array_equal(out.pair_sums(out.phi_value) / S, dense.mean(axis=0))
-    assert np.array_equal(
-        estimate_lambda_test(out, test.X_test),
-        build_gamma(out.alpha.mean(axis=0), dense.mean(axis=0), test.X_test)[1])
+    assert np.array_equal(out.mppi_zeta, out.zeta.mean(axis=0))
+    # the means: one per taxon, and one per pair some sample included
+    assert out.alpha_mean.shape == (J,)
+    assert out.phi_mean.shape == (np.count_nonzero(out.mppi_zeta),)
+    assert np.all(out.phi_mean != 0)
     assert np.all(np.isfinite(out.log_posterior))
     # a joint chain keeps each sample's ridge fit on its selected standardized
     # balance columns, whose means are 0, so every fit has mean 0
@@ -715,6 +712,40 @@ def test_run_chain_preserves_state_invariants():
     assert dm.ridge.shape == (0, 3) and dm.fits.shape == (S, 0)
     assert np.all(dm.psi_mean > 0)
     assert np.all(np.abs(dm.psi_mean.sum(axis=1) - 1.0) < 1e-10)
+
+
+@pytest.mark.parametrize("mode", ["joint", "dm_only"])
+def test_count_means_are_the_means_of_the_retained_samples(monkeypatch, mode):
+    # every iteration's alpha and phi, as the count blocks leave them, against
+    # the means the chain kept, bit for bit, and the test-set lambda built
+    # from those means
+    train, test, _ = small_fixture(seed=1)
+    hyper, spec = Hyperparams(), sbp_pivot(train.n_taxa)
+    alpha, phi = [], []
+    model_update_u = sampler.update_u
+
+    def update_u(state, *args):
+        model_update_u(state, *args)
+        alpha.append(state.alpha.copy())
+        phi.append(state.phi.copy())
+
+    monkeypatch.setattr(sampler, "update_u", update_u)
+    cfg = SamplerConfig(iterations=120, burn_in=40, thin=2, seed=4,
+                        between_moves_per_iter=5, mode=mode)
+    out = run_chain(train, hyper, spec, cfg)
+    assert len(alpha) == cfg.iterations
+    keep = slice(cfg.burn_in + cfg.thin - 1, None, cfg.thin)
+    alpha, phi = np.stack(alpha[keep]), np.stack(phi[keep])
+    assert len(alpha) == out.n_samples == 40
+    assert np.array_equal(out.zeta, phi != 0)
+    assert out.alpha_mean.tobytes() == alpha.mean(axis=0).tobytes()
+    phi_mean = np.zeros(out.phi_shape[1:])
+    phi_mean[out.mppi_zeta > 0] = out.phi_mean
+    assert phi_mean.tobytes() == phi.mean(axis=0).tobytes()
+    assert 0 < out.phi_mean.size < phi_mean.size
+    assert np.array_equal(
+        estimate_lambda_test(out, test.X_test),
+        build_gamma(alpha.mean(axis=0), phi.mean(axis=0), test.X_test)[1])
 
 
 def test_dm_only_chain_holds_no_composition_samples():
@@ -738,6 +769,31 @@ def test_dm_only_chain_holds_no_composition_samples():
     S, N, J = out.n_samples, train.n_subjects, train.n_taxa
     assert (S, N, J) == (400, 40, 12)
     assert peak < S * N * J * 8 / 2
+
+
+def test_chain_holds_no_count_samples():
+    # a chain sums its intercepts and coefficients as it samples them, so its
+    # traced peak stays below half of one S x J float block; a chain that kept
+    # the intercept samples would hold the whole block. Few subjects and one
+    # covariate keep the per-iteration arrays small against it, and a dm_only
+    # chain builds no J x (J - 1) contrast matrix.
+    cfg = SimConfig(N=6, P=1, J=300, n_true_cov=1, n_true_bal=2,
+                    zdot_low=200, zdot_high=400, seed=0)
+    train, _, _ = gen_replicate(cfg, replicate_rng(0, 0))
+    train, _, _ = preprocess(train)
+    hyper, spec = Hyperparams(), sbp_pivot(train.n_taxa)
+    chain = SamplerConfig(iterations=510, burn_in=10, thin=1, seed=5, mode="dm_only")
+    # a first short chain loads scipy and numpy's caches outside the trace
+    run_chain(train, hyper, spec, replace(chain, iterations=12))
+    tracemalloc.start()
+    try:
+        out = run_chain(train, hyper, spec, chain)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    S, J = out.n_samples, train.n_taxa
+    assert (S, J) == (500, 300)
+    assert peak < S * J * 8 / 2
 
 
 def test_joint_chain_holds_no_balance_columns():
@@ -834,9 +890,9 @@ def test_lm_only_chain_keeps_xi_alone():
     cfg = SamplerConfig(iterations=30, burn_in=10, thin=2, seed=1, mode="lm_only",
                         between_moves_per_iter=2, init_xi_frac=0.5)
     out = run_chain(data, Hyperparams(), spec, cfg, balances=B)
-    assert out.alpha.shape == (10, 0)
+    assert out.alpha_mean.shape == (0,) and out.n_samples == 10
     assert out.phi_shape == out.zeta.shape == out.psi.shape == (10, 0, 0)
-    assert out.phi_index.size == out.phi_value.size == 0
+    assert out.phi_index.size == out.phi_mean.size == 0
     assert out.zeta.dtype == np.uint8 and out.mppi_zeta.shape == (0, 0)
     assert out.xi.shape == (10, 4) and out.accept.keys() == {"xi"}
     assert out.accept["xi"][1] == 60

@@ -122,10 +122,9 @@ def _fit_one(repdir: Path, outdir: Path, model: str, hyper: Hyperparams,
         two = run_two_step(train, hyper, spec, config)
         dio.write_chain(outdir / "stage1", two.stage1, hyper, extra=extra)
         dio.write_chain(outdir / "stage2", two.stage2, hyper, extra=extra)
-        dio.write_matrix(outdir / "psi_bar.csv", two.psi_bar, "psi")
         sel_zeta = median_model(two.stage1.mppi_zeta)
         sel_xi = median_model(two.stage2.mppi_xi)
-        yhat = two_step_fitted_y(two, train, spec, hyper)
+        yhat = two_step_fitted_y(two, train, hyper)
     spec.to_file(outdir / PARTITION_FILE)
     dio.write_matrix(outdir / "selected_zeta.csv", sel_zeta, "zeta", integer=True)
     dio.write_matrix(outdir / "selected_xi.csv", sel_xi[:, None], "xi", integer=True)
@@ -186,14 +185,9 @@ def cmd_predict(args) -> int:
     # one, or stage 1
     chain_dir = rundir / "stage1" if two_step else rundir
     chain, hyper, summary = dio.read_chain(chain_dir)
-    if two_step:
-        stage2, _, _ = dio.read_chain(rundir / "stage2")
-        two = TwoStepOutput(stage1=chain, psi_bar=dio.read_matrix(rundir / "psi_bar.csv"),
-                            stage2=stage2)
-        # stage 1 keeps no composition samples; psi_bar is their mean
-        n_fit, j_fit = two.psi_bar.shape
-    else:
-        n_fit, j_fit = chain.n_subjects, chain.phi_shape[1]
+    stage2 = dio.read_chain(rundir / "stage2")[0] if two_step else None
+    # N from the fitted values of the chain that selected balances
+    n_fit, j_fit = (stage2 or chain).n_subjects, chain.phi_shape[1]
     if args.train_dir is None and "dataset" not in summary:
         raise ValueError(f"{chain_dir / 'summary.json'} has no key 'dataset'; pass "
                          "--train-dir, or re-run fit to rewrite it")
@@ -225,6 +219,7 @@ def cmd_predict(args) -> int:
         return 1
     train, test, prep_stats = preprocess(train_raw, test_raw)
     if two_step:
+        two = TwoStepOutput(stage1=chain, stage2=stage2)
         yhat = two_step_predict_y(two, train, test, spec, hyper)
         loglik = None
     else:

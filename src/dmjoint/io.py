@@ -2,29 +2,29 @@
 
 Datasets, selections, predictions and reports are UTF-8 CSV with a header
 row; reals are written with 17 significant digits so write -> read -> write
-round-trips byte-wise, counts as plain integers. A chain is eight raw
-``.npy`` blocks (``alpha_mean``, ``phi_index``, ``phi_mean``, ``psi``,
-``ridge``, ``fits``, ``xi``, ``log_posterior``) in their in-memory shape and
-dtype, so it round-trips bitwise; a block the chain does not keep is written
-empty: the count blocks of an xi-only (stage-2) chain and the ``xi`` of a
-two-step fit's stage 1. ``psi`` is empty (S x 0 x 0) in every mode, since no
-chain keeps composition samples. It stays in the store, and in
-``ChainOutput``, because the benchmark's fit check (``perfbench/run.py``
-``check_fit``) reads ``psi`` of every chain it reads back; it can go with
-that check. A ``dm_only`` chain's mean composition, ``psi_mean``, is not
-written: a two-step run records it, normalised, as ``psi_bar.csv``. A joint
-chain keeps each sample's ridge fit on the balances it selected (schema 7):
-``ridge`` holds one row ``(beta, mean, sd)`` per selection, so its rows are
-``xi.sum()``, and ``fits`` the S x N fitted values. The other modes write
-``ridge`` as 0 x 3 and ``fits`` as S x 0. ``phi_index`` holds the ascending
-flat indices of the non-zero entries of the S x J x P ``phi`` block whose
-shape ``summary.json`` records as ``phi_shape``. The count blocks are kept
-as their posterior means (manifest schema 8): ``alpha_mean`` (J) and
-``phi_mean``, the mean ``phi`` at the pairs with ``mppi_zeta > 0`` in C
-order. ``zeta`` (``phi != 0``) and the MPPIs are derived on load; a
-``zeta.npy``, ``mppi_*.npy`` or (before manifest schema 5) ``u.npy`` of an
-older writer is ignored, and a chain without ``ridge.npy`` (before schema 7)
-or ``alpha_mean.npy`` (before schema 8) must be fitted again. Settings,
+round-trips byte-wise, counts as plain integers. A chain is seven raw
+``.npy`` blocks (``alpha_mean``, ``phi_index``, ``phi_mean``, ``ridge``,
+``fits``, ``xi``, ``log_posterior``) in their in-memory shape and dtype, so it
+round-trips bitwise; a block the chain does not keep is written empty: the
+count blocks of an xi-only (stage-2) chain and the ``xi``, ``ridge`` and
+``fits`` of a two-step fit's stage 1. Every chain that selects balances, a
+joint chain (schema 7) and stage 2 (schema 9), keeps each sample's ridge fit
+on the balances it selected: ``ridge`` holds one row ``(beta, mean, sd)`` per
+selection, so its rows are ``xi.sum()``, and ``fits`` the S x N fitted
+values; a ``dm_only`` chain writes ``ridge`` as 0 x 3 and ``fits`` as S x 0.
+A ``dm_only`` chain's mean composition, ``psi_mean``, is not written: stage
+2's ridge fits hold all that prediction reads of it, so a two-step run no
+longer writes it as ``psi_bar.csv`` (before schema 9). ``phi_index`` holds
+the ascending flat indices of the non-zero entries of the S x J x P ``phi``
+block whose shape ``summary.json`` records as ``phi_shape``. The count
+blocks are kept as their posterior means (manifest schema 8): ``alpha_mean``
+(J) and ``phi_mean``, the mean ``phi`` at the pairs with ``mppi_zeta > 0``
+in C order. ``zeta`` (``phi != 0``) and the MPPIs are derived on load; a
+``zeta.npy``, ``mppi_*.npy``, (before manifest schema 5) ``u.npy`` or
+(before schema 9) empty ``psi.npy`` of an older writer is ignored, and a
+chain without ``ridge.npy`` (before schema 7) or ``alpha_mean.npy`` (before
+schema 8), or a stage 2 without ridge fits (before schema 9), must be fitted
+again. Settings,
 acceptance counts and provenance are JSON; a fit's ``summary.json`` also
 records ``train_sha256``, a digest of the training data it read
 (``train_digest``), so ``predict`` can refuse other data.
@@ -75,7 +75,7 @@ def write_manifest(outdir, command: str, config: dict, seed, inputs, started: fl
         "output": str(outdir),
         "duration_s": round(time.time() - started, 3),
         "version": __version__,
-        "schema_version": 8,
+        "schema_version": 9,
     }
     with open(outdir / "manifest.json", "w") as f:
         json.dump(manifest, f, indent=2, sort_keys=True)
@@ -155,8 +155,7 @@ def read_truth(repdir) -> GroundTruth:
 # ---------------------------------------------------------------------------
 
 
-_BLOCKS = ("alpha_mean", "phi_index", "phi_mean", "psi", "ridge", "fits", "xi",
-           "log_posterior")
+_BLOCKS = ("alpha_mean", "phi_index", "phi_mean", "ridge", "fits", "xi", "log_posterior")
 
 
 def write_chain(outdir, chain: ChainOutput, hyper: Hyperparams, extra: dict | None = None):
@@ -205,16 +204,19 @@ def read_chain(rundir) -> tuple[ChainOutput, Hyperparams, dict]:
                          "re-run fit to rewrite it") from e
     mode, (S, J, _) = chain.config.mode, chain.phi_shape
     selected, included = int(chain.xi.sum()), int(np.count_nonzero(chain.mppi_zeta))
-    # the means cover J taxa and the pairs some sample included; a joint sample
-    # keeps one (beta, mean, sd) row per selected balance and N fitted values,
-    # and the other modes keep neither
-    n = chain.fits.shape[-1:] if mode == "joint" else (0,)
+    # the means cover J taxa and the pairs some sample included; a sample keeps
+    # one (beta, mean, sd) row per selected balance, and N fitted values unless
+    # its chain selects no balances (dm_only)
+    n = (0,) if mode == "dm_only" else chain.fits.shape[-1:]
     for name, want in (("alpha_mean", (J,)), ("phi_mean", (included,)),
-                       ("ridge", (selected if mode == "joint" else 0, 3)), ("fits", (S, *n))):
+                       ("ridge", (selected, 3)), ("fits", (S, *n))):
         shape = getattr(chain, name).shape
         if shape != want:
             raise ValueError(f"{rundir / (name + '.npy')} has shape {shape}, but this {mode} "
                              f"chain of {S} samples over {J} taxa, including {included} "
                              f"pairs and selecting {selected} balances, needs {want}; "
                              "re-run fit to rewrite it")
+    if mode != "dm_only" and n == (0,):  # N >= 1: a stage 2 written before schema 9
+        raise ValueError(f"{rundir / 'fits.npy'} holds no fitted values, which this {mode} "
+                         "chain needs; re-run fit to rewrite it")
     return chain, hyper, summary

@@ -2,13 +2,13 @@
 
 Test compositions are estimated by shrinking observed test counts toward the
 posterior-mean concentrations of the training chain. ``ridge_pass`` then
-makes one pass over the retained samples: each contributes the ridge-form fit
-of the balances it selected (``model.ridge_fit``), and every fitted value,
-prediction and log-likelihood comes from that pass, which solves nothing. A
-joint chain ran each sample's fit as it sampled and keeps it, and a two-step
-fit runs one per stage-two selection on a slice of its frozen balances. Test
-balances are standardized with each sample's training column statistics, so
-no test information leaks into the scaling.
+makes one pass over the retained samples of a chain that selects balances:
+each contributes the ridge-form fit of the balances it selected
+(``model.ridge_fit``), which the chain ran as it sampled and keeps, and every
+fitted value, prediction and log-likelihood comes from that pass, which
+solves nothing. A joint chain and stage two of a two-step fit are read the
+same way. Test balances are standardized with each sample's training column
+statistics, so no test information leaks into the scaling.
 """
 
 from __future__ import annotations
@@ -87,15 +87,15 @@ def estimate_test_balances(counts_chain: ChainOutput, test: TestSet, contrast,
     return log_balances(psi_test, contrast, hyper.delta)
 
 
-def ridge_pass(records, xi, Y, hyper: Hyperparams, B_test=None):
+def ridge_pass(chain: ChainOutput, Y, hyper: Hyperparams, B_test=None):
     """Reduce the retained samples' ridge fits over the samples, in order.
 
-    ``records`` yields each sample's ``(beta, means, sds, fit)``: the
-    coefficients of the balances it selected, their training column means and
-    sds, and its N fitted values ``B_sel @ beta`` (``model.ridge_fit``); ``xi``
-    holds the samples' balance selections (S x M). ``B_test`` are raw test
-    balances; each sample standardizes its selected ones with its training
-    statistics.
+    ``chain`` selects balances (a ``joint`` or an ``lm_only`` chain), and
+    ``chain.ridge_fits()`` yields each sample's ``(beta, means, sds, fit)``:
+    the coefficients of the balances it selected, their training column means
+    and sds, and its N fitted values ``B_sel @ beta`` (``model.ridge_fit``).
+    ``B_test`` are raw test balances; each sample standardizes its selected
+    ones with its training statistics.
 
     Returns the fitted values and the test predictions (None without
     ``B_test``), both averaged over the samples, and the N x S matrix of
@@ -107,12 +107,14 @@ def ridge_pass(records, xi, Y, hyper: Hyperparams, B_test=None):
     PSIS-LOO on a joint chain of S = 1000 samples, Pareto k exceeded 0.7 for
     14 of 50 subjects.
     """
-    n, S = len(Y), len(xi)
+    if chain.config.mode == "dm_only":
+        raise ValueError("a dm_only chain keeps no ridge fits")
+    n, S, xi = len(Y), chain.n_samples, chain.xi
     a0_hat = float(Y.sum() / (n + 1.0 / hyper.h_alpha0))
     fit_total = np.zeros(n)
     pred_total = None if B_test is None else np.zeros(len(B_test))
     loglik = np.empty((n, S))
-    for s, ((beta, means, sds, fit), xi_s) in enumerate(zip(records, xi)):
+    for s, ((beta, means, sds, fit), xi_s) in enumerate(zip(chain.ridge_fits(), xi)):
         fit_total += fit
         if B_test is not None:
             pred_total += ((B_test[:, xi_s == 1] - means) / sds) @ beta
@@ -121,13 +123,6 @@ def ridge_pass(records, xi, Y, hyper: Hyperparams, B_test=None):
         loglik[:, s] = -0.5 * (np.log(2.0 * np.pi * sigma2) + resid**2 / sigma2)
     pred = None if B_test is None else a0_hat + pred_total / S
     return a0_hat + fit_total / S, pred, loglik
-
-
-def _joint_pass(chain: ChainOutput, data: Dataset, hyper: Hyperparams, B_test=None):
-    """``ridge_pass`` over the ridge fits the chain's samples kept."""
-    if chain.config.mode != "joint":
-        raise ValueError(f"a {chain.config.mode} chain keeps no ridge fits")
-    return ridge_pass(chain.ridge_fits(), chain.xi, data.Y, hyper, B_test)
 
 
 def predict_y(
@@ -139,15 +134,15 @@ def predict_y(
 ) -> np.ndarray:
     """Posterior-averaged predictions for the test responses."""
     B_test = estimate_test_balances(chain, test, spec.contrast_matrix(), hyper)
-    return _joint_pass(chain, data_train, hyper, B_test)[1]
+    return ridge_pass(chain, data_train.Y, hyper, B_test)[1]
 
 
 def fitted_y(chain: ChainOutput, data_train: Dataset, hyper: Hyperparams) -> np.ndarray:
     """In-sample analogue of predict_y, using each sample's own training balances."""
-    return _joint_pass(chain, data_train, hyper)[0]
+    return ridge_pass(chain, data_train.Y, hyper)[0]
 
 
 def pointwise_loglik(chain: ChainOutput, data: Dataset, hyper: Hyperparams) -> np.ndarray:
     """N x S matrix of conditional normal log densities of each training response
     (see ``ridge_pass``)."""
-    return _joint_pass(chain, data, hyper)[2]
+    return ridge_pass(chain, data.Y, hyper)[2]

@@ -7,8 +7,8 @@ latent ``c`` and ``u`` blocks via exact Gibbs draws; and the
 balance-inclusion indicators ``xi``, scored on balances rebuilt from the
 new composition. The ``dm_only`` mode skips the response block and keeps no
 balance samples. The ``lm_only`` mode runs the ``xi`` block alone on a fixed
-balance matrix given by the caller (stage two of the two-step comparator) and
-keeps no count samples.
+balance matrix given by the caller (stage two of the two-step comparator),
+standardized once, and keeps no count samples.
 
 All acceptance ratios are exact because the augmented log likelihood drops
 only terms constant in (c, gamma, u): ``log Gamma(zdot)`` and the multinomial
@@ -27,12 +27,13 @@ reads the count blocks only through their posterior means, so the chain sums
 the retained ``alpha`` and ``phi`` in sample order, with the bits of
 ``mean(axis=0)`` over the stacked samples, and keeps those means, not the
 samples. The composition reaches the response only through the ridge fit on
-the balances a sample selected, so a joint chain runs that fit
-(``model.ridge_fit``) on the slice of the balances the sweep built at each
-retained iteration, and keeps, in place of the sample's S x N x J
-composition, its coefficients with the selected columns' means and sds and
-its N fitted values. Stage two of a two-step fit reads only the
-posterior-mean composition, so a ``dm_only`` chain sums its retained
+the balances a sample selected, so every chain that selects balances runs
+that fit (``model.ridge_fit``) on the slice of the balances it scored at each
+retained iteration, and keeps its coefficients with the selected columns'
+means and sds and its N fitted values: a joint chain on the balances the
+sweep built, in place of the sample's S x N x J composition, and an
+``lm_only`` chain on its fixed balances. Stage two of a two-step fit reads
+only the posterior-mean composition, so a ``dm_only`` chain sums its retained
 compositions in sample order, with the bits of ``mean(axis=0)`` over the
 S x N x J block, and no chain keeps them.
 
@@ -138,16 +139,16 @@ class ChainOutput:
     the pairs some sample included (``mppi_zeta > 0``), in C order; it is 0
     at every other pair.
 
-    A joint chain keeps, in place of each sample's composition, the ridge
-    fit on the balances it selected (``model.ridge_fit``): ``ridge`` stacks,
-    in sample order, one row ``(beta, mean, sd)`` per selected balance, so
-    sample s owns the next ``xi[s].sum()`` rows, and row s of ``fits`` holds
-    the sample's N fitted values. A ``dm_only`` chain keeps, in
-    ``psi_mean``, the mean of its retained compositions, from which two-step
-    fits form psi_bar; it is held in memory only, since ``psi_bar.csv``
-    records it. No chain keeps composition samples: ``psi`` is S x 0 x 0 in
-    every mode, an empty block the chain store still writes and reads (see
-    ``io``).
+    A chain that selects balances (``joint`` or ``lm_only``) keeps each
+    sample's ridge fit on the balances it selected (``model.ridge_fit``), in
+    place of the sample's composition: ``ridge`` stacks, in sample order, one
+    row ``(beta, mean, sd)`` per selected balance, so sample s owns the next
+    ``xi[s].sum()`` rows, and row s of ``fits`` holds the sample's N fitted
+    values. A ``dm_only`` chain keeps neither; it keeps, in ``psi_mean``, the
+    mean of its retained compositions, from which a two-step fit forms the
+    frozen composition of stage two. It is held in memory only: stage two's
+    ridge fits hold all that prediction reads of it. No chain keeps
+    composition samples.
     """
 
     alpha_mean: np.ndarray  # J
@@ -155,9 +156,8 @@ class ChainOutput:
     phi_mean: np.ndarray  # mean phi at the pairs with mppi_zeta > 0
     phi_shape: tuple  # (S, J, P)
     xi: np.ndarray  # S x M, uint8; S x 0 in dm_only
-    psi: np.ndarray  # S x 0 x 0 in every mode
-    ridge: np.ndarray  # xi.sum() x 3 in joint, 0 x 3 otherwise
-    fits: np.ndarray  # S x N in joint, S x 0 otherwise
+    ridge: np.ndarray  # xi.sum() x 3: 0 x 3 in dm_only
+    fits: np.ndarray  # S x N, S x 0 in dm_only
     log_posterior: np.ndarray  # full pre-thinning trace, length iterations
     accept: dict  # per-move-type (accepted, proposed) counters
     config: SamplerConfig
@@ -175,8 +175,15 @@ class ChainOutput:
 
     @property
     def n_subjects(self) -> int:
-        """A joint chain's N: each sample keeps N fitted values."""
+        """N of a chain that selects balances: each sample keeps N fitted values."""
         return self.fits.shape[1]
+
+    @property
+    def psi(self) -> np.ndarray:
+        """An empty S x 0 x 0 composition block: no chain keeps compositions.
+        Only the benchmark's fit check (``perfbench/run.py`` ``check_fit``)
+        reads it; it goes when that check is retargeted (ROADMAP item 1)."""
+        return np.empty((self.n_samples, 0, 0))
 
     @property
     def zeta(self) -> np.ndarray:
@@ -502,10 +509,11 @@ def run_chain(
 ) -> ChainOutput:
     """Run the full MH-within-Gibbs sweep and return thinned post-burn-in samples.
 
-    ``balances`` is the fixed, column-standardized N x M balance matrix of the
-    ``lm_only`` mode, which samples ``xi`` alone and returns empty count
-    blocks. It is required in that mode and rejected in the others, which
-    rebuild the balances from the sampled composition every iteration.
+    ``balances`` is the fixed raw N x M balance matrix of the ``lm_only``
+    mode, which standardizes its columns once, samples ``xi`` alone and
+    returns empty count blocks. It is required in that mode and rejected in
+    the others, which rebuild the balances from the sampled composition every
+    iteration.
     Bitwise reproducible given (seed, config, data) on a fixed platform.
     """
     if spec.n_taxa != data.n_taxa:
@@ -526,7 +534,7 @@ def run_chain(
     S = config.n_retained
     # lm_only keeps no count samples and dm_only no balance samples: the
     # blocks a mode does not keep have zero width. No mode keeps compositions
-    # (a joint sample keeps its ridge fit); dm_only sums them
+    # (a sample that selects balances keeps its ridge fit); dm_only sums them
     Jk, Pk = (0, 0) if mode == "lm_only" else (J, P)
     Mk = 0 if mode == "dm_only" else M
     # the count blocks are read only through their means: sum them in sample
@@ -537,7 +545,7 @@ def run_chain(
     out_xi = np.empty((S, Mk), dtype=np.uint8)
     psi_sum = np.zeros((n, J)) if mode == "dm_only" else None
     out_ridge = [np.empty((0, 3))]
-    out_fits = np.empty((S, n if mode == "joint" else 0))
+    out_fits = np.empty((S, 0 if mode == "dm_only" else n))
     log_post = np.empty(config.iterations)
     moves = {"joint": ("alpha", "add", "delete", "within", "xi"),
              "dm_only": ("alpha", "add", "delete", "within"),
@@ -547,7 +555,9 @@ def run_chain(
     s = 0
     zeta_prior = [beta_binomial_logprior(v, hyper.a, hyper.b) for v in (1, 0)]  # in, out
     xi_prior = [beta_binomial_logprior(v, hyper.a_m, hyper.b_m) for v in (1, 0)]
-    B_std, n_moves = balances, config.between_moves_per_iter
+    if balances is not None:
+        B_std, means, sds = standardize_columns(balances)
+    n_moves = config.between_moves_per_iter
     for it in range(config.iterations):
         if mode != "lm_only":
             update_alpha(state, hyper, rng, accept)
@@ -581,7 +591,6 @@ def run_chain(
                 psi_sum += state.psi
             else:
                 out_xi[s] = state.xi
-            if mode == "joint":
                 sel = state.xi == 1
                 beta, out_fits[s] = ridge_fit(B_std[:, sel], data.Y, hyper)
                 out_ridge.append(np.column_stack([beta, means[sel], sds[sel]]))
@@ -594,7 +603,6 @@ def run_chain(
         phi_mean=(phi_sum / S).ravel()[included],  # mppi_zeta > 0
         phi_shape=(S, Jk, Pk),
         xi=out_xi,
-        psi=np.empty((S, 0, 0)),
         ridge=np.concatenate(out_ridge),
         fits=out_fits,
         log_posterior=log_post,

@@ -219,8 +219,7 @@ def test_criterion_a6_ridge_prediction_oracle():
     chain = ChainOutput(
         alpha_mean=np.zeros(J), phi_index=np.empty(0, dtype=np.int64),
         phi_mean=np.empty(0), phi_shape=(1, J, 2),
-        xi=np.array([[1, 0]], dtype=np.uint8), psi=np.empty((1, 0, 0)),
-        ridge=ridge, fits=fits,
+        xi=np.array([[1, 0]], dtype=np.uint8), ridge=ridge, fits=fits,
         log_posterior=np.zeros(2), accept={}, config=cfg,
     )
     Z_test = rng.integers(0, 40, size=(4, J))
@@ -299,7 +298,7 @@ def _two_step_metrics(rep, b):
     two = run_two_step(train, hyper, spec, cfg)
     cov = confusion(median_model(two.stage1.mppi_zeta), truth.zeta_true)
     bal = confusion(median_model(two.stage2.mppi_xi), truth.xi_true)
-    mse = squared_error(train.Y, two_step_fitted_y(two, train, spec, hyper))
+    mse = squared_error(train.Y, two_step_fitted_y(two, train, hyper))
     pmse = squared_error(
         test.Y_test, two_step_predict_y(two, train, test, spec, hyper))
     return {

@@ -6,6 +6,7 @@ import pytest
 from dmjoint import sampler
 from dmjoint.baselines import (
     TwoStepOutput,
+    run_balance_selection,
     run_dm_only,
     run_two_step,
     two_step_fitted_y,
@@ -22,7 +23,7 @@ from dmjoint.predict import estimate_lambda_test, estimate_psi_test
 from dmjoint.prep import preprocess
 from dmjoint.sampler import SamplerConfig, run_chain
 from dmjoint.simulate import SimConfig, gen_replicate, replicate_rng
-from oracles import one_sample_at_a_time
+from oracles import one_sample_at_a_time, ridge_blocks
 
 
 def small_fixture(seed=0, **kw):
@@ -46,6 +47,12 @@ def xi_only_chain(B, Y, hyper, cfg):
     data = Dataset(Y=Y, Z=np.ones((n, M + 1), dtype=int), X=np.zeros((n, 1)))
     return run_chain(data, hyper, sbp_pivot(M + 1), replace(cfg, mode="lm_only"),
                      balances=B)
+
+
+def stage_one_psi_bar(two):
+    """The frozen composition of stage two: stage one's mean composition with
+    its rows normalised."""
+    return two.stage1.psi_mean / two.stage1.psi_mean.sum(axis=1, keepdims=True)
 
 
 def enumeration_mppi(Y, B, hyper):
@@ -138,12 +145,16 @@ def test_two_step_structure_and_fits():
     assert two.stage1.config.mode == "dm_only"
     assert two.stage2.config.mode == "lm_only"
     assert two.stage2.config.seed == cfg.seed + 1
-    assert two.psi_bar.shape == (train.n_subjects, train.n_taxa)
-    assert np.all(two.psi_bar > 0)
-    assert np.allclose(two.psi_bar.sum(axis=1), 1.0, atol=1e-12)
+    psi_bar = stage_one_psi_bar(two)
+    assert psi_bar.shape == (train.n_subjects, train.n_taxa)
+    assert np.all(psi_bar > 0)
+    assert np.allclose(psi_bar.sum(axis=1), 1.0, atol=1e-12)
     assert two.stage2.xi.shape[1] == spec.M
+    S = two.stage2.n_samples
+    assert two.stage2.ridge.shape == (two.stage2.xi.sum(), 3)
+    assert two.stage2.fits.shape == (S, train.n_subjects) == (S, two.stage2.n_subjects)
 
-    fit = two_step_fitted_y(two, train, spec, hyper)
+    fit = two_step_fitted_y(two, train, hyper)
     pred = two_step_predict_y(two, train, test, spec, hyper)
     assert fit.shape == (train.n_subjects,)
     assert pred.shape == (test.X_test.shape[0],)
@@ -155,7 +166,7 @@ def test_two_step_structure_and_fits():
 
 def test_two_step_keeps_psi_bar_not_stage_one_compositions():
     # stage one is run_dm_only's chain bitwise, with no composition samples;
-    # psi_bar is its mean composition normalised
+    # stage two runs on psi_bar, its mean composition normalised
     train, _, _ = small_fixture(seed=12)
     hyper = Hyperparams()
     spec = sbp_pivot(train.n_taxa)
@@ -165,12 +176,16 @@ def test_two_step_keeps_psi_bar_not_stage_one_compositions():
     dm = run_dm_only(train, hyper, spec, cfg)
     assert two.stage1.psi.shape == (cfg.n_retained, 0, 0)
     psi_bar = dm.psi_mean / dm.psi_mean.sum(axis=1, keepdims=True)
-    assert two.psi_bar.tobytes() == psi_bar.tobytes()
+    assert stage_one_psi_bar(two).tobytes() == psi_bar.tobytes()
     for name in ("alpha_mean", "phi_index", "phi_mean", "xi", "psi_mean", "log_posterior"):
         a, b = getattr(two.stage1, name), getattr(dm, name)
         assert a.dtype == b.dtype and a.shape == b.shape, name
         assert a.tobytes() == b.tobytes(), name
     assert two.stage1.accept == dm.accept
+    stage2 = run_balance_selection(train, psi_bar, hyper, spec, replace(cfg, seed=14))
+    for name in ("xi", "ridge", "fits", "log_posterior"):
+        assert getattr(two.stage2, name).tobytes() == getattr(stage2, name).tobytes(), name
+    assert two.stage2.accept == stage2.accept
 
 
 def test_psi_bar_is_the_mean_of_the_retained_compositions(monkeypatch):
@@ -196,7 +211,7 @@ def test_psi_bar_is_the_mean_of_the_retained_compositions(monkeypatch):
     psi_mean = kept.mean(axis=0)
     assert two.stage1.psi_mean.tobytes() == psi_mean.tobytes()
     psi_bar = psi_mean / psi_mean.sum(axis=1, keepdims=True)
-    assert two.psi_bar.tobytes() == psi_bar.tobytes()
+    assert stage_one_psi_bar(two).tobytes() == psi_bar.tobytes()
 
 
 def test_two_step_deterministic():
@@ -209,7 +224,9 @@ def test_two_step_deterministic():
     b = run_two_step(train, hyper, spec, cfg)
     assert np.array_equal(a.stage1.zeta, b.stage1.zeta)
     assert np.array_equal(a.stage2.xi, b.stage2.xi)
-    assert np.array_equal(a.psi_bar, b.psi_bar)
+    assert np.array_equal(a.stage1.psi_mean, b.stage1.psi_mean)
+    assert np.array_equal(a.stage2.ridge, b.stage2.ridge)
+    assert np.array_equal(a.stage2.fits, b.stage2.fits)
 
 
 def test_two_step_outputs_match_one_sample_at_a_time():
@@ -220,16 +237,43 @@ def test_two_step_outputs_match_one_sample_at_a_time():
     spec = sbp_pivot(train.n_taxa)
     cfg = SamplerConfig(iterations=60, burn_in=20, thin=10, seed=11)
     two = run_two_step(train, hyper, spec, cfg)
+    psi_bar = stage_one_psi_bar(two)
     xi = np.zeros((two.stage2.n_samples, spec.M), dtype=np.uint8)
     assert len(xi) >= 4
     xi[0, [0, 3]] = 1
     xi[2] = 1
     xi[3, [1, 2, 6]] = 1
-    two = TwoStepOutput(stage1=two.stage1, psi_bar=two.psi_bar,
-                        stage2=replace(two.stage2, xi=xi))
+    ridge, fits = ridge_blocks([psi_bar] * len(xi), xi, train.Y, spec, hyper)
+    two = TwoStepOutput(stage1=two.stage1,
+                        stage2=replace(two.stage2, xi=xi, ridge=ridge, fits=fits))
     psi_test = estimate_psi_test(estimate_lambda_test(two.stage1, test.X_test), test.Z_test)
 
-    fit, pred, _ = one_sample_at_a_time([two.psi_bar] * len(xi), xi, train.Y, psi_test,
-                                   spec, hyper)
-    assert np.array_equal(two_step_fitted_y(two, train, spec, hyper), fit)
+    fit, pred, _ = one_sample_at_a_time([psi_bar] * len(xi), xi, train.Y, psi_test,
+                                        spec, hyper)
+    assert np.array_equal(two_step_fitted_y(two, train, hyper), fit)
     assert np.array_equal(two_step_predict_y(two, train, test, spec, hyper), pred)
+
+
+def test_stage_two_keeps_the_ridge_fits_of_its_frozen_balances():
+    # the ridge fits stage two kept of its own selections, against each sample
+    # fitted again on psi_bar's balances, and the pass over them against the
+    # reference that rebuilds those balances for every sample, bit for bit
+    train, test, _ = small_fixture(seed=16)
+    hyper = Hyperparams()
+    spec = sbp_pivot(train.n_taxa)
+    cfg = SamplerConfig(iterations=300, burn_in=100, thin=4, seed=17,
+                        between_moves_per_iter=5, init_xi_frac=0.5)
+    two = run_two_step(train, hyper, spec, cfg)
+    stage2, psi_bar = two.stage2, stage_one_psi_bar(two)
+    S = stage2.n_samples
+    assert S == 50 and stage2.xi.sum() > 0
+    assert len(np.unique(stage2.xi, axis=0)) > 1
+    ridge, fits = ridge_blocks([psi_bar] * S, stage2.xi, train.Y, spec, hyper)
+    assert stage2.ridge.dtype == ridge.dtype and stage2.ridge.tobytes() == ridge.tobytes()
+    assert stage2.fits.dtype == fits.dtype and stage2.fits.tobytes() == fits.tobytes()
+
+    psi_test = estimate_psi_test(estimate_lambda_test(two.stage1, test.X_test), test.Z_test)
+    fit, pred, _ = one_sample_at_a_time([psi_bar] * S, stage2.xi, train.Y, psi_test,
+                                        spec, hyper)
+    assert two_step_fitted_y(two, train, hyper).tobytes() == fit.tobytes()
+    assert two_step_predict_y(two, train, test, spec, hyper).tobytes() == pred.tobytes()

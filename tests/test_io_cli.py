@@ -67,8 +67,8 @@ def test_replicate_round_trip(tmp_path):
     assert np.array_equal(btr.psi_star, truth.psi_star)
 
 
-CHAIN_BLOCKS = {"alpha_mean.npy", "phi_index.npy", "phi_mean.npy", "psi.npy", "ridge.npy",
-                "fits.npy", "xi.npy", "log_posterior.npy"}
+CHAIN_BLOCKS = {"alpha_mean.npy", "phi_index.npy", "phi_mean.npy", "ridge.npy", "fits.npy",
+                "xi.npy", "log_posterior.npy"}
 
 
 def small_chains():
@@ -90,7 +90,7 @@ def small_chains():
 
 
 def test_chain_round_trip(tmp_path):
-    # every chain, the xi-only one included, is the same eight blocks
+    # every chain, the xi-only one included, is the same seven blocks
     for mode, chain in small_chains().items():
         rundir = tmp_path / mode
         dio.write_chain(rundir, chain, Hyperparams(), extra={"note": "test"})
@@ -105,16 +105,19 @@ def test_chain_round_trip(tmp_path):
 
 def test_read_chain_ignores_derived_blocks_of_older_writers(tmp_path):
     # older versions also wrote zeta and the MPPIs, which are derived on load
-    # now, and before manifest schema 5 the u block, which nothing reads
+    # now, before manifest schema 5 the u block and before schema 9 an empty
+    # psi block, which nothing reads
     chain = small_chains()["joint"]
     dio.write_chain(tmp_path, chain, Hyperparams())
     np.save(tmp_path / "zeta.npy", np.zeros_like(chain.zeta))
     np.save(tmp_path / "mppi_zeta.npy", np.ones_like(chain.mppi_zeta))
     np.save(tmp_path / "mppi_xi.npy", np.ones_like(chain.mppi_xi))
     np.save(tmp_path / "u.npy", np.ones((chain.n_samples, 10)))
+    np.save(tmp_path / "psi.npy", np.ones((chain.n_samples, 10, 5)))
     back = dio.read_chain(tmp_path)[0]
     assert_chains_equal(back, chain)
     assert not hasattr(back, "u")
+    assert back.psi.shape == (chain.n_samples, 0, 0)
 
 
 def test_chains_hold_no_dense_phi(tmp_path):
@@ -235,11 +238,13 @@ def test_cli_fit_two_step(sim_dir, tmp_path):
         assert {p.name for p in (fit_dir / stage).glob("*.npy")} == CHAIN_BLOCKS
     # stage 2 keeps no count samples: its count blocks are empty
     assert np.load(fit_dir / "stage2" / "alpha_mean.npy").size == 0
-    # stage 1 keeps no balance or composition samples; psi_bar.csv records
-    # its compositions
+    # stage 1 keeps no balance or composition samples, and stage 2 keeps each
+    # sample's ridge fit in place of the mean composition it ran on
     assert np.load(fit_dir / "stage1" / "xi.npy").shape == (10, 0)
-    assert np.load(fit_dir / "stage1" / "psi.npy").shape == (10, 0, 0)
-    assert (fit_dir / "psi_bar.csv").exists()
+    assert not (fit_dir / "psi_bar.csv").exists()
+    xi = np.load(fit_dir / "stage2" / "xi.npy")
+    assert np.load(fit_dir / "stage2" / "ridge.npy").shape == (xi.sum(), 3)
+    assert np.load(fit_dir / "stage2" / "fits.npy").shape == (10, 12)
     # the settings are recorded once, in the stage-one chain's summary
     assert not (fit_dir / "summary.json").exists()
     assert main(["predict", str(fit_dir),
@@ -401,8 +406,8 @@ def test_cli_predict_rejects_train_dir_of_other_size(sim_dir, tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.startswith("error:") and "J=5" in err and "J=6" in err
         assert str(run) in err and str(other / "rep000") in err
-        # N comes from the joint chain's S x N fits block, which keeps it when
-        # no sample selected a balance, or from a two-step fit's psi_bar
+        # N comes from the S x N fits block of the joint chain or of stage 2,
+        # which keeps it when no sample selected a balance
         assert main(["predict", str(run), "--train-dir", str(taller / "rep000")]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and "N=12" in err and "N=13" in err
@@ -555,6 +560,45 @@ def test_cli_predict_schema_7_chain_exits_1(sim_dir, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith("error: ")
     assert str(run) in err and "alpha_mean.npy" in err and "re-run fit" in err
+
+
+def test_cli_predict_schema_8_two_step_run_exits_1(sim_dir, tmp_path, capsys):
+    # a stage 2 that kept no ridge fits, beside the psi_bar.csv predict read
+    # them back from; with no balance selected, its empty ridge block fits
+    for flags in (["--init-xi-frac", "0.5"], NO_BALANCES):
+        run = tmp_path / flags[1]
+        assert main(["fit", str(sim_dir / "rep000"), "--out", str(run),
+                     "--model", "dmlm-bayes", *flags, *FAST_FIT]) == 0
+        stage2 = run / "stage2"
+        selected = int(np.load(stage2 / "xi.npy").sum())
+        assert (selected > 0) == (flags is not NO_BALANCES)
+        np.save(stage2 / "ridge.npy", np.empty((0, 3)))
+        np.save(stage2 / "fits.npy", np.empty((10, 0)))
+        for stage in ("stage1", "stage2"):
+            np.save(run / stage / "psi.npy", np.empty((10, 0, 0)))
+        dio.write_matrix(run / "psi_bar.csv", np.full((12, 5), 0.2), "psi")
+        manifest = dio.read_manifest(run)
+        (run / "manifest.json").write_text(json.dumps({**manifest, "schema_version": 8}))
+        capsys.readouterr()
+        assert main(["predict", str(run)]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: ") and "re-run fit" in err
+        assert str(stage2 / ("ridge.npy" if selected else "fits.npy")) in err
+        assert not (run / "predictions").exists()
+
+
+def test_cli_predict_schema_8_joint_run_predicts_the_same_bytes(sim_dir, tmp_path):
+    # a joint chain of schema 8 differs only by its empty psi block
+    run = tmp_path / "o"
+    assert main(["fit", str(sim_dir / "rep000"), "--out", str(run), "--init-xi-frac", "0.5",
+                 *FAST_FIT]) == 0
+    assert main(["predict", str(run)]) == 0
+    np.save(run / "psi.npy", np.empty((10, 0, 0)))
+    manifest = dio.read_manifest(run)
+    (run / "manifest.json").write_text(json.dumps({**manifest, "schema_version": 8}))
+    assert main(["predict", str(run), "--out", str(run / "old")]) == 0
+    for name in ("predictions.csv", "loglik.csv"):
+        assert (run / "old" / name).read_bytes() == (run / "predictions" / name).read_bytes()
 
 
 def test_read_chain_rejects_count_means_that_disagree_with_the_samples(sim_dir, tmp_path):

@@ -46,7 +46,6 @@ def make_chain(alpha, phi, xi, psi=None, spec=None, hyper=None, Y=None):
         alpha_mean=alpha.mean(axis=0),
         **phi_blocks(phi),
         xi=xi,
-        psi=np.empty((len(alpha), 0, 0)),
         ridge=ridge,
         fits=fits,
         log_posterior=np.zeros(2),

@@ -3,31 +3,36 @@
 Datasets, selections, predictions and reports are UTF-8 CSV with a header
 row; reals are written with 17 significant digits so write -> read -> write
 round-trips byte-wise, counts as plain integers. A chain is seven raw
-``.npy`` blocks (``alpha_mean``, ``phi_index``, ``phi_mean``, ``ridge``,
-``fits``, ``xi``, ``log_posterior``) in their in-memory shape and dtype, so it
-round-trips bitwise; a block the chain does not keep is written empty: the
-count blocks of an xi-only (stage-2) chain and the ``xi``, ``ridge`` and
-``fits`` of a two-step fit's stage 1. Every chain that selects balances, a
-joint chain (schema 7) and stage 2 (schema 9), keeps each sample's ridge fit
-on the balances it selected: ``ridge`` holds one row ``(beta, mean, sd)`` per
-selection, so its rows are ``xi.sum()``, and ``fits`` the S x N fitted
-values; a ``dm_only`` chain writes ``ridge`` as 0 x 3 and ``fits`` as S x 0.
-A ``dm_only`` chain's mean composition, ``psi_mean``, is not written: stage
-2's ridge fits hold all that prediction reads of it, so a two-step run no
-longer writes it as ``psi_bar.csv`` (before schema 9). ``phi_index`` holds
-the ascending flat indices of the non-zero entries of the S x J x P ``phi``
-block whose shape ``summary.json`` records as ``phi_shape``. The count
-blocks are kept as their posterior means (manifest schema 8): ``alpha_mean``
-(J) and ``phi_mean``, the mean ``phi`` at the pairs with ``mppi_zeta > 0``
-in C order. ``zeta`` (``phi != 0``) and the MPPIs are derived on load; a
-``zeta.npy``, ``mppi_*.npy``, (before manifest schema 5) ``u.npy`` or
-(before schema 9) empty ``psi.npy`` of an older writer is ignored, and a
-chain without ``ridge.npy`` (before schema 7) or ``alpha_mean.npy`` (before
-schema 8), or a stage 2 without ridge fits (before schema 9), must be fitted
-again. Settings,
-acceptance counts and provenance are JSON; a fit's ``summary.json`` also
-records ``train_sha256``, a digest of the training data it read
-(``train_digest``), so ``predict`` can refuse other data.
+``.npy`` blocks (``alpha_mean``, ``zeta_changes``, ``phi_mean``, ``ridge``,
+``fits``, ``xi_changes``, ``log_posterior``) in their in-memory shape and
+dtype, so it round-trips bitwise; a block the chain does not keep is written
+empty: the count blocks of an xi-only (stage-2) chain and the
+``xi_changes``, ``ridge`` and ``fits`` of a two-step fit's stage 1. Every
+chain that selects balances, a joint chain (schema 7) and stage 2 (schema 9),
+keeps each sample's ridge fit on the balances it selected: ``ridge`` holds
+one row ``(beta, mean, sd)`` per selection, so its rows are ``xi.sum()``,
+and ``fits`` the S x N fitted values; a ``dm_only`` chain writes ``ridge``
+as 0 x 3 and ``fits`` as S x 0. A ``dm_only`` chain's mean composition,
+``psi_mean``, is not written: stage 2's ridge fits hold all that prediction
+reads of it, so a two-step run no longer writes it as ``psi_bar.csv``
+(before schema 9). The inclusion indicators are kept as their changes
+between retained samples (manifest schema 10): ``zeta_changes`` and
+``xi_changes`` hold the strictly ascending int64 flat indices ``s*K + k`` at
+which sample s's indicator k differs from sample s - 1's (sample -1 is all
+zeros), of the S x J x P ``zeta = phi != 0`` and the S x M ``xi`` whose
+shapes ``summary.json`` records as ``phi_shape`` and ``xi_shape``; a block
+that is not such indices is refused. The count blocks are kept as their
+posterior means (manifest schema 8): ``alpha_mean`` (J) and ``phi_mean``,
+the mean ``phi`` at the pairs with ``mppi_zeta > 0`` in C order. ``zeta``,
+``xi`` and the MPPIs are derived on load; a ``zeta.npy``, ``mppi_*.npy``,
+(before manifest schema 5) ``u.npy`` or (before schema 9) empty ``psi.npy``
+of an older writer is ignored, and a chain without ``ridge.npy`` (before
+schema 7), ``alpha_mean.npy`` (before schema 8) or ``zeta_changes.npy``
+(before schema 10, which kept ``phi_index.npy`` and a dense ``xi.npy``), or
+a stage 2 without ridge fits (before schema 9), must be fitted again.
+Settings, acceptance counts and provenance are JSON; a fit's
+``summary.json`` also records ``train_sha256``, a digest of the training
+data it read (``train_digest``), so ``predict`` can refuse other data.
 """
 
 from __future__ import annotations
@@ -75,7 +80,7 @@ def write_manifest(outdir, command: str, config: dict, seed, inputs, started: fl
         "output": str(outdir),
         "duration_s": round(time.time() - started, 3),
         "version": __version__,
-        "schema_version": 9,
+        "schema_version": 10,
     }
     with open(outdir / "manifest.json", "w") as f:
         json.dump(manifest, f, indent=2, sort_keys=True)
@@ -155,7 +160,8 @@ def read_truth(repdir) -> GroundTruth:
 # ---------------------------------------------------------------------------
 
 
-_BLOCKS = ("alpha_mean", "phi_index", "phi_mean", "ridge", "fits", "xi", "log_posterior")
+_BLOCKS = ("alpha_mean", "zeta_changes", "phi_mean", "ridge", "fits", "xi_changes",
+           "log_posterior")
 
 
 def write_chain(outdir, chain: ChainOutput, hyper: Hyperparams, extra: dict | None = None):
@@ -172,12 +178,25 @@ def write_chain(outdir, chain: ChainOutput, hyper: Hyperparams, extra: dict | No
                        for k, v in chain.accept.items()},
         "n_samples": chain.n_samples,
         "phi_shape": list(chain.phi_shape),
+        "xi_shape": list(chain.xi_shape),
     }
     if extra:
         summary.update(extra)
     with open(outdir / "summary.json", "w") as f:
         json.dump(summary, f, indent=2, sort_keys=True)
         f.write("\n")
+
+
+def _check_changes(path, changes, shape):
+    """Refuse a change block that is not strictly ascending flat indices into
+    the indicator block of ``shape``."""
+    size = int(np.prod(shape))
+    if (changes.ndim != 1 or changes.dtype != np.int64
+            or np.any(np.diff(changes) <= 0)
+            or (changes.size and not 0 <= changes[0] <= changes[-1] < size)):
+        raise ValueError(f"{path} is not a strictly ascending int64 block of indices in "
+                         f"[0, {size}), the {'x'.join(map(str, shape))} indicator block's "
+                         "changes; re-run fit to rewrite it")
 
 
 def read_chain(rundir) -> tuple[ChainOutput, Hyperparams, dict]:
@@ -194,7 +213,11 @@ def read_chain(rundir) -> tuple[ChainOutput, Hyperparams, dict]:
     try:
         accept = {k: (v["accepted"], v["proposed"])
                   for k, v in summary["acceptance"].items()}
-        chain = ChainOutput(**blocks, phi_shape=tuple(summary["phi_shape"]), accept=accept,
+        shapes = {k: tuple(summary[k]) for k in ("phi_shape", "xi_shape")}
+        for name, shape in (("zeta_changes", shapes["phi_shape"]),
+                            ("xi_changes", shapes["xi_shape"])):
+            _check_changes(rundir / f"{name}.npy", blocks[name], shape)
+        chain = ChainOutput(**blocks, **shapes, accept=accept,
                             config=SamplerConfig(**summary["config"]))
         hyper = Hyperparams(**summary["hyperparams"])
     except KeyError as e:

@@ -21,8 +21,10 @@ None.
 The spike is a point mass at 0, so a pair is included exactly when its
 ``phi`` is non-zero: ``phi`` and ``xi`` are the only record of the
 selections, and ``ChainOutput`` derives ``zeta = phi != 0`` and both MPPIs.
-Few pairs are included, so a chain keeps only where ``phi`` is non-zero in
-each retained sample, as flat indices into the S x J x P block. Prediction
+A sweep flips few indicators, so a chain keeps each block of indicators,
+``zeta`` (S x J x P) and ``xi`` (S x M), as its changes between retained
+samples (``indicator_changes``), and replays or counts them on demand
+(``replay_changes``, ``change_counts``). Prediction
 reads the count blocks only through their posterior means, so the chain sums
 the retained ``alpha`` and ``phi`` in sample order, with the bits of
 ``mean(axis=0)`` over the stacked samples, and keeps those means, not the
@@ -79,7 +81,9 @@ __all__ = [
     "ChainOutput",
     "ChainState",
     "run_chain",
-    "mppi",
+    "indicator_changes",
+    "replay_changes",
+    "change_counts",
     "update_alpha",
     "update_zeta_phi",
     "update_c",
@@ -132,12 +136,14 @@ class ChainOutput:
     """What a chain keeps of its thinned post-burn-in samples, and the
     summaries derived from them.
 
-    Of the count blocks a chain keeps each sample's inclusions and the
-    posterior means: ``phi_index`` holds the ascending flat indices of the
-    non-zero entries of the S x J x P ``phi`` block ``phi_shape``,
-    ``alpha_mean`` the mean intercepts, and ``phi_mean`` the mean ``phi`` at
-    the pairs some sample included (``mppi_zeta > 0``), in C order; it is 0
-    at every other pair.
+    A chain keeps each sample's inclusion indicators as change blocks
+    (``indicator_changes``): ``zeta_changes`` those of the S x J x P
+    ``zeta = phi != 0`` of shape ``phi_shape``, and ``xi_changes`` those of the
+    S x M ``xi`` of shape ``xi_shape``. ``zeta`` and ``xi`` replay them; the
+    MPPIs are counted from them, with no S x K block built. Of the count
+    blocks it keeps the posterior means: ``alpha_mean`` the mean intercepts,
+    and ``phi_mean`` the mean ``phi`` at the pairs some sample included
+    (``mppi_zeta > 0``), in C order; it is 0 at every other pair.
 
     A chain that selects balances (``joint`` or ``lm_only``) keeps each
     sample's ridge fit on the balances it selected (``model.ridge_fit``), in
@@ -152,10 +158,11 @@ class ChainOutput:
     """
 
     alpha_mean: np.ndarray  # J
-    phi_index: np.ndarray  # int64, ascending flat indices into phi_shape
+    zeta_changes: np.ndarray  # int64 changes of the S x J x P zeta
     phi_mean: np.ndarray  # mean phi at the pairs with mppi_zeta > 0
-    phi_shape: tuple  # (S, J, P)
-    xi: np.ndarray  # S x M, uint8; S x 0 in dm_only
+    phi_shape: tuple  # (S, J, P); (S, 0, 0) in lm_only
+    xi_changes: np.ndarray  # int64 changes of the S x M xi
+    xi_shape: tuple  # (S, M); (S, 0) in dm_only
     ridge: np.ndarray  # xi.sum() x 3: 0 x 3 in dm_only
     fits: np.ndarray  # S x N, S x 0 in dm_only
     log_posterior: np.ndarray  # full pre-thinning trace, length iterations
@@ -166,8 +173,10 @@ class ChainOutput:
     mppi_xi: np.ndarray = field(init=False)  # M
 
     def __post_init__(self):
-        self.mppi_xi = mppi(self.xi)
-        self.mppi_zeta = self.pair_sums() / self.phi_shape[0]
+        if self.n_samples < 1:
+            raise ValueError("need at least one retained sample")
+        self.mppi_zeta = change_counts(self.zeta_changes, self.phi_shape) / self.n_samples
+        self.mppi_xi = change_counts(self.xi_changes, self.xi_shape) / self.n_samples
 
     @property
     def n_samples(self) -> int:
@@ -188,15 +197,12 @@ class ChainOutput:
     @property
     def zeta(self) -> np.ndarray:
         """S x J x P uint8 inclusion indicators, ``phi != 0``."""
-        zeta = np.zeros(self.phi_shape, dtype=np.uint8)
-        zeta.ravel()[self.phi_index] = 1
-        return zeta
+        return replay_changes(self.zeta_changes, self.phi_shape)
 
-    def pair_sums(self) -> np.ndarray:
-        """J x P counts of the samples that include each pair."""
-        _, J, P = self.phi_shape
-        pairs = self.phi_index % (J * P) if J * P else self.phi_index
-        return np.bincount(pairs, minlength=J * P).reshape(J, P)
+    @property
+    def xi(self) -> np.ndarray:
+        """S x M uint8 balance-inclusion indicators."""
+        return replay_changes(self.xi_changes, self.xi_shape)
 
     def ridge_fits(self):
         """Each sample's ``(beta, means, sds, fit)``, read from its rows of
@@ -540,9 +546,10 @@ def run_chain(
     # the count blocks are read only through their means: sum them in sample
     # order, as mean(axis=0) over the stacked samples adds them
     alpha_sum, phi_sum = np.zeros(Jk), np.zeros((Jk, Pk))
-    included = np.zeros(Jk * Pk, dtype=bool)  # pairs some sample included
-    phi_index = [np.empty(0, dtype=np.int64)]
-    out_xi = np.empty((S, Mk), dtype=np.uint8)
+    # the indicators are kept as their changes from the previous sample
+    on, sel = np.zeros((Jk, Pk), dtype=bool), np.zeros(Mk, dtype=bool)
+    zeta_changes, xi_changes = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
+    included = on.copy()  # pairs some sample included
     psi_sum = np.zeros((n, J)) if mode == "dm_only" else None
     out_ridge = [np.empty((0, 3))]
     out_fits = np.empty((S, 0 if mode == "dm_only" else n))
@@ -584,14 +591,14 @@ def run_chain(
             if mode != "lm_only":
                 alpha_sum += state.alpha
                 phi_sum += state.phi
-                flat = np.flatnonzero(state.phi)
-                included[flat] = True
-                phi_index.append(flat + s * J * P)
+                on, was = state.phi != 0, on
+                included |= on
+                zeta_changes.append(indicator_changes(was, on, s))
             if mode == "dm_only":
                 psi_sum += state.psi
             else:
-                out_xi[s] = state.xi
-                sel = state.xi == 1
+                sel, was = state.xi == 1, sel
+                xi_changes.append(indicator_changes(was, sel, s))
                 beta, out_fits[s] = ridge_fit(B_std[:, sel], data.Y, hyper)
                 out_ridge.append(np.column_stack([beta, means[sel], sds[sel]]))
             s += 1
@@ -599,10 +606,11 @@ def run_chain(
     assert s == S
     return ChainOutput(
         alpha_mean=alpha_sum / S,
-        phi_index=np.concatenate(phi_index),
-        phi_mean=(phi_sum / S).ravel()[included],  # mppi_zeta > 0
+        zeta_changes=np.concatenate(zeta_changes),
+        phi_mean=(phi_sum / S)[included],  # mppi_zeta > 0
         phi_shape=(S, Jk, Pk),
-        xi=out_xi,
+        xi_changes=np.concatenate(xi_changes),
+        xi_shape=(S, Mk),
         ridge=np.concatenate(out_ridge),
         fits=out_fits,
         log_posterior=log_post,
@@ -612,9 +620,36 @@ def run_chain(
     )
 
 
-def mppi(indicator_samples) -> np.ndarray:
-    """Marginal posterior probability of inclusion: entrywise mean of 0/1 samples."""
-    arr = np.asarray(indicator_samples)
-    if arr.shape[0] < 1:
-        raise ValueError("need at least one retained sample")
-    return arr.mean(axis=0)
+def indicator_changes(prev, now, s) -> np.ndarray:
+    """Sample s's entries of a change block: the ascending flat indices
+    ``s*K + k`` of the K indicators at which ``now`` differs from ``prev``,
+    sample s - 1's (all zeros for s = 0)."""
+    return np.flatnonzero(now != prev) + s * now.size
+
+
+def replay_changes(changes, shape) -> np.ndarray:
+    """The uint8 indicator block of ``shape`` (samples first) whose change
+    block is ``changes``."""
+    rows = np.zeros(shape, dtype=np.uint8)
+    rows.ravel()[changes] = 1
+    # each sample is the one before with its changes flipped; in place
+    np.bitwise_xor.accumulate(rows, axis=0, out=rows)
+    return rows
+
+
+def change_counts(changes, shape) -> np.ndarray:
+    """Int64 counts, shaped ``shape[1:]``, of the samples whose indicator is 1,
+    from the change block of the indicator block of ``shape``.
+
+    Every indicator starts at 0, so its changes alternate on and off: an
+    indicator turned on at sample s counts S - s samples, and one turned off
+    there takes them back."""
+    S, K = shape[0], int(np.prod(shape[1:]))
+    s, k = np.divmod(changes, K) if K else (changes, changes)
+    order = np.argsort(k, kind="stable")  # each indicator's changes in sample order
+    s, k = s[order], k[order]
+    nth = np.arange(k.size) - np.searchsorted(k, k)  # 0 for an indicator's first change
+    counts = np.zeros(K, dtype=np.int64)
+    np.add.at(counts, k, np.where(nth % 2 == 0, S - s, s - S))
+    return counts.reshape(shape[1:])
+

@@ -5,7 +5,8 @@ the augmented DM density behind the sampler's MH ratios, the balances that
 ``model.log_balances`` forms with one contrast matmul, and the ridge pass
 rebuilt from each sample's composition, as it ran when joint chains kept
 ``psi``. ``ridge_blocks`` builds a joint chain's ``ridge`` and ``fits``
-blocks from compositions, for tests that make a chain by hand.
+blocks from compositions, and ``change_block`` its indicator change blocks
+from dense samples, for tests that make a chain by hand.
 """
 
 import numpy as np
@@ -18,6 +19,7 @@ from dmjoint.model import (
     standardize_columns,
     zero_replace,
 )
+from dmjoint.sampler import indicator_changes
 
 
 def log_augmented_dm(z_row, c_row, gamma_row, u_i) -> float:
@@ -64,6 +66,15 @@ def balance_matrix(Psi, spec: PartitionSpec, standardize: bool = False) -> np.nd
     if standardize:
         B, _, _ = standardize_columns(B)
     return B
+
+
+def change_block(samples):
+    """``(changes, shape)`` of the S x ... samples whose non-zero entries are
+    the indicators: each sample encoded against the one before, as
+    ``run_chain`` encodes them."""
+    on = np.asarray(samples) != 0
+    parts = map(indicator_changes, [np.zeros_like(on[0]), *on[:-1]], on, range(len(on)))
+    return np.concatenate([np.empty(0, dtype=np.int64), *parts]), on.shape
 
 
 def ridge_blocks(psi, xi, Y, spec: PartitionSpec, hyper):

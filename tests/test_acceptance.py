@@ -217,9 +217,9 @@ def test_criterion_a6_ridge_prediction_oracle():
     cfg = SamplerConfig(iterations=2, burn_in=1, thin=1)
     ridge, fits = ridge_blocks(psi[None, :, :], [[1, 0]], Y, spec, hyper)
     chain = ChainOutput(
-        alpha_mean=np.zeros(J), phi_index=np.empty(0, dtype=np.int64),
+        alpha_mean=np.zeros(J), zeta_changes=np.empty(0, dtype=np.int64),
         phi_mean=np.empty(0), phi_shape=(1, J, 2),
-        xi=np.array([[1, 0]], dtype=np.uint8), ridge=ridge, fits=fits,
+        xi_changes=np.array([0]), xi_shape=(1, 2), ridge=ridge, fits=fits,  # xi = [[1, 0]]
         log_posterior=np.zeros(2), accept={}, config=cfg,
     )
     Z_test = rng.integers(0, 40, size=(4, J))
@@ -384,6 +384,25 @@ def test_battery_cache_ignores_other_fingerprint(tmp_path):
     saved = json.loads(path.read_text())
     assert saved["fingerprint"] == battery_fingerprint({"x": runner})
     assert "blas_threads" in saved["runs"]["0:x"]
+
+
+def test_battery_fits_run_at_a_tiny_scale(monkeypatch):
+    # every battery fit, on replicate 0 at a tiny scale, called directly so
+    # that the cache is neither read nor written: each reads its MPPIs, fitted
+    # and predicted values through the chain as the full battery does
+    monkeypatch.setitem(globals(), "FIT", dict(iterations=20, burn_in=10, thin=2,
+                                               between_moves_per_iter=2))
+    monkeypatch.setitem(globals(), "SIM", SimConfig(N=12, P=3, J=6, n_true_cov=1,
+                                                    n_true_bal=1, zdot_low=50,
+                                                    zdot_high=100))
+    selection = {"cov_selected", "cov_sens", "cov_spec", "cov_mcc", "bal_selected",
+                 "bal_sens", "bal_mcc", "mse", "pmse"}
+    for label, runner in RUNS.items():
+        got = runner(0)
+        want = selection if label.startswith("two") else selection | {
+            "mean_zeta_mppi", "max_xi_mppi"}
+        assert got.keys() == want, label
+        assert np.isfinite(got["mse"]) and np.isfinite(got["pmse"]), label
 
 
 def _mean(cache, label, metric):

@@ -23,7 +23,7 @@ from dmjoint.predict import estimate_lambda_test, estimate_psi_test
 from dmjoint.prep import preprocess
 from dmjoint.sampler import SamplerConfig, run_chain
 from dmjoint.simulate import SimConfig, gen_replicate, replicate_rng
-from oracles import one_sample_at_a_time, ridge_blocks
+from oracles import change_block, one_sample_at_a_time, ridge_blocks
 
 
 def small_fixture(seed=0, **kw):
@@ -177,13 +177,14 @@ def test_two_step_keeps_psi_bar_not_stage_one_compositions():
     assert two.stage1.psi.shape == (cfg.n_retained, 0, 0)
     psi_bar = dm.psi_mean / dm.psi_mean.sum(axis=1, keepdims=True)
     assert stage_one_psi_bar(two).tobytes() == psi_bar.tobytes()
-    for name in ("alpha_mean", "phi_index", "phi_mean", "xi", "psi_mean", "log_posterior"):
+    for name in ("alpha_mean", "zeta_changes", "phi_mean", "xi_changes", "psi_mean",
+                 "log_posterior"):
         a, b = getattr(two.stage1, name), getattr(dm, name)
         assert a.dtype == b.dtype and a.shape == b.shape, name
         assert a.tobytes() == b.tobytes(), name
     assert two.stage1.accept == dm.accept
     stage2 = run_balance_selection(train, psi_bar, hyper, spec, replace(cfg, seed=14))
-    for name in ("xi", "ridge", "fits", "log_posterior"):
+    for name in ("xi_changes", "ridge", "fits", "log_posterior"):
         assert getattr(two.stage2, name).tobytes() == getattr(stage2, name).tobytes(), name
     assert two.stage2.accept == stage2.accept
 
@@ -244,8 +245,10 @@ def test_two_step_outputs_match_one_sample_at_a_time():
     xi[2] = 1
     xi[3, [1, 2, 6]] = 1
     ridge, fits = ridge_blocks([psi_bar] * len(xi), xi, train.Y, spec, hyper)
+    xi_changes, xi_shape = change_block(xi)
     two = TwoStepOutput(stage1=two.stage1,
-                        stage2=replace(two.stage2, xi=xi, ridge=ridge, fits=fits))
+                        stage2=replace(two.stage2, xi_changes=xi_changes, xi_shape=xi_shape,
+                                       ridge=ridge, fits=fits))
     psi_test = estimate_psi_test(estimate_lambda_test(two.stage1, test.X_test), test.Z_test)
 
     fit, pred, _ = one_sample_at_a_time([psi_bar] * len(xi), xi, train.Y, psi_test,

@@ -67,8 +67,8 @@ def test_replicate_round_trip(tmp_path):
     assert np.array_equal(btr.psi_star, truth.psi_star)
 
 
-CHAIN_BLOCKS = {"alpha_mean.npy", "phi_index.npy", "phi_mean.npy", "ridge.npy", "fits.npy",
-                "xi.npy", "log_posterior.npy"}
+CHAIN_BLOCKS = {"alpha_mean.npy", "zeta_changes.npy", "phi_mean.npy", "ridge.npy", "fits.npy",
+                "xi_changes.npy", "log_posterior.npy"}
 
 
 def small_chains():
@@ -98,7 +98,8 @@ def test_chain_round_trip(tmp_path):
         back, hyper, summary = dio.read_chain(rundir)
         assert_chains_equal(back, chain)
         assert back.zeta.dtype == back.xi.dtype == np.uint8
-        assert back.phi_index.dtype == np.int64 and back.phi_mean.dtype == np.float64
+        assert back.zeta_changes.dtype == back.xi_changes.dtype == np.int64
+        assert back.phi_mean.dtype == np.float64
         assert hyper == Hyperparams()
         assert summary["note"] == "test"
 
@@ -121,22 +122,24 @@ def test_read_chain_ignores_derived_blocks_of_older_writers(tmp_path):
 
 
 def test_chains_hold_no_dense_phi(tmp_path):
-    # phi is kept as (index, value): no S x J x P float block in memory
+    # phi is kept as its inclusions' changes and mean, and xi as its changes:
+    # no S x J x P or S x M block is held, in memory or read back
     for mode, chain in small_chains().items():
         dio.write_chain(tmp_path / mode, chain, Hyperparams())
         for held in (chain, dio.read_chain(tmp_path / mode)[0]):
+            assert held.phi_shape[1:] != held.xi_shape[1:]  # the fixture tells them apart
             dense = [name for name, v in vars(held).items()
-                     if isinstance(v, np.ndarray) and v.dtype.kind == "f"
-                     and v.size and v.shape == held.phi_shape]
+                     if isinstance(v, np.ndarray) and v.size
+                     and v.shape in (held.phi_shape, held.xi_shape)]
             assert not dense, (mode, dense)
 
 
 def assert_chains_equal(back, chain):
-    for name in ("alpha_mean", "phi_index", "phi_mean", "zeta", "xi", "psi", "ridge", "fits",
-                 "log_posterior", "mppi_zeta", "mppi_xi"):
+    for name in ("alpha_mean", "zeta_changes", "phi_mean", "xi_changes", "zeta", "xi", "psi",
+                 "ridge", "fits", "log_posterior", "mppi_zeta", "mppi_xi"):
         a, b = getattr(back, name), getattr(chain, name)
         assert a.dtype == b.dtype and np.array_equal(a, b), name
-    assert back.phi_shape == chain.phi_shape
+    assert back.phi_shape == chain.phi_shape and back.xi_shape == chain.xi_shape
     assert back.accept == chain.accept
     assert back.config == chain.config
 
@@ -240,9 +243,9 @@ def test_cli_fit_two_step(sim_dir, tmp_path):
     assert np.load(fit_dir / "stage2" / "alpha_mean.npy").size == 0
     # stage 1 keeps no balance or composition samples, and stage 2 keeps each
     # sample's ridge fit in place of the mean composition it ran on
-    assert np.load(fit_dir / "stage1" / "xi.npy").shape == (10, 0)
+    assert dio.read_chain(fit_dir / "stage1")[0].xi.shape == (10, 0)
     assert not (fit_dir / "psi_bar.csv").exists()
-    xi = np.load(fit_dir / "stage2" / "xi.npy")
+    xi = dio.read_chain(fit_dir / "stage2")[0].xi
     assert np.load(fit_dir / "stage2" / "ridge.npy").shape == (xi.sum(), 3)
     assert np.load(fit_dir / "stage2" / "fits.npy").shape == (10, 12)
     # the settings are recorded once, in the stage-one chain's summary
@@ -338,7 +341,7 @@ def test_cli_fit_deterministic(sim_dir, tmp_path):
     args = ["fit", str(sim_dir / "rep000"), "--seed", "9", *FAST_FIT]
     assert main(args + ["--out", str(a)]) == 0
     assert main(args + ["--out", str(b)]) == 0
-    for name in ("alpha_mean.npy", "phi_index.npy", "phi_mean.npy", "xi.npy",
+    for name in ("alpha_mean.npy", "zeta_changes.npy", "phi_mean.npy", "xi_changes.npy",
                  "selected_zeta.csv"):
         assert (a / name).read_bytes() == (b / name).read_bytes()
 
@@ -468,7 +471,7 @@ def test_cli_fit_respects_partition_file(sim_dir, tmp_path):
     assert main(["fit", str(sim_dir / "rep000"), "--out", str(ref),
                  "--seed", "5", *FAST_FIT]) == 0
     # pivot file reproduces the default partition bitwise
-    assert (out / "xi.npy").read_bytes() == (ref / "xi.npy").read_bytes()
+    assert (out / "xi_changes.npy").read_bytes() == (ref / "xi_changes.npy").read_bytes()
 
 
 def test_cli_predict_uses_fitted_partition(sim_dir, tmp_path):
@@ -514,27 +517,30 @@ def test_cli_predict_old_csv_chain_exits_1(sim_dir, tmp_path, capsys):
 
 
 def test_cli_predict_schema_3_chain_exits_1(sim_dir, tmp_path, capsys):
-    # a chain written with a dense phi.npy in place of phi_index/phi_mean
+    # a chain written with a dense phi.npy and xi.npy in place of the change
+    # blocks and phi_mean
     run = tmp_path / "o"
     assert main(["fit", str(sim_dir / "rep000"), "--out", str(run), *FAST_FIT]) == 0
     chain, _, _ = dio.read_chain(run)
-    (run / "phi_index.npy").unlink()
-    (run / "phi_mean.npy").unlink()
+    for name in ("zeta_changes", "phi_mean", "xi_changes"):
+        (run / f"{name}.npy").unlink()
     np.save(run / "phi.npy", chain.zeta.astype(float))
+    np.save(run / "xi.npy", chain.xi)
     capsys.readouterr()
     assert main(["predict", str(run)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "re-run fit" in err
-    assert str(run) in err and "phi_index.npy" in err
+    assert str(run) in err and "zeta_changes.npy" in err
 
 
 def test_cli_predict_schema_6_joint_chain_exits_1(sim_dir, tmp_path, capsys):
     # a joint chain that kept its selected balance columns, and no ridge fits
     run = tmp_path / "o"
     assert main(["fit", str(sim_dir / "rep000"), "--out", str(run), *FAST_FIT]) == 0
+    selected = int(dio.read_chain(run)[0].xi.sum())
     (run / "ridge.npy").unlink()
     (run / "fits.npy").unlink()
-    np.save(run / "balances.npy", np.zeros((int(np.load(run / "xi.npy").sum()), 14)))
+    np.save(run / "balances.npy", np.zeros((selected, 14)))
     manifest = dio.read_manifest(run)
     (run / "manifest.json").write_text(json.dumps({**manifest, "schema_version": 6}))
     capsys.readouterr()
@@ -552,7 +558,7 @@ def test_cli_predict_schema_7_chain_exits_1(sim_dir, tmp_path, capsys):
     (run / "alpha_mean.npy").unlink()
     (run / "phi_mean.npy").unlink()
     np.save(run / "alpha.npy", np.tile(chain.alpha_mean, (chain.n_samples, 1)))
-    np.save(run / "phi_value.npy", np.ones(chain.phi_index.size))
+    np.save(run / "phi_value.npy", np.ones(int(chain.zeta.sum())))
     manifest = dio.read_manifest(run)
     (run / "manifest.json").write_text(json.dumps({**manifest, "schema_version": 7}))
     capsys.readouterr()
@@ -560,6 +566,29 @@ def test_cli_predict_schema_7_chain_exits_1(sim_dir, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith("error: ")
     assert str(run) in err and "alpha_mean.npy" in err and "re-run fit" in err
+
+
+def test_cli_predict_schema_9_chain_exits_1(sim_dir, tmp_path, capsys):
+    # a chain that kept the flat indices of each sample's included pairs and
+    # its dense xi block, not their changes between samples
+    run = tmp_path / "o"
+    assert main(["fit", str(sim_dir / "rep000"), "--out", str(run), *FAST_FIT]) == 0
+    chain, _, _ = dio.read_chain(run)
+    (run / "zeta_changes.npy").unlink()
+    (run / "xi_changes.npy").unlink()
+    np.save(run / "phi_index.npy", np.flatnonzero(chain.zeta))
+    np.save(run / "xi.npy", chain.xi)
+    summary = json.loads((run / "summary.json").read_text())
+    del summary["xi_shape"]
+    (run / "summary.json").write_text(json.dumps(summary))
+    manifest = dio.read_manifest(run)
+    (run / "manifest.json").write_text(json.dumps({**manifest, "schema_version": 9}))
+    capsys.readouterr()
+    assert main(["predict", str(run)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: ")
+    assert str(run) in err and "zeta_changes.npy" in err and "re-run fit" in err
+    assert not (run / "predictions").exists()
 
 
 def test_cli_predict_schema_8_two_step_run_exits_1(sim_dir, tmp_path, capsys):
@@ -570,7 +599,7 @@ def test_cli_predict_schema_8_two_step_run_exits_1(sim_dir, tmp_path, capsys):
         assert main(["fit", str(sim_dir / "rep000"), "--out", str(run),
                      "--model", "dmlm-bayes", *flags, *FAST_FIT]) == 0
         stage2 = run / "stage2"
-        selected = int(np.load(stage2 / "xi.npy").sum())
+        selected = int(dio.read_chain(stage2)[0].xi.sum())
         assert (selected > 0) == (flags is not NO_BALANCES)
         np.save(stage2 / "ridge.npy", np.empty((0, 3)))
         np.save(stage2 / "fits.npy", np.empty((10, 0)))
@@ -588,7 +617,8 @@ def test_cli_predict_schema_8_two_step_run_exits_1(sim_dir, tmp_path, capsys):
 
 
 def test_cli_predict_schema_8_joint_run_predicts_the_same_bytes(sim_dir, tmp_path):
-    # a joint chain of schema 8 differs only by its empty psi block
+    # an empty psi block, which chains wrote before schema 9, and the
+    # manifest's schema number change no prediction byte
     run = tmp_path / "o"
     assert main(["fit", str(sim_dir / "rep000"), "--out", str(run), "--init-xi-frac", "0.5",
                  *FAST_FIT]) == 0
@@ -618,12 +648,32 @@ def test_read_chain_rejects_count_means_that_disagree_with_the_samples(sim_dir, 
     dio.read_chain(run)
 
 
+def test_read_chain_rejects_change_blocks_that_are_not_ascending_indices(sim_dir, tmp_path):
+    run = tmp_path / "o"
+    assert main(["fit", str(sim_dir / "rep000"), "--out", str(run),
+                 "--init-xi-frac", "0.5", *FAST_FIT]) == 0
+    good = {name: np.load(run / f"{name}.npy") for name in ("zeta_changes", "xi_changes")}
+    chain = dio.read_chain(run)[0]
+    sizes = {"zeta_changes": chain.zeta.size, "xi_changes": chain.xi.size}
+    for name, block in good.items():
+        assert block.size > 1 and block[-1] < sizes[name]
+        # out of order, repeated, out of [0, S*K), not int64 or not flat
+        for bad in (block[::-1], np.sort(np.append(block, block[0])),
+                    np.append(block, sizes[name]), np.append(-1, block),
+                    block.astype(float), block[:, None]):
+            np.save(run / f"{name}.npy", bad)
+            with pytest.raises(ValueError, match=re.escape(str(run / f"{name}.npy"))):
+                dio.read_chain(run)
+        np.save(run / f"{name}.npy", block)
+    dio.read_chain(run)
+
+
 def test_read_chain_rejects_ridge_blocks_that_disagree_with_the_samples(sim_dir, tmp_path):
     run = tmp_path / "o"
     assert main(["fit", str(sim_dir / "rep000"), "--out", str(run),
                  "--init-xi-frac", "0.5", *FAST_FIT]) == 0
     good = {name: np.load(run / f"{name}.npy") for name in ("ridge", "fits")}
-    assert len(good["ridge"]) == np.load(run / "xi.npy").sum() > 0
+    assert len(good["ridge"]) == dio.read_chain(run)[0].xi.sum() > 0
     assert good["fits"].shape == (10, 12)
     # ridge rows other than xi.sum(), and fits other than S x N
     for name, block in good.items():
@@ -641,7 +691,7 @@ def test_cli_predict_without_selected_balances_is_a0_hat(sim_dir, tmp_path):
     rep, run = sim_dir / "rep000", tmp_path / "o"
     assert main(["fit", str(rep), "--out", str(run), *NO_BALANCES, *FAST_FIT]) == 0
     assert main(["predict", str(run)]) == 0
-    assert np.load(run / "xi.npy").sum() == 0
+    assert dio.read_chain(run)[0].xi.sum() == 0
     train, test, stats = preprocess(dio.read_train(rep), dio.read_test(rep))
     a0_hat = train.Y.sum() / (train.n_subjects + 1.0 / Hyperparams().h_alpha0)
     for path, n in ((run / "fitted_y.csv", train.n_subjects),

@@ -21,16 +21,17 @@ from dmjoint.predict import (
     predict_y,
 )
 from dmjoint.sampler import ChainOutput, SamplerConfig
-from oracles import one_sample_at_a_time, ridge_blocks
+from oracles import change_block, one_sample_at_a_time, ridge_blocks
 
 
-def phi_blocks(phi):
-    """The (index, mean, shape) fields of ChainOutput for a dense S x J x P phi:
-    the mean is kept at the pairs some sample includes."""
+def indicator_blocks(phi, xi):
+    """The indicator and phi fields of ChainOutput for a dense S x J x P phi and
+    S x M xi: the mean phi is kept at the pairs some sample includes."""
     phi = np.asarray(phi, dtype=float)
     included = (phi != 0).any(axis=0)
-    return {"phi_index": np.flatnonzero(phi), "phi_mean": phi.mean(axis=0)[included],
-            "phi_shape": phi.shape}
+    (zeta_changes, phi_shape), (xi_changes, xi_shape) = change_block(phi), change_block(xi)
+    return {"zeta_changes": zeta_changes, "phi_mean": phi.mean(axis=0)[included],
+            "phi_shape": phi_shape, "xi_changes": xi_changes, "xi_shape": xi_shape}
 
 
 def make_chain(alpha, phi, xi, psi=None, spec=None, hyper=None, Y=None):
@@ -44,8 +45,7 @@ def make_chain(alpha, phi, xi, psi=None, spec=None, hyper=None, Y=None):
                    else ridge_blocks(psi, xi, Y, spec, hyper or Hyperparams()))
     return ChainOutput(
         alpha_mean=alpha.mean(axis=0),
-        **phi_blocks(phi),
-        xi=xi,
+        **indicator_blocks(phi, xi),
         ridge=ridge,
         fits=fits,
         log_posterior=np.zeros(2),

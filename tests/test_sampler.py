@@ -7,6 +7,9 @@ from typing import NamedTuple
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy import stats
 from scipy.integrate import quad
 from scipy.special import gammaln
@@ -34,12 +37,14 @@ from dmjoint.predict import (
 from dmjoint.prep import preprocess
 from dmjoint.sampler import (
     STREAM_VERSION,
+    ChainOutput,
     ChainState,
     SamplerConfig,
     alpha_log_mh_ratio,
+    change_counts,
     initial_state,
-    mppi,
     pair_log_mh_ratio,
+    replay_changes,
     run_chain,
     update_c,
     update_u,
@@ -48,7 +53,7 @@ from dmjoint.sampler import (
     xi_log_mh_ratio,
 )
 from dmjoint.simulate import SimConfig, gen_replicate, replicate_rng
-from oracles import log_augmented_dm, one_sample_at_a_time
+from oracles import change_block, log_augmented_dm, one_sample_at_a_time
 
 
 def xi_only_inputs(Y, B):
@@ -630,7 +635,7 @@ def test_stream_version_pins_draw_order():
     chains["lm_only"] = run_chain(
         data, Hyperparams(), xi_spec,
         SamplerConfig(mode="lm_only", init_xi_frac=0.5, **cfg), balances=B)
-    got = {mode: (out.accept, int(out.xi.sum()), out.phi_index.size)
+    got = {mode: (out.accept, int(out.xi.sum()), int(out.zeta.sum()))
            for mode, out in chains.items()}
     assert got == {
         "joint": ({"alpha": (107, 320), "add": (11, 140), "delete": (10, 20),
@@ -689,10 +694,13 @@ def test_run_chain_preserves_state_invariants():
     out = run_chain(train, Hyperparams(), sbp_pivot(train.n_taxa), cfg)
     S, J, P = out.phi_shape
     assert (S, J, P) == (20, train.n_taxa, train.n_covariates)
-    index = out.phi_index
-    assert index.size and np.all(np.diff(index) > 0)
-    assert index[0] >= 0 and index[-1] < S * J * P
+    # each indicator block is kept as ascending flat indices of its changes
+    for changes, size in ((out.zeta_changes, S * J * P), (out.xi_changes, S * (J - 1))):
+        assert changes.dtype == np.int64 and changes.size and np.all(np.diff(changes) > 0)
+        assert changes[0] >= 0 and changes[-1] < size
+    assert out.xi_shape == out.xi.shape == (S, J - 1)
     assert np.array_equal(out.mppi_zeta, out.zeta.mean(axis=0))
+    assert np.array_equal(out.mppi_xi, out.xi.mean(axis=0))
     # the means: one per taxon, and one per pair some sample included
     assert out.alpha_mean.shape == (J,)
     assert out.phi_mean.shape == (np.count_nonzero(out.mppi_zeta),)
@@ -894,9 +902,9 @@ def test_lm_only_chain_keeps_xi_alone():
     out = run_chain(data, Hyperparams(), spec, cfg, balances=B)
     assert out.alpha_mean.shape == (0,) and out.n_samples == 10
     assert out.phi_shape == out.zeta.shape == out.psi.shape == (10, 0, 0)
-    assert out.phi_index.size == out.phi_mean.size == 0
+    assert out.zeta_changes.size == out.phi_mean.size == 0
     assert out.zeta.dtype == np.uint8 and out.mppi_zeta.shape == (0, 0)
-    assert out.xi.shape == (10, 4) and out.accept.keys() == {"xi"}
+    assert out.xi_shape == out.xi.shape == (10, 4) and out.accept.keys() == {"xi"}
     assert out.accept["xi"][1] == 60
     assert np.all(np.isfinite(out.log_posterior))
 
@@ -1001,9 +1009,47 @@ def test_xi_selection_matches_enumeration_oracle():
     assert out.mppi_xi[0] > 0.9
 
 
+def xi_chain(xi_changes, xi_shape):
+    """An ``lm_only``-shaped chain with the given xi change block and no fits."""
+    S = xi_shape[0]
+    return ChainOutput(alpha_mean=np.empty(0), zeta_changes=np.empty(0, dtype=np.int64),
+                       phi_mean=np.empty(0), phi_shape=(S, 0, 0), xi_changes=xi_changes,
+                       xi_shape=xi_shape, ridge=np.empty((0, 3)), fits=np.empty((S, 0)),
+                       log_posterior=np.zeros(2), accept={},
+                       config=SamplerConfig(iterations=2, burn_in=1, thin=1))
+
+
 def test_mppi_arithmetic():
-    assert mppi(np.ones((4, 2))).tolist() == [1.0, 1.0]
-    assert mppi(np.array([[0], [1], [0], [1]]))[0] == 0.5
-    assert mppi(np.array([[1], [1], [0]]))[0] == pytest.approx(2 / 3)
-    with pytest.raises(ValueError):
-        mppi(np.empty((0, 3)))
+    def mppi_xi(xi):
+        return xi_chain(*change_block(xi)).mppi_xi
+
+    assert mppi_xi(np.ones((4, 2))).tolist() == [1.0, 1.0]
+    assert mppi_xi(np.array([[0], [1], [0], [1]]))[0] == 0.5
+    assert mppi_xi(np.array([[1], [1], [0]]))[0] == pytest.approx(2 / 3)
+    with pytest.raises(ValueError, match="at least one retained sample"):
+        xi_chain(np.empty(0, dtype=np.int64), (0, 3))
+
+
+indicator_samples = st.tuples(
+    st.integers(1, 6), st.lists(st.integers(0, 5), min_size=1, max_size=2)).flatmap(
+    lambda dims: hnp.arrays(np.uint8, (dims[0], *dims[1]), elements=st.integers(0, 1)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(indicator_samples)
+@example(np.zeros((1, 0), dtype=np.uint8))  # a dm_only chain's xi
+@example(np.zeros((1, 0, 0), dtype=np.uint8))  # an lm_only chain's zeta
+@example(np.ones((1, 3, 2), dtype=np.uint8))
+def test_change_blocks_replay_and_count_their_samples(rows):
+    # S x M (xi) and S x J x P (zeta) indicator samples, encoded a sample at a
+    # time as run_chain does, replay bit for bit and count to their sums; the
+    # MPPIs counts / S have the bits of the mean over the samples
+    changes, shape = change_block(rows)
+    assert changes.dtype == np.int64 and np.all(np.diff(changes) > 0)
+    assert np.all((0 <= changes) & (changes < rows.size))
+    back = replay_changes(changes, shape)
+    assert back.dtype == np.uint8 and back.shape == rows.shape
+    assert back.tobytes() == rows.tobytes()
+    counts = change_counts(changes, shape)
+    assert counts.dtype == np.int64 and np.array_equal(counts, rows.sum(axis=0))
+    assert (counts / len(rows)).tobytes() == rows.mean(axis=0).tobytes()

@@ -1,10 +1,11 @@
 """Two-step Bayesian comparator: count-model selection first, then balance
 selection on balances frozen at the posterior-mean composition.
 
-Both stages run ``sampler.run_chain``, and stage two keeps each retained
-sample's ridge fit as a joint chain does, so both prediction functions read
-it with ``predict.ridge_pass``. The comparator differs from the joint model
-only in freezing the composition: its balances are built once, from psi_bar."""
+Both stages run ``sampler.run_chain``, and stage two keeps its samples'
+fitted values and linear predictor as a joint chain does, so both prediction
+functions read them with ``predict.ridge_pass``. The comparator differs from
+the joint model only in freezing the composition: its balances are built
+once, from psi_bar."""
 
 from __future__ import annotations
 
@@ -56,13 +57,13 @@ def run_two_step(data: Dataset, hyper: Hyperparams, spec: PartitionSpec,
 
 def two_step_fitted_y(two_step: TwoStepOutput, data: Dataset,
                       hyper: Hyperparams) -> np.ndarray:
-    """In-sample estimates averaged over the stage-two samples' ridge fits."""
+    """In-sample estimates: the stage-two samples' mean fitted values."""
     return ridge_pass(two_step.stage2, data.Y, hyper)[0]
 
 
 def two_step_predict_y(two_step: TwoStepOutput, data: Dataset, test: TestSet,
                        spec: PartitionSpec, hyper: Hyperparams) -> np.ndarray:
-    """Test predictions: test compositions from the stage-one chain, coefficients
-    from the stage-two samples' ridge fits on the frozen training balances."""
+    """Test predictions: test compositions from the stage-one chain, the linear
+    predictor from the stage-two samples' ridge fits on the frozen balances."""
     B_test = estimate_test_balances(two_step.stage1, test, spec.contrast_matrix(), hyper)
     return ridge_pass(two_step.stage2, data.Y, hyper, B_test)[1]

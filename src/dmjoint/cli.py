@@ -276,12 +276,15 @@ def _evaluate_run(rundir: Path) -> dict:
         y = dio.read_matrix(repdir / "train_y.csv").ravel()
         row["mse_sum"] = squared_error(y, yhat)
         row["mse_mean"] = row["mse_sum"] / len(y)
-    pred = rundir / "predictions" / "predictions.csv"
-    if pred.exists() and (repdir / "test_y.csv").exists():
-        yhat = dio.read_matrix(pred).ravel()
-        y = dio.read_matrix(repdir / "test_y.csv").ravel()
-        row["pmse_sum"] = squared_error(y, yhat)
-        row["pmse_mean"] = row["pmse_sum"] / len(y)
+    pred = rundir / "predictions"
+    if (pred / "predictions.csv").exists():
+        # the test set predict read, which --test-dir may have set
+        test_y = Path(dio.read_manifest(pred)["config"]["test_dir"]) / "test_y.csv"
+        if test_y.exists():
+            yhat = dio.read_matrix(pred / "predictions.csv").ravel()
+            y = dio.read_matrix(test_y).ravel()
+            row["pmse_sum"] = squared_error(y, yhat)
+            row["pmse_mean"] = row["pmse_sum"] / len(y)
     return row
 
 

@@ -2,37 +2,16 @@
 
 Datasets, selections, predictions and reports are UTF-8 CSV with a header
 row; reals are written with 17 significant digits so write -> read -> write
-round-trips byte-wise, counts as plain integers. A chain is seven raw
-``.npy`` blocks (``alpha_mean``, ``zeta_changes``, ``phi_mean``, ``ridge``,
-``fits``, ``xi_changes``, ``log_posterior``) in their in-memory shape and
-dtype, so it round-trips bitwise; a block the chain does not keep is written
-empty: the count blocks of an xi-only (stage-2) chain and the
-``xi_changes``, ``ridge`` and ``fits`` of a two-step fit's stage 1. Every
-chain that selects balances, a joint chain (schema 7) and stage 2 (schema 9),
-keeps each sample's ridge fit on the balances it selected: ``ridge`` holds
-one row ``(beta, mean, sd)`` per selection, so its rows are ``xi.sum()``,
-and ``fits`` the S x N fitted values; a ``dm_only`` chain writes ``ridge``
-as 0 x 3 and ``fits`` as S x 0. A ``dm_only`` chain's mean composition,
-``psi_mean``, is not written: stage 2's ridge fits hold all that prediction
-reads of it, so a two-step run no longer writes it as ``psi_bar.csv``
-(before schema 9). The inclusion indicators are kept as their changes
-between retained samples (manifest schema 10): ``zeta_changes`` and
-``xi_changes`` hold the strictly ascending int64 flat indices ``s*K + k`` at
-which sample s's indicator k differs from sample s - 1's (sample -1 is all
-zeros), of the S x J x P ``zeta = phi != 0`` and the S x M ``xi`` whose
-shapes ``summary.json`` records as ``phi_shape`` and ``xi_shape``; a block
-that is not such indices is refused. The count blocks are kept as their
-posterior means (manifest schema 8): ``alpha_mean`` (J) and ``phi_mean``,
-the mean ``phi`` at the pairs with ``mppi_zeta > 0`` in C order. ``zeta``,
-``xi`` and the MPPIs are derived on load; a ``zeta.npy``, ``mppi_*.npy``,
-(before manifest schema 5) ``u.npy`` or (before schema 9) empty ``psi.npy``
-of an older writer is ignored, and a chain without ``ridge.npy`` (before
-schema 7), ``alpha_mean.npy`` (before schema 8) or ``zeta_changes.npy``
-(before schema 10, which kept ``phi_index.npy`` and a dense ``xi.npy``), or
-a stage 2 without ridge fits (before schema 9), must be fitted again.
-Settings, acceptance counts and provenance are JSON; a fit's
-``summary.json`` also records ``train_sha256``, a digest of the training
-data it read (``train_digest``), so ``predict`` can refuse other data.
+round-trips byte-wise, counts as plain integers. A chain is one raw ``.npy``
+file per block of ``_BLOCKS`` (see ``sampler.ChainOutput``), in its in-memory
+shape and dtype, so it round-trips bitwise; a block a mode does not keep is
+written empty. Settings, acceptance counts, the indicator shapes and
+provenance are in the chain's ``summary.json``, with ``train_sha256``, a
+digest of the training data the fit read (``train_digest``), so ``predict``
+can refuse other data. Each chain records the ``schema_version`` it was
+written under, and ``read_chain`` refuses any other version, a missing
+block, a change block that is not strictly ascending indices, or a block of
+the wrong shape, asking for a re-fit.
 """
 
 from __future__ import annotations
@@ -52,6 +31,7 @@ from .sampler import ChainOutput, SamplerConfig
 from .simulate import GroundTruth
 
 FLOAT_FMT = "%.17g"
+SCHEMA_VERSION = 11  # of chains and manifests; bump on any change to a chain's files
 
 
 def write_matrix(path, arr, prefix: str, integer: bool = False):
@@ -80,7 +60,7 @@ def write_manifest(outdir, command: str, config: dict, seed, inputs, started: fl
         "output": str(outdir),
         "duration_s": round(time.time() - started, 3),
         "version": __version__,
-        "schema_version": 10,
+        "schema_version": SCHEMA_VERSION,
     }
     with open(outdir / "manifest.json", "w") as f:
         json.dump(manifest, f, indent=2, sort_keys=True)
@@ -160,7 +140,7 @@ def read_truth(repdir) -> GroundTruth:
 # ---------------------------------------------------------------------------
 
 
-_BLOCKS = ("alpha_mean", "zeta_changes", "phi_mean", "ridge", "fits", "xi_changes",
+_BLOCKS = ("alpha_mean", "zeta_changes", "phi_mean", "predictor", "fits", "xi_changes",
            "log_posterior")
 
 
@@ -171,6 +151,7 @@ def write_chain(outdir, chain: ChainOutput, hyper: Hyperparams, extra: dict | No
     for name in _BLOCKS:
         np.save(outdir / f"{name}.npy", getattr(chain, name))
     summary = {
+        "schema_version": SCHEMA_VERSION,
         "config": asdict(chain.config),
         "hyperparams": asdict(hyper),
         "acceptance": {k: {"accepted": int(v[0]), "proposed": int(v[1]),
@@ -201,13 +182,17 @@ def _check_changes(path, changes, shape):
 
 def read_chain(rundir) -> tuple[ChainOutput, Hyperparams, dict]:
     rundir = Path(rundir)
+    path = rundir / "summary.json"
+    with open(path) as f:
+        summary = json.load(f)
+    version = summary.get("schema_version", "10 or older")
+    if version != SCHEMA_VERSION:
+        raise ValueError(f"{path} is of chain schema {version}, but this version of dmjoint "
+                         f"reads schema {SCHEMA_VERSION}; re-run fit to rewrite it")
     missing = [name for name in _BLOCKS if not (rundir / f"{name}.npy").exists()]
     if missing:
         raise ValueError(f"{rundir} is missing the chain block {missing[0]}.npy; "
                          "re-run fit to rewrite it")
-    path = rundir / "summary.json"
-    with open(path) as f:
-        summary = json.load(f)
     blocks = {name: np.load(rundir / f"{name}.npy", allow_pickle=False)
               for name in _BLOCKS}
     try:
@@ -225,21 +210,19 @@ def read_chain(rundir) -> tuple[ChainOutput, Hyperparams, dict]:
     except TypeError as e:
         raise ValueError(f"{path} does not match this version of dmjoint ({e}); "
                          "re-run fit to rewrite it") from e
-    mode, (S, J, _) = chain.config.mode, chain.phi_shape
-    selected, included = int(chain.xi.sum()), int(np.count_nonzero(chain.mppi_zeta))
-    # the means cover J taxa and the pairs some sample included; a sample keeps
-    # one (beta, mean, sd) row per selected balance, and N fitted values unless
-    # its chain selects no balances (dm_only)
-    n = (0,) if mode == "dm_only" else chain.fits.shape[-1:]
+    mode, (S, J, _), M = chain.config.mode, chain.phi_shape, chain.xi_shape[1]
+    included = int(np.count_nonzero(chain.mppi_zeta))
+    # the means cover J taxa and the pairs some sample included; a chain that
+    # selects balances keeps its predictor over M balances and N fitted
+    # values per sample
+    width = (0,) if mode == "dm_only" else chain.fits.shape[-1:]
     for name, want in (("alpha_mean", (J,)), ("phi_mean", (included,)),
-                       ("ridge", (selected, 3)), ("fits", (S, *n))):
+                       ("predictor", (0 if mode == "dm_only" else M + 1,)),
+                       ("fits", (S, *width))):
         shape = getattr(chain, name).shape
         if shape != want:
             raise ValueError(f"{rundir / (name + '.npy')} has shape {shape}, but this {mode} "
-                             f"chain of {S} samples over {J} taxa, including {included} "
-                             f"pairs and selecting {selected} balances, needs {want}; "
+                             f"chain of {S} samples over {J} taxa and {M} balances, "
+                             f"including {included} pairs, needs {want}; "
                              "re-run fit to rewrite it")
-    if mode != "dm_only" and n == (0,):  # N >= 1: a stage 2 written before schema 9
-        raise ValueError(f"{rundir / 'fits.npy'} holds no fitted values, which this {mode} "
-                         "chain needs; re-run fit to rewrite it")
     return chain, hyper, summary

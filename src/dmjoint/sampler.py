@@ -5,39 +5,17 @@ covariate-inclusion pairs ``(zeta, phi)`` (between-model add/delete moves
 followed by a within-model refresh of every included coefficient); the
 latent ``c`` and ``u`` blocks via exact Gibbs draws; and the
 balance-inclusion indicators ``xi``, scored on balances rebuilt from the
-new composition. The ``dm_only`` mode skips the response block and keeps no
-balance samples. The ``lm_only`` mode runs the ``xi`` block alone on a fixed
-balance matrix given by the caller (stage two of the two-step comparator),
-standardized once, and keeps no count samples.
+new composition. The ``dm_only`` mode skips the response block. The
+``lm_only`` mode runs the ``xi`` block alone on a fixed balance matrix given
+by the caller (stage two of the two-step comparator), standardized once.
 
 All acceptance ratios are exact because the augmented log likelihood drops
 only terms constant in (c, gamma, u): ``log Gamma(zdot)`` and the multinomial
-coefficient.
-
-``ChainState`` carries the sweep: each block update moves it in place, adds
-its (accepted, proposed) counts to the chain's ``accept`` table and returns
-None.
-
-The spike is a point mass at 0, so a pair is included exactly when its
-``phi`` is non-zero: ``phi`` and ``xi`` are the only record of the
-selections, and ``ChainOutput`` derives ``zeta = phi != 0`` and both MPPIs.
-A sweep flips few indicators, so a chain keeps each block of indicators,
-``zeta`` (S x J x P) and ``xi`` (S x M), as its changes between retained
-samples (``indicator_changes``), and replays or counts them on demand
-(``replay_changes``, ``change_counts``). Prediction
-reads the count blocks only through their posterior means, so the chain sums
-the retained ``alpha`` and ``phi`` in sample order, with the bits of
-``mean(axis=0)`` over the stacked samples, and keeps those means, not the
-samples. The composition reaches the response only through the ridge fit on
-the balances a sample selected, so every chain that selects balances runs
-that fit (``model.ridge_fit``) on the slice of the balances it scored at each
-retained iteration, and keeps its coefficients with the selected columns'
-means and sds and its N fitted values: a joint chain on the balances the
-sweep built, in place of the sample's S x N x J composition, and an
-``lm_only`` chain on its fixed balances. Stage two of a two-step fit reads
-only the posterior-mean composition, so a ``dm_only`` chain sums its retained
-compositions in sample order, with the bits of ``mean(axis=0)`` over the
-S x N x J block, and no chain keeps them.
+coefficient. ``ChainState`` carries the sweep: each block update moves it in
+place, adds its (accepted, proposed) counts to the chain's ``accept`` table
+and returns None. What a chain keeps of its retained samples, mostly sums
+taken in sample order and changes between samples, is set out on
+``ChainOutput``.
 
 Draw order is part of the contract: the batched blocks take every draw in the
 order of a one-move-at-a-time scan, so chains stay bitwise identical to it.
@@ -136,25 +114,22 @@ class ChainOutput:
     """What a chain keeps of its thinned post-burn-in samples, and the
     summaries derived from them.
 
-    A chain keeps each sample's inclusion indicators as change blocks
-    (``indicator_changes``): ``zeta_changes`` those of the S x J x P
-    ``zeta = phi != 0`` of shape ``phi_shape``, and ``xi_changes`` those of the
-    S x M ``xi`` of shape ``xi_shape``. ``zeta`` and ``xi`` replay them; the
-    MPPIs are counted from them, with no S x K block built. Of the count
-    blocks it keeps the posterior means: ``alpha_mean`` the mean intercepts,
-    and ``phi_mean`` the mean ``phi`` at the pairs some sample included
-    (``mppi_zeta > 0``), in C order; it is 0 at every other pair.
-
-    A chain that selects balances (``joint`` or ``lm_only``) keeps each
-    sample's ridge fit on the balances it selected (``model.ridge_fit``), in
-    place of the sample's composition: ``ridge`` stacks, in sample order, one
-    row ``(beta, mean, sd)`` per selected balance, so sample s owns the next
-    ``xi[s].sum()`` rows, and row s of ``fits`` holds the sample's N fitted
-    values. A ``dm_only`` chain keeps neither; it keeps, in ``psi_mean``, the
-    mean of its retained compositions, from which a two-step fit forms the
-    frozen composition of stage two. It is held in memory only: stage two's
-    ridge fits hold all that prediction reads of it. No chain keeps
-    composition samples.
+    - ``zeta_changes`` and ``xi_changes``: the S x J x P ``zeta = phi != 0``
+      of shape ``phi_shape`` and the S x M ``xi`` of shape ``xi_shape``, as
+      their changes between samples (``indicator_changes``). ``zeta`` and
+      ``xi`` replay them, and the MPPIs are counted from them.
+    - ``alpha_mean`` and ``phi_mean``: the posterior means of the intercepts
+      and of ``phi`` at the pairs some sample included (``mppi_zeta > 0``), in
+      C order; the mean of ``phi`` is 0 at every other pair.
+    - ``fits`` and ``predictor``, in a chain that selects balances (``joint``
+      or ``lm_only``): each sample's ridge fit on its selected standardized
+      balances (``model.ridge_fit``) gives row s of ``fits``, its N fitted
+      values, and adds ``beta / sd`` into ``W = predictor[:-1]`` at its
+      selected columns and ``(mean / sd) @ beta`` into ``c = predictor[-1]``,
+      so the samples' summed prediction at raw balances ``B`` is
+      ``B @ W - c``. A ``dm_only`` chain keeps both empty.
+    - ``psi_mean``: in ``dm_only``, the mean of the retained compositions,
+      held in memory only; no chain keeps composition samples.
     """
 
     alpha_mean: np.ndarray  # J
@@ -163,7 +138,7 @@ class ChainOutput:
     phi_shape: tuple  # (S, J, P); (S, 0, 0) in lm_only
     xi_changes: np.ndarray  # int64 changes of the S x M xi
     xi_shape: tuple  # (S, M); (S, 0) in dm_only
-    ridge: np.ndarray  # xi.sum() x 3: 0 x 3 in dm_only
+    predictor: np.ndarray  # W then c: M + 1, 0 in dm_only
     fits: np.ndarray  # S x N, S x 0 in dm_only
     log_posterior: np.ndarray  # full pre-thinning trace, length iterations
     accept: dict  # per-move-type (accepted, proposed) counters
@@ -203,14 +178,6 @@ class ChainOutput:
     def xi(self) -> np.ndarray:
         """S x M uint8 balance-inclusion indicators."""
         return replay_changes(self.xi_changes, self.xi_shape)
-
-    def ridge_fits(self):
-        """Each sample's ``(beta, means, sds, fit)``, read from its rows of
-        ``ridge`` and its row of ``fits``. ``beta`` is a contiguous copy, as
-        the solve returned it, so a product with it has the solve's bits."""
-        ends = np.cumsum(self.xi.sum(axis=1, dtype=np.int64))
-        for rows, fit in zip(np.split(self.ridge, ends[:-1]), self.fits):
-            yield (*np.ascontiguousarray(rows.T), fit)
 
 
 @dataclass
@@ -539,8 +506,7 @@ def run_chain(
 
     S = config.n_retained
     # lm_only keeps no count samples and dm_only no balance samples: the
-    # blocks a mode does not keep have zero width. No mode keeps compositions
-    # (a sample that selects balances keeps its ridge fit); dm_only sums them
+    # blocks a mode does not keep have zero width. dm_only sums compositions
     Jk, Pk = (0, 0) if mode == "lm_only" else (J, P)
     Mk = 0 if mode == "dm_only" else M
     # the count blocks are read only through their means: sum them in sample
@@ -551,7 +517,8 @@ def run_chain(
     zeta_changes, xi_changes = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
     included = on.copy()  # pairs some sample included
     psi_sum = np.zeros((n, J)) if mode == "dm_only" else None
-    out_ridge = [np.empty((0, 3))]
+    # the ridge fits' linear predictor W, c, summed in sample order
+    predictor = np.zeros(0 if mode == "dm_only" else M + 1)
     out_fits = np.empty((S, 0 if mode == "dm_only" else n))
     log_post = np.empty(config.iterations)
     moves = {"joint": ("alpha", "add", "delete", "within", "xi"),
@@ -600,7 +567,8 @@ def run_chain(
                 sel, was = state.xi == 1, sel
                 xi_changes.append(indicator_changes(was, sel, s))
                 beta, out_fits[s] = ridge_fit(B_std[:, sel], data.Y, hyper)
-                out_ridge.append(np.column_stack([beta, means[sel], sds[sel]]))
+                predictor[:-1][sel] += beta / sds[sel]
+                predictor[-1] += (means[sel] / sds[sel]) @ beta
             s += 1
 
     assert s == S
@@ -611,7 +579,7 @@ def run_chain(
         phi_shape=(S, Jk, Pk),
         xi_changes=np.concatenate(xi_changes),
         xi_shape=(S, Mk),
-        ridge=np.concatenate(out_ridge),
+        predictor=predictor,
         fits=out_fits,
         log_posterior=log_post,
         accept={k: tuple(v) for k, v in accept.items()},

@@ -55,7 +55,7 @@ from dmjoint.sampler import (
     xi_log_mh_ratio,
 )
 from dmjoint.simulate import SimConfig, gen_replicate, replicate_rng
-from oracles import balance_matrix, ridge_blocks
+from oracles import balance_matrix, predictor_blocks
 
 
 def report(criterion, detail):
@@ -215,11 +215,12 @@ def test_criterion_a6_ridge_prediction_oracle():
     from dmjoint.sampler import ChainOutput
 
     cfg = SamplerConfig(iterations=2, burn_in=1, thin=1)
-    ridge, fits = ridge_blocks(psi[None, :, :], [[1, 0]], Y, spec, hyper)
+    predictor, fits = predictor_blocks(psi[None, :, :], [[1, 0]], Y, spec, hyper)
     chain = ChainOutput(
         alpha_mean=np.zeros(J), zeta_changes=np.empty(0, dtype=np.int64),
         phi_mean=np.empty(0), phi_shape=(1, J, 2),
-        xi_changes=np.array([0]), xi_shape=(1, 2), ridge=ridge, fits=fits,  # xi = [[1, 0]]
+        xi_changes=np.array([0]), xi_shape=(1, 2),  # xi = [[1, 0]]
+        predictor=predictor, fits=fits,
         log_posterior=np.zeros(2), accept={}, config=cfg,
     )
     Z_test = rng.integers(0, 40, size=(4, J))

@@ -23,7 +23,12 @@ from dmjoint.predict import estimate_lambda_test, estimate_psi_test
 from dmjoint.prep import preprocess
 from dmjoint.sampler import SamplerConfig, run_chain
 from dmjoint.simulate import SimConfig, gen_replicate, replicate_rng
-from oracles import change_block, one_sample_at_a_time, ridge_blocks
+from oracles import (
+    assert_matches_reference,
+    change_block,
+    one_sample_at_a_time,
+    predictor_blocks,
+)
 
 
 def small_fixture(seed=0, **kw):
@@ -151,7 +156,7 @@ def test_two_step_structure_and_fits():
     assert np.allclose(psi_bar.sum(axis=1), 1.0, atol=1e-12)
     assert two.stage2.xi.shape[1] == spec.M
     S = two.stage2.n_samples
-    assert two.stage2.ridge.shape == (two.stage2.xi.sum(), 3)
+    assert two.stage2.predictor.shape == (spec.M + 1,)
     assert two.stage2.fits.shape == (S, train.n_subjects) == (S, two.stage2.n_subjects)
 
     fit = two_step_fitted_y(two, train, hyper)
@@ -184,7 +189,7 @@ def test_two_step_keeps_psi_bar_not_stage_one_compositions():
         assert a.tobytes() == b.tobytes(), name
     assert two.stage1.accept == dm.accept
     stage2 = run_balance_selection(train, psi_bar, hyper, spec, replace(cfg, seed=14))
-    for name in ("xi_changes", "ridge", "fits", "log_posterior"):
+    for name in ("xi_changes", "predictor", "fits", "log_posterior"):
         assert getattr(two.stage2, name).tobytes() == getattr(stage2, name).tobytes(), name
     assert two.stage2.accept == stage2.accept
 
@@ -226,7 +231,7 @@ def test_two_step_deterministic():
     assert np.array_equal(a.stage1.zeta, b.stage1.zeta)
     assert np.array_equal(a.stage2.xi, b.stage2.xi)
     assert np.array_equal(a.stage1.psi_mean, b.stage1.psi_mean)
-    assert np.array_equal(a.stage2.ridge, b.stage2.ridge)
+    assert np.array_equal(a.stage2.predictor, b.stage2.predictor)
     assert np.array_equal(a.stage2.fits, b.stage2.fits)
 
 
@@ -244,23 +249,24 @@ def test_two_step_outputs_match_one_sample_at_a_time():
     xi[0, [0, 3]] = 1
     xi[2] = 1
     xi[3, [1, 2, 6]] = 1
-    ridge, fits = ridge_blocks([psi_bar] * len(xi), xi, train.Y, spec, hyper)
+    predictor, fits = predictor_blocks([psi_bar] * len(xi), xi, train.Y, spec, hyper)
     xi_changes, xi_shape = change_block(xi)
     two = TwoStepOutput(stage1=two.stage1,
                         stage2=replace(two.stage2, xi_changes=xi_changes, xi_shape=xi_shape,
-                                       ridge=ridge, fits=fits))
+                                       predictor=predictor, fits=fits))
     psi_test = estimate_psi_test(estimate_lambda_test(two.stage1, test.X_test), test.Z_test)
 
-    fit, pred, _ = one_sample_at_a_time([psi_bar] * len(xi), xi, train.Y, psi_test,
-                                        spec, hyper)
-    assert np.array_equal(two_step_fitted_y(two, train, hyper), fit)
-    assert np.array_equal(two_step_predict_y(two, train, test, spec, hyper), pred)
+    assert_matches_reference(two_step_fitted_y(two, train, hyper),
+                             two_step_predict_y(two, train, test, spec, hyper), None,
+                             one_sample_at_a_time([psi_bar] * len(xi), xi, train.Y,
+                                                  psi_test, spec, hyper))
 
 
 def test_stage_two_keeps_the_ridge_fits_of_its_frozen_balances():
-    # the ridge fits stage two kept of its own selections, against each sample
-    # fitted again on psi_bar's balances, and the pass over them against the
-    # reference that rebuilds those balances for every sample, bit for bit
+    # the fitted values and linear predictor stage two kept of the ridge fits
+    # of its own selections, against each sample fitted again on psi_bar's
+    # balances, and the pass over them against the reference that rebuilds
+    # those balances for every sample
     train, test, _ = small_fixture(seed=16)
     hyper = Hyperparams()
     spec = sbp_pivot(train.n_taxa)
@@ -271,12 +277,13 @@ def test_stage_two_keeps_the_ridge_fits_of_its_frozen_balances():
     S = stage2.n_samples
     assert S == 50 and stage2.xi.sum() > 0
     assert len(np.unique(stage2.xi, axis=0)) > 1
-    ridge, fits = ridge_blocks([psi_bar] * S, stage2.xi, train.Y, spec, hyper)
-    assert stage2.ridge.dtype == ridge.dtype and stage2.ridge.tobytes() == ridge.tobytes()
+    predictor, fits = predictor_blocks([psi_bar] * S, stage2.xi, train.Y, spec, hyper)
+    assert (stage2.predictor.dtype == predictor.dtype
+            and stage2.predictor.tobytes() == predictor.tobytes())
     assert stage2.fits.dtype == fits.dtype and stage2.fits.tobytes() == fits.tobytes()
 
     psi_test = estimate_psi_test(estimate_lambda_test(two.stage1, test.X_test), test.Z_test)
-    fit, pred, _ = one_sample_at_a_time([psi_bar] * S, stage2.xi, train.Y, psi_test,
-                                        spec, hyper)
-    assert two_step_fitted_y(two, train, hyper).tobytes() == fit.tobytes()
-    assert two_step_predict_y(two, train, test, spec, hyper).tobytes() == pred.tobytes()
+    assert_matches_reference(two_step_fitted_y(two, train, hyper),
+                             two_step_predict_y(two, train, test, spec, hyper), None,
+                             one_sample_at_a_time([psi_bar] * S, stage2.xi, train.Y,
+                                                  psi_test, spec, hyper))

@@ -15,6 +15,7 @@ import dmjoint
 from dmjoint import io as dio
 from dmjoint.baselines import run_two_step, two_step_predict_y
 from dmjoint.cli import main
+from dmjoint.metrics import squared_error
 from dmjoint.model import Dataset, Hyperparams, PartitionSpec, sbp_pivot
 from dmjoint.predict import TestSet, predict_y
 from dmjoint.prep import preprocess
@@ -67,8 +68,8 @@ def test_replicate_round_trip(tmp_path):
     assert np.array_equal(btr.psi_star, truth.psi_star)
 
 
-CHAIN_BLOCKS = {"alpha_mean.npy", "zeta_changes.npy", "phi_mean.npy", "ridge.npy", "fits.npy",
-                "xi_changes.npy", "log_posterior.npy"}
+CHAIN_BLOCKS = {"alpha_mean.npy", "zeta_changes.npy", "phi_mean.npy", "predictor.npy",
+                "fits.npy", "xi_changes.npy", "log_posterior.npy"}
 
 
 def small_chains():
@@ -136,7 +137,7 @@ def test_chains_hold_no_dense_phi(tmp_path):
 
 def assert_chains_equal(back, chain):
     for name in ("alpha_mean", "zeta_changes", "phi_mean", "xi_changes", "zeta", "xi", "psi",
-                 "ridge", "fits", "log_posterior", "mppi_zeta", "mppi_xi"):
+                 "predictor", "fits", "log_posterior", "mppi_zeta", "mppi_xi"):
         a, b = getattr(back, name), getattr(chain, name)
         assert a.dtype == b.dtype and np.array_equal(a, b), name
     assert back.phi_shape == chain.phi_shape and back.xi_shape == chain.xi_shape
@@ -241,12 +242,13 @@ def test_cli_fit_two_step(sim_dir, tmp_path):
         assert {p.name for p in (fit_dir / stage).glob("*.npy")} == CHAIN_BLOCKS
     # stage 2 keeps no count samples: its count blocks are empty
     assert np.load(fit_dir / "stage2" / "alpha_mean.npy").size == 0
-    # stage 1 keeps no balance or composition samples, and stage 2 keeps each
-    # sample's ridge fit in place of the mean composition it ran on
+    # stage 1 keeps no balance or composition samples, and stage 2 keeps its
+    # samples' fitted values and linear predictor in place of the mean
+    # composition it ran on
     assert dio.read_chain(fit_dir / "stage1")[0].xi.shape == (10, 0)
+    assert np.load(fit_dir / "stage1" / "predictor.npy").shape == (0,)
     assert not (fit_dir / "psi_bar.csv").exists()
-    xi = dio.read_chain(fit_dir / "stage2")[0].xi
-    assert np.load(fit_dir / "stage2" / "ridge.npy").shape == (xi.sum(), 3)
+    assert np.load(fit_dir / "stage2" / "predictor.npy").shape == (5,)
     assert np.load(fit_dir / "stage2" / "fits.npy").shape == (10, 12)
     # the settings are recorded once, in the stage-one chain's summary
     assert not (fit_dir / "summary.json").exists()
@@ -273,6 +275,21 @@ def test_cli_fit_two_step(sim_dir, tmp_path):
 def _csv_rows(path):
     with open(path, newline="") as f:
         return list(csv.DictReader(f))
+
+
+def test_cli_evaluate_scores_the_test_set_predict_read(sim_dir, tmp_path):
+    # a fit to rep000 predicts rep001's test set: pmse is scored against
+    # rep001's responses, not those of the dataset the fit read
+    run = tmp_path / "o"
+    assert main(["fit", str(sim_dir / "rep000"), "--out", str(run), *FAST_FIT]) == 0
+    assert main(["predict", str(run), "--test-dir", str(sim_dir / "rep001")]) == 0
+    assert main(["evaluate", str(run), "--out", str(tmp_path / "eval")]) == 0
+    pmse = float(_csv_rows(tmp_path / "eval" / "report.csv")[0]["pmse_sum"])
+    yhat = dio.read_matrix(run / "predictions" / "predictions.csv").ravel()
+    scores = {rep: squared_error(dio.read_matrix(sim_dir / rep / "test_y.csv").ravel(), yhat)
+              for rep in ("rep000", "rep001")}
+    assert scores["rep000"] != scores["rep001"]
+    assert pmse == scores["rep001"]
 
 
 def test_cli_evaluate_aggregates_one_row_per_b0(sim_dir, tmp_path):
@@ -414,7 +431,8 @@ def test_cli_predict_rejects_train_dir_of_other_size(sim_dir, tmp_path, capsys):
         assert main(["predict", str(run), "--train-dir", str(taller / "rep000")]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and "N=12" in err and "N=13" in err
-    assert np.load(tmp_path / "joint-no-balances" / "ridge.npy").shape == (0, 3)
+    assert np.array_equal(np.load(tmp_path / "joint-no-balances" / "predictor.npy"),
+                          np.zeros(5))
     assert np.load(tmp_path / "joint-no-balances" / "fits.npy").shape == (10, 12)
 
     # a test set with another covariate count is caught before preprocessing
@@ -516,64 +534,64 @@ def test_cli_predict_old_csv_chain_exits_1(sim_dir, tmp_path, capsys):
     assert str(run) in err and "re-run fit" in err
 
 
-def test_cli_predict_schema_3_chain_exits_1(sim_dir, tmp_path, capsys):
-    # a chain written with a dense phi.npy and xi.npy in place of the change
-    # blocks and phi_mean
-    run = tmp_path / "o"
-    assert main(["fit", str(sim_dir / "rep000"), "--out", str(run), *FAST_FIT]) == 0
-    chain, _, _ = dio.read_chain(run)
-    for name in ("zeta_changes", "phi_mean", "xi_changes"):
+def _ridge_in_place_of_predictor(chain_dir):
+    # chains of schemas 7 to 10 kept a (beta, mean, sd) row per selected
+    # balance in ridge.npy, and no predictor
+    selected = int(dio.read_chain(chain_dir)[0].xi.sum())
+    (chain_dir / "predictor.npy").unlink()
+    np.save(chain_dir / "ridge.npy", np.zeros((selected, 3)))
+
+
+def _schema_3(run):
+    # a dense phi.npy and xi.npy in place of the change blocks and phi_mean,
+    # and no ridge fits
+    chain = dio.read_chain(run)[0]
+    for name in ("zeta_changes", "phi_mean", "xi_changes", "predictor"):
         (run / f"{name}.npy").unlink()
     np.save(run / "phi.npy", chain.zeta.astype(float))
     np.save(run / "xi.npy", chain.xi)
-    capsys.readouterr()
-    assert main(["predict", str(run)]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and "re-run fit" in err
-    assert str(run) in err and "zeta_changes.npy" in err
 
 
-def test_cli_predict_schema_6_joint_chain_exits_1(sim_dir, tmp_path, capsys):
+def _schema_6(run):
     # a joint chain that kept its selected balance columns, and no ridge fits
-    run = tmp_path / "o"
-    assert main(["fit", str(sim_dir / "rep000"), "--out", str(run), *FAST_FIT]) == 0
     selected = int(dio.read_chain(run)[0].xi.sum())
-    (run / "ridge.npy").unlink()
+    (run / "predictor.npy").unlink()
     (run / "fits.npy").unlink()
     np.save(run / "balances.npy", np.zeros((selected, 14)))
-    manifest = dio.read_manifest(run)
-    (run / "manifest.json").write_text(json.dumps({**manifest, "schema_version": 6}))
-    capsys.readouterr()
-    assert main(["predict", str(run)]) == 1
-    err = capsys.readouterr().err
-    assert err.count("\n") == 1 and err.startswith("error: ")
-    assert str(run) in err and "ridge.npy" in err and "re-run fit" in err
 
 
-def test_cli_predict_schema_7_chain_exits_1(sim_dir, tmp_path, capsys):
-    # a chain that kept every sample's alpha and phi values, not their means
-    run = tmp_path / "o"
-    assert main(["fit", str(sim_dir / "rep000"), "--out", str(run), *FAST_FIT]) == 0
-    chain, _, _ = dio.read_chain(run)
+def _schema_7(run):
+    # every sample's alpha and phi values, not their means
+    chain = dio.read_chain(run)[0]
+    _ridge_in_place_of_predictor(run)
     (run / "alpha_mean.npy").unlink()
     (run / "phi_mean.npy").unlink()
     np.save(run / "alpha.npy", np.tile(chain.alpha_mean, (chain.n_samples, 1)))
     np.save(run / "phi_value.npy", np.ones(int(chain.zeta.sum())))
-    manifest = dio.read_manifest(run)
-    (run / "manifest.json").write_text(json.dumps({**manifest, "schema_version": 7}))
-    capsys.readouterr()
-    assert main(["predict", str(run)]) == 1
-    err = capsys.readouterr().err
-    assert err.count("\n") == 1 and err.startswith("error: ")
-    assert str(run) in err and "alpha_mean.npy" in err and "re-run fit" in err
 
 
-def test_cli_predict_schema_9_chain_exits_1(sim_dir, tmp_path, capsys):
-    # a chain that kept the flat indices of each sample's included pairs and
-    # its dense xi block, not their changes between samples
-    run = tmp_path / "o"
-    assert main(["fit", str(sim_dir / "rep000"), "--out", str(run), *FAST_FIT]) == 0
-    chain, _, _ = dio.read_chain(run)
+def _schema_8_joint(run):
+    # the ridge rows beside an empty psi block; this run used to predict
+    _ridge_in_place_of_predictor(run)
+    np.save(run / "psi.npy", np.empty((10, 0, 0)))
+
+
+def _schema_8_two_step(run):
+    # a stage 2 that kept no ridge fits, beside the psi_bar.csv predict read
+    # them back from
+    for stage in ("stage1", "stage2"):
+        _ridge_in_place_of_predictor(run / stage)
+        np.save(run / stage / "psi.npy", np.empty((10, 0, 0)))
+    np.save(run / "stage2" / "ridge.npy", np.empty((0, 3)))
+    np.save(run / "stage2" / "fits.npy", np.empty((10, 0)))
+    dio.write_matrix(run / "psi_bar.csv", np.full((12, 5), 0.2), "psi")
+
+
+def _schema_9(run):
+    # the flat indices of each sample's included pairs and the dense xi
+    # block, not their changes between samples
+    chain = dio.read_chain(run)[0]
+    _ridge_in_place_of_predictor(run)
     (run / "zeta_changes.npy").unlink()
     (run / "xi_changes.npy").unlink()
     np.save(run / "phi_index.npy", np.flatnonzero(chain.zeta))
@@ -581,54 +599,76 @@ def test_cli_predict_schema_9_chain_exits_1(sim_dir, tmp_path, capsys):
     summary = json.loads((run / "summary.json").read_text())
     del summary["xi_shape"]
     (run / "summary.json").write_text(json.dumps(summary))
+
+
+@pytest.mark.parametrize("version, model, flags, plant", [
+    (3, "joint", [], _schema_3),
+    (6, "joint", [], _schema_6),
+    (7, "joint", [], _schema_7),
+    (8, "joint", ["--init-xi-frac", "0.5"], _schema_8_joint),
+    (8, "dmlm-bayes", ["--init-xi-frac", "0.5"], _schema_8_two_step),
+    (8, "dmlm-bayes", NO_BALANCES, _schema_8_two_step),
+    (9, "joint", [], _schema_9),
+    (10, "joint", ["--init-xi-frac", "0.5"], _ridge_in_place_of_predictor),
+], ids=["3", "6-joint", "7", "8-joint", "8-two-step", "8-two-step-no-balances", "9",
+        "10-joint"])
+def test_cli_predict_refuses_a_run_of_an_older_schema(sim_dir, tmp_path, capsys, version,
+                                                      model, flags, plant):
+    # each run as a writer of that schema left it: its chains record no
+    # schema_version, and its manifest records the old one
+    run = tmp_path / "o"
+    assert main(["fit", str(sim_dir / "rep000"), "--out", str(run), "--model", model,
+                 *flags, *FAST_FIT]) == 0
+    plant(run)
+    for path in run.glob("**/summary.json"):
+        summary = json.loads(path.read_text())
+        del summary["schema_version"]
+        path.write_text(json.dumps(summary))
     manifest = dio.read_manifest(run)
-    (run / "manifest.json").write_text(json.dumps({**manifest, "schema_version": 9}))
+    (run / "manifest.json").write_text(json.dumps({**manifest, "schema_version": version}))
     capsys.readouterr()
     assert main(["predict", str(run)]) == 1
     err = capsys.readouterr().err
-    assert err.count("\n") == 1 and err.startswith("error: ")
-    assert str(run) in err and "zeta_changes.npy" in err and "re-run fit" in err
+    assert err.startswith("error: ") and err.count("\n") == 1 and str(run) in err
+    assert "chain schema 10 or older" in err and "reads schema 11" in err
+    assert "re-run fit" in err
     assert not (run / "predictions").exists()
 
 
-def test_cli_predict_schema_8_two_step_run_exits_1(sim_dir, tmp_path, capsys):
-    # a stage 2 that kept no ridge fits, beside the psi_bar.csv predict read
-    # them back from; with no balance selected, its empty ridge block fits
-    for flags in (["--init-xi-frac", "0.5"], NO_BALANCES):
-        run = tmp_path / flags[1]
-        assert main(["fit", str(sim_dir / "rep000"), "--out", str(run),
-                     "--model", "dmlm-bayes", *flags, *FAST_FIT]) == 0
-        stage2 = run / "stage2"
-        selected = int(dio.read_chain(stage2)[0].xi.sum())
-        assert (selected > 0) == (flags is not NO_BALANCES)
-        np.save(stage2 / "ridge.npy", np.empty((0, 3)))
-        np.save(stage2 / "fits.npy", np.empty((10, 0)))
-        for stage in ("stage1", "stage2"):
-            np.save(run / stage / "psi.npy", np.empty((10, 0, 0)))
-        dio.write_matrix(run / "psi_bar.csv", np.full((12, 5), 0.2), "psi")
-        manifest = dio.read_manifest(run)
-        (run / "manifest.json").write_text(json.dumps({**manifest, "schema_version": 8}))
-        capsys.readouterr()
-        assert main(["predict", str(run)]) == 1
-        err = capsys.readouterr().err
-        assert err.count("\n") == 1 and err.startswith("error: ") and "re-run fit" in err
-        assert str(stage2 / ("ridge.npy" if selected else "fits.npy")) in err
-        assert not (run / "predictions").exists()
+def test_read_chain_refuses_any_other_schema_version(tmp_path):
+    chain = small_chains()["joint"]
+    dio.write_chain(tmp_path, chain, Hyperparams())
+    path = tmp_path / "summary.json"
+    summary = json.loads(path.read_text())
+    assert summary["schema_version"] == 11
+    for version in (10, 12, "11", None):
+        path.write_text(json.dumps({**summary, "schema_version": version}))
+        with pytest.raises(ValueError, match=re.escape(
+                f"{path} is of chain schema {version}, but this version of dmjoint "
+                "reads schema 11; re-run fit")):
+            dio.read_chain(tmp_path)
+    path.write_text(json.dumps(summary))
+    assert_chains_equal(dio.read_chain(tmp_path)[0], chain)
 
 
-def test_cli_predict_schema_8_joint_run_predicts_the_same_bytes(sim_dir, tmp_path):
-    # an empty psi block, which chains wrote before schema 9, and the
-    # manifest's schema number change no prediction byte
-    run = tmp_path / "o"
-    assert main(["fit", str(sim_dir / "rep000"), "--out", str(run), "--init-xi-frac", "0.5",
-                 *FAST_FIT]) == 0
-    assert main(["predict", str(run)]) == 0
-    np.save(run / "psi.npy", np.empty((10, 0, 0)))
-    manifest = dio.read_manifest(run)
-    (run / "manifest.json").write_text(json.dumps({**manifest, "schema_version": 8}))
-    assert main(["predict", str(run), "--out", str(run / "old")]) == 0
-    for name in ("predictions.csv", "loglik.csv"):
-        assert (run / "old" / name).read_bytes() == (run / "predictions" / name).read_bytes()
+def test_joint_chain_writes_one_predictor_size_at_any_sample_count(tmp_path):
+    # the predictor holds M + 1 sums, so it does not grow with S, and no
+    # per-sample ridge rows are written. A balance prior of inclusion odds 9
+    # has each sample select most of the 4 balances.
+    cfg = SimConfig(N=10, P=3, J=5, n_true_cov=1, n_true_bal=1,
+                    zdot_low=50, zdot_high=100)
+    train, _, _ = gen_replicate(cfg, replicate_rng(1, 0))
+    train, _, _ = preprocess(train)
+    hyper, sizes = Hyperparams(a_m=9.0, b_m=1.0), []
+    for S in (10, 400):
+        chain = run_chain(train, hyper, sbp_pivot(5),
+                          SamplerConfig(iterations=20 + S, burn_in=20, thin=1, seed=1,
+                                        init_xi_frac=0.5))
+        assert chain.n_samples == S and chain.xi.sum() >= 2 * S
+        dio.write_chain(tmp_path / str(S), chain, hyper)
+        assert {p.name for p in (tmp_path / str(S)).glob("*.npy")} == CHAIN_BLOCKS
+        sizes.append((tmp_path / str(S) / "predictor.npy").stat().st_size)
+    assert sizes[0] == sizes[1]
 
 
 def test_read_chain_rejects_count_means_that_disagree_with_the_samples(sim_dir, tmp_path):
@@ -669,15 +709,18 @@ def test_read_chain_rejects_change_blocks_that_are_not_ascending_indices(sim_dir
 
 
 def test_read_chain_rejects_ridge_blocks_that_disagree_with_the_samples(sim_dir, tmp_path):
+    # the blocks kept of the samples' ridge fits: the predictor's M + 1 sums
+    # and each sample's N fitted values
     run = tmp_path / "o"
     assert main(["fit", str(sim_dir / "rep000"), "--out", str(run),
                  "--init-xi-frac", "0.5", *FAST_FIT]) == 0
-    good = {name: np.load(run / f"{name}.npy") for name in ("ridge", "fits")}
-    assert len(good["ridge"]) == dio.read_chain(run)[0].xi.sum() > 0
+    good = {name: np.load(run / f"{name}.npy") for name in ("predictor", "fits")}
+    assert dio.read_chain(run)[0].xi.sum() > 0
+    assert good["predictor"].shape == (5,) and np.any(good["predictor"] != 0)
     assert good["fits"].shape == (10, 12)
-    # ridge rows other than xi.sum(), and fits other than S x N
+    # a row short, a row over, or an extra axis
     for name, block in good.items():
-        for bad in (block[1:], np.vstack([block, block[:1]]), block[:, 1:].ravel()):
+        for bad in (block[1:], np.concatenate([block, block[:1]]), block[None]):
             np.save(run / f"{name}.npy", bad)
             with pytest.raises(ValueError, match=re.escape(str(run / f"{name}.npy"))):
                 dio.read_chain(run)

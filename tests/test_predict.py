@@ -21,7 +21,12 @@ from dmjoint.predict import (
     predict_y,
 )
 from dmjoint.sampler import ChainOutput, SamplerConfig
-from oracles import change_block, one_sample_at_a_time, ridge_blocks
+from oracles import (
+    assert_matches_reference,
+    change_block,
+    one_sample_at_a_time,
+    predictor_blocks,
+)
 
 
 def indicator_blocks(phi, xi):
@@ -35,18 +40,18 @@ def indicator_blocks(phi, xi):
 
 
 def make_chain(alpha, phi, xi, psi=None, spec=None, hyper=None, Y=None):
-    """A joint chain of the given samples. Its ridge blocks are the fits of
-    ``Y`` on the balances of the compositions ``psi`` on ``spec``, as the
-    sampler fits them; without ``psi`` they are empty."""
+    """A joint chain of the given samples. Its predictor and fits are those
+    of the fits of ``Y`` on the balances of the compositions ``psi`` on
+    ``spec``, as the sampler fits them; without ``psi`` they are empty."""
     alpha = np.asarray(alpha, dtype=float)
     xi = np.asarray(xi, dtype=np.uint8)
     cfg = SamplerConfig(iterations=2, burn_in=1, thin=1)
-    ridge, fits = ((np.empty((0, 3)), np.empty((len(alpha), 0))) if psi is None
-                   else ridge_blocks(psi, xi, Y, spec, hyper or Hyperparams()))
+    predictor, fits = ((np.empty(0), np.empty((len(alpha), 0))) if psi is None
+                       else predictor_blocks(psi, xi, Y, spec, hyper or Hyperparams()))
     return ChainOutput(
         alpha_mean=alpha.mean(axis=0),
         **indicator_blocks(phi, xi),
-        ridge=ridge,
+        predictor=predictor,
         fits=fits,
         log_posterior=np.zeros(2),
         accept={},
@@ -264,7 +269,7 @@ def test_joint_outputs_match_one_sample_at_a_time():
     test = TestSet(Z_test=rng.integers(0, 30, size=(4, J)), X_test=rng.normal(size=(4, P)))
     psi_test = estimate_psi_test(estimate_lambda_test(chain, test.X_test), test.Z_test)
 
-    fit, pred, ll = one_sample_at_a_time(psi, xi, Y, psi_test, spec, hyper)
-    assert np.array_equal(fitted_y(chain, train, hyper), fit)
-    assert np.array_equal(predict_y(chain, train, test, spec, hyper), pred)
-    assert np.array_equal(pointwise_loglik(chain, train, hyper), ll)
+    assert_matches_reference(fitted_y(chain, train, hyper),
+                             predict_y(chain, train, test, spec, hyper),
+                             pointwise_loglik(chain, train, hyper),
+                             one_sample_at_a_time(psi, xi, Y, psi_test, spec, hyper))

@@ -53,7 +53,12 @@ from dmjoint.sampler import (
     xi_log_mh_ratio,
 )
 from dmjoint.simulate import SimConfig, gen_replicate, replicate_rng
-from oracles import change_block, log_augmented_dm, one_sample_at_a_time
+from oracles import (
+    assert_matches_reference,
+    change_block,
+    log_augmented_dm,
+    one_sample_at_a_time,
+)
 
 
 def xi_only_inputs(Y, B):
@@ -605,7 +610,7 @@ def test_run_chain_retained_count_and_determinism():
     out2 = run_chain(train, hyper, spec, cfg)
     assert np.array_equal(out1.alpha_mean, out2.alpha_mean)
     assert np.array_equal(out1.phi_mean, out2.phi_mean)
-    assert np.array_equal(out1.ridge, out2.ridge)
+    assert np.array_equal(out1.predictor, out2.predictor)
     assert np.array_equal(out1.fits, out2.fits)
     assert np.array_equal(out1.xi, out2.xi)
     assert np.array_equal(out1.log_posterior, out2.log_posterior)
@@ -706,20 +711,22 @@ def test_run_chain_preserves_state_invariants():
     assert out.phi_mean.shape == (np.count_nonzero(out.mppi_zeta),)
     assert np.all(out.phi_mean != 0)
     assert np.all(np.isfinite(out.log_posterior))
-    # a joint chain keeps each sample's ridge fit on its selected standardized
-    # balance columns, whose means are 0, so every fit has mean 0
+    # a joint chain keeps the fitted values of each sample's ridge fit on its
+    # selected standardized balance columns, whose means are 0, so every fit
+    # has mean 0, and the fits' summed linear predictor: W over the M = J - 1
+    # balances, 0 at those no sample selected, then c
     assert out.psi.shape == (S, 0, 0) and out.psi_mean is None
-    assert out.ridge.shape == (out.xi.sum(), 3)
+    assert out.predictor.shape == (J,)
     assert out.fits.shape == (S, train.n_subjects) == (S, out.n_subjects)
-    assert np.all(np.isfinite(out.ridge)) and np.all(np.isfinite(out.fits))
-    assert np.all(out.ridge[:, 2] > 0)  # the columns' sds
+    assert np.all(np.isfinite(out.predictor)) and np.all(np.isfinite(out.fits))
+    assert np.array_equal(out.predictor[:-1] != 0, out.mppi_xi > 0)
     np.testing.assert_allclose(out.fits.mean(axis=1), 0.0, rtol=0, atol=1e-12)
     # and a dm_only chain the mean of its compositions, no sample of them
     dm = run_chain(train, Hyperparams(), sbp_pivot(train.n_taxa),
                    replace(cfg, mode="dm_only"))
     assert dm.psi.shape == (S, 0, 0)
     assert dm.psi_mean.shape == (train.n_subjects, train.n_taxa)
-    assert dm.ridge.shape == (0, 3) and dm.fits.shape == (S, 0)
+    assert dm.predictor.shape == (0,) and dm.fits.shape == (S, 0)
     assert np.all(dm.psi_mean > 0)
     assert np.all(np.abs(dm.psi_mean.sum(axis=1) - 1.0) < 1e-10)
 
@@ -833,7 +840,8 @@ def test_joint_chain_holds_no_balance_columns():
 
 def test_joint_chain_keeps_the_ridge_fits_of_the_columns_the_sweep_built(monkeypatch):
     # every iteration's compositions and standardized balances, as the sweep
-    # built them, against the ridge fits the chain kept of its retained samples
+    # built them, against the fitted values and the linear predictor the chain
+    # kept of its retained samples' ridge fits
     train, test, _ = small_fixture(seed=1)
     hyper, spec = Hyperparams(), sbp_pivot(train.n_taxa)
     psi, built = [], []
@@ -855,24 +863,24 @@ def test_joint_chain_keeps_the_ridge_fits_of_the_columns_the_sweep_built(monkeyp
     out = run_chain(train, hyper, spec, cfg)
     assert len(psi) == len(built) == 300
     psi, built = np.stack(psi[100:]), built[100:]
-    kept = list(out.ridge_fits())
-    assert len(kept) == out.n_samples == 200
-    assert len(out.ridge) == out.xi.sum() > 0
-    for (B_std, means, sds), (beta, m_sel, sd_sel, fit), xi_s in zip(built, kept, out.xi):
+    assert len(out.fits) == out.n_samples == 200
+    assert out.xi.sum() > 0 and len(np.unique(out.xi, axis=0)) > 1
+    W, c = np.zeros(spec.M), 0.0
+    for (B_std, means, sds), fit, xi_s in zip(built, out.fits, out.xi):
         sel = xi_s == 1
-        want_beta, want_fit = ridge_fit(B_std[:, sel], train.Y, hyper)
-        assert beta.tobytes() == want_beta.tobytes()
+        beta, want_fit = ridge_fit(B_std[:, sel], train.Y, hyper)
         assert fit.tobytes() == want_fit.tobytes()
-        assert m_sel.tobytes() == means[sel].tobytes()
-        assert sd_sel.tobytes() == sds[sel].tobytes()
+        W[sel] += beta / sds[sel]
+        c += (means[sel] / sds[sel]) @ beta
+    assert out.predictor.tobytes() == np.append(W, c).tobytes()
 
-    # the ridge pass over the kept fits has the bits of rebuilding every
-    # sample's balances from its composition
+    # the pass over the kept blocks against rebuilding every sample's
+    # balances from its composition
     psi_test = estimate_psi_test(estimate_lambda_test(out, test.X_test), test.Z_test)
-    fit, pred, ll = one_sample_at_a_time(psi, out.xi, train.Y, psi_test, spec, hyper)
-    assert fitted_y(out, train, hyper).tobytes() == fit.tobytes()
-    assert predict_y(out, train, test, spec, hyper).tobytes() == pred.tobytes()
-    assert pointwise_loglik(out, train, hyper).tobytes() == ll.tobytes()
+    assert_matches_reference(fitted_y(out, train, hyper),
+                             predict_y(out, train, test, spec, hyper),
+                             pointwise_loglik(out, train, hyper),
+                             one_sample_at_a_time(psi, out.xi, train.Y, psi_test, spec, hyper))
 
 
 def test_run_chain_balances_only_in_lm_only_mode():
@@ -1014,7 +1022,7 @@ def xi_chain(xi_changes, xi_shape):
     S = xi_shape[0]
     return ChainOutput(alpha_mean=np.empty(0), zeta_changes=np.empty(0, dtype=np.int64),
                        phi_mean=np.empty(0), phi_shape=(S, 0, 0), xi_changes=xi_changes,
-                       xi_shape=xi_shape, ridge=np.empty((0, 3)), fits=np.empty((S, 0)),
+                       xi_shape=xi_shape, predictor=np.empty(0), fits=np.empty((S, 0)),
                        log_posterior=np.zeros(2), accept={},
                        config=SamplerConfig(iterations=2, burn_in=1, thin=1))
 

@@ -55,15 +55,14 @@ def run_two_step(data: Dataset, hyper: Hyperparams, spec: PartitionSpec,
     return TwoStepOutput(stage1=stage1, stage2=stage2)
 
 
-def two_step_fitted_y(two_step: TwoStepOutput, data: Dataset,
-                      hyper: Hyperparams) -> np.ndarray:
+def two_step_fitted_y(two_step: TwoStepOutput, hyper: Hyperparams) -> np.ndarray:
     """In-sample estimates: the stage-two samples' mean fitted values."""
-    return ridge_pass(two_step.stage2, data.Y, hyper)[0]
+    return ridge_pass(two_step.stage2, hyper)[0]
 
 
-def two_step_predict_y(two_step: TwoStepOutput, data: Dataset, test: TestSet,
-                       spec: PartitionSpec, hyper: Hyperparams) -> np.ndarray:
+def two_step_predict_y(two_step: TwoStepOutput, test: TestSet, spec: PartitionSpec,
+                       hyper: Hyperparams) -> np.ndarray:
     """Test predictions: test compositions from the stage-one chain, the linear
     predictor from the stage-two samples' ridge fits on the frozen balances."""
     B_test = estimate_test_balances(two_step.stage1, test, spec.contrast_matrix(), hyper)
-    return ridge_pass(two_step.stage2, data.Y, hyper, B_test)[1]
+    return ridge_pass(two_step.stage2, hyper, B_test)[1]

@@ -27,7 +27,7 @@ from .baselines import (
 from .metrics import confusion, median_model, squared_error
 from .model import Hyperparams, PartitionSpec, sbp_pivot
 from .predict import fitted_y, pointwise_loglik, predict_y
-from .prep import preprocess
+from .prep import preprocess, preprocess_test
 from .sampler import SamplerConfig, run_chain
 from .simulate import SimConfig, gen_replicate, replicate_rng
 
@@ -37,7 +37,7 @@ SAMPLER_FLAGS = [f.name for f in fields(SamplerConfig) if f.name != "mode"]
 # The SimConfig fields simulate exposes, in --help order.
 SIM_FLAGS = ["N", "P", "J", "omega", "d", "n_true_cov", "n_true_bal", "sigma_eps", "delta"]
 # The balance partition a fit used, in PartitionSpec's file format; predict
-# rebuilds the training and test balances from it.
+# builds the test balances from it.
 PARTITION_FILE = "partition.txt"
 
 
@@ -110,28 +110,30 @@ def _fit_one(repdir: Path, outdir: Path, model: str, hyper: Hyperparams,
     spec = (PartitionSpec.from_file(partition_file) if partition_file
             else sbp_pivot(train.n_taxa))
     outdir.mkdir(parents=True, exist_ok=True)
-    extra = {"dataset": str(repdir), "preprocess": prep_stats, "model": model,
-             "train_sha256": dio.train_digest(train_raw)}
+    # the fit facts predict reads, recorded once in the chain that holds the
+    # count blocks: the joint one, or stage 1
+    dataset = str(repdir.resolve())
+    extra = {"dataset": dataset, "preprocess": prep_stats}
     if model == "joint":
         chain = run_chain(train, hyper, spec, config)
         dio.write_chain(outdir, chain, hyper, extra=extra)
         sel_zeta = median_model(chain.mppi_zeta)
         sel_xi = median_model(chain.mppi_xi)
-        yhat = fitted_y(chain, train, hyper)
+        yhat = fitted_y(chain, hyper)
     else:  # dmlm-bayes
         two = run_two_step(train, hyper, spec, config)
         dio.write_chain(outdir / "stage1", two.stage1, hyper, extra=extra)
-        dio.write_chain(outdir / "stage2", two.stage2, hyper, extra=extra)
+        dio.write_chain(outdir / "stage2", two.stage2, hyper)
         sel_zeta = median_model(two.stage1.mppi_zeta)
         sel_xi = median_model(two.stage2.mppi_xi)
-        yhat = two_step_fitted_y(two, train, hyper)
+        yhat = two_step_fitted_y(two, hyper)
     spec.to_file(outdir / PARTITION_FILE)
     dio.write_matrix(outdir / "selected_zeta.csv", sel_zeta, "zeta", integer=True)
     dio.write_matrix(outdir / "selected_xi.csv", sel_xi[:, None], "xi", integer=True)
     dio.write_matrix(outdir / "fitted_y.csv", yhat[:, None] + prep_stats["y_mean"], "yhat")
     dio.write_manifest(
         outdir, "fit",
-        {"model": model, "dataset": str(repdir),
+        {"model": model, "dataset": dataset,
          "hyperparams": asdict(hyper), "sampler": asdict(config)},
         config.seed, [repdir], started)
     n_cov = int(sel_zeta.sum())
@@ -181,50 +183,37 @@ def cmd_predict(args) -> int:
     started = time.time()
     rundir = Path(args.chain)
     two_step = (rundir / "stage1").exists()
-    # the chain that holds the count blocks, and the fit's settings: the joint
-    # one, or stage 1
+    # the chain that holds the count blocks, and the fit's settings and
+    # training statistics: the joint one, or stage 1
     chain_dir = rundir / "stage1" if two_step else rundir
     chain, hyper, summary = dio.read_chain(chain_dir)
     stage2 = dio.read_chain(rundir / "stage2")[0] if two_step else None
-    # N from the fitted values of the chain that selected balances
-    n_fit, j_fit = (stage2 or chain).n_subjects, chain.phi_shape[1]
-    if args.train_dir is None and "dataset" not in summary:
+    if args.test_dir is None and "dataset" not in summary:
         raise ValueError(f"{chain_dir / 'summary.json'} has no key 'dataset'; pass "
-                         "--train-dir, or re-run fit to rewrite it")
-    if "train_sha256" not in summary:
-        raise ValueError(f"{chain_dir / 'summary.json'} has no key 'train_sha256'; "
-                         "re-run fit to rewrite it")
+                         "--test-dir, or re-run fit to rewrite it")
+    try:
+        prep_stats = {k: summary["preprocess"][k] for k in ("y_mean", "x_mean", "x_sd")}
+    except KeyError as e:
+        raise ValueError(f"{chain_dir / 'summary.json'} has no key {e}; "
+                         "re-run fit to rewrite it") from e
     spec = PartitionSpec.from_file(rundir / PARTITION_FILE)
-    train_dir = Path(args.train_dir or summary["dataset"])
-    test_dir = Path(args.test_dir or train_dir)
-    train_raw = dio.read_train(train_dir)
+    test_dir = Path(args.test_dir or summary["dataset"]).resolve()
     test_raw = dio.read_test(test_dir)
-    for dim, fitted, given in (("N", n_fit, train_raw.n_subjects),
-                               ("J", j_fit, train_raw.n_taxa),
-                               ("J", spec.n_taxa, train_raw.n_taxa),
-                               ("P", chain.phi_shape[2], train_raw.n_covariates)):
-        if fitted != given:
-            print(f"error: the fit in {rundir} has {dim}={fitted} but the training "
-                  f"data in {train_dir} has {dim}={given}", file=sys.stderr)
-            return 1
-    if dio.train_digest(train_raw) != summary["train_sha256"]:
-        print(f"error: the training data in {train_dir} differ from the data the fit "
-              f"in {rundir} used", file=sys.stderr)
-        return 1
+    j_fit, p_fit = chain.phi_shape[1:]
     n_taxa, n_cov = test_raw.Z_test.shape[1], test_raw.X_test.shape[1]
-    if n_taxa != train_raw.n_taxa or n_cov != train_raw.n_covariates:
-        print(
-            f"error: test dimensions (J={n_taxa}, P={n_cov}) do not match training "
-            f"(J={train_raw.n_taxa}, P={train_raw.n_covariates})", file=sys.stderr)
+    if (n_taxa, n_cov) != (j_fit, p_fit) or spec.n_taxa != j_fit:
+        print(f"error: test dimensions (J={n_taxa}, P={n_cov}) do not match the fit "
+              f"in {rundir} (J={j_fit}, P={p_fit}, partition of J={spec.n_taxa})",
+              file=sys.stderr)
         return 1
-    train, test, prep_stats = preprocess(train_raw, test_raw)
+    test = preprocess_test(test_raw, prep_stats)
     if two_step:
         two = TwoStepOutput(stage1=chain, stage2=stage2)
-        yhat = two_step_predict_y(two, train, test, spec, hyper)
+        yhat = two_step_predict_y(two, test, spec, hyper)
         loglik = None
     else:
-        yhat = predict_y(chain, train, test, spec, hyper)
-        loglik = pointwise_loglik(chain, train, hyper)
+        yhat = predict_y(chain, test, spec, hyper)
+        loglik = pointwise_loglik(chain, hyper)
     out = Path(args.out or rundir / "predictions")
     out.mkdir(parents=True, exist_ok=True)
     dio.write_matrix(out / "predictions.csv",
@@ -384,7 +373,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("predict", help="out-of-sample prediction from a fitted chain")
     p.add_argument("chain", help="chain directory written by fit")
     p.add_argument("--test-dir", default=None)
-    p.add_argument("--train-dir", default=None)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_predict)
 

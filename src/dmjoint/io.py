@@ -5,10 +5,10 @@ row; reals are written with 17 significant digits so write -> read -> write
 round-trips byte-wise, counts as plain integers. A chain is one raw ``.npy``
 file per block of ``_BLOCKS`` (see ``sampler.ChainOutput``), in its in-memory
 shape and dtype, so it round-trips bitwise; a block a mode does not keep is
-written empty. Settings, acceptance counts, the indicator shapes and
-provenance are in the chain's ``summary.json``, with ``train_sha256``, a
-digest of the training data the fit read (``train_digest``), so ``predict``
-can refuse other data. Each chain records the ``schema_version`` it was
+written empty. Settings, acceptance counts and the indicator shapes are in
+the chain's ``summary.json``; a fit's joint or stage-one chain also records
+there the dataset it read and the preprocessing statistics that ``predict``
+applies to a test set. Each chain records the ``schema_version`` it was
 written under, and ``read_chain`` refuses any other version, a missing
 block, a change block that is not strictly ascending indices, or a block of
 the wrong shape, asking for a re-fit.
@@ -16,7 +16,6 @@ the wrong shape, asking for a re-fit.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import time
 from dataclasses import asdict
@@ -31,7 +30,7 @@ from .sampler import ChainOutput, SamplerConfig
 from .simulate import GroundTruth
 
 FLOAT_FMT = "%.17g"
-SCHEMA_VERSION = 11  # of chains and manifests; bump on any change to a chain's files
+SCHEMA_VERSION = 12  # of chains and manifests; bump on any change to a chain's files
 
 
 def write_matrix(path, arr, prefix: str, integer: bool = False):
@@ -104,15 +103,6 @@ def read_train(repdir) -> Dataset:
     )
 
 
-def train_digest(train: Dataset) -> str:
-    """SHA-256 of the training ``Y``, ``Z`` and ``X`` values, shapes and dtypes."""
-    h = hashlib.sha256()
-    for arr in (train.Y, train.Z, train.X):
-        h.update(f"{arr.dtype.str}{arr.shape}".encode())
-        h.update(arr.tobytes())
-    return h.hexdigest()
-
-
 def read_test(repdir) -> TestSet:
     repdir = Path(repdir)
     y_path = repdir / "test_y.csv"
@@ -140,8 +130,8 @@ def read_truth(repdir) -> GroundTruth:
 # ---------------------------------------------------------------------------
 
 
-_BLOCKS = ("alpha_mean", "zeta_changes", "phi_mean", "predictor", "fits", "xi_changes",
-           "log_posterior")
+_BLOCKS = ("alpha_mean", "zeta_changes", "phi_mean", "predictor", "fits", "y",
+           "xi_changes", "log_posterior")
 
 
 def write_chain(outdir, chain: ChainOutput, hyper: Hyperparams, extra: dict | None = None):
@@ -157,7 +147,6 @@ def write_chain(outdir, chain: ChainOutput, hyper: Hyperparams, extra: dict | No
         "acceptance": {k: {"accepted": int(v[0]), "proposed": int(v[1]),
                            "rate": (v[0] / v[1]) if v[1] else None}
                        for k, v in chain.accept.items()},
-        "n_samples": chain.n_samples,
         "phi_shape": list(chain.phi_shape),
         "xi_shape": list(chain.xi_shape),
     }
@@ -213,12 +202,12 @@ def read_chain(rundir) -> tuple[ChainOutput, Hyperparams, dict]:
     mode, (S, J, _), M = chain.config.mode, chain.phi_shape, chain.xi_shape[1]
     included = int(np.count_nonzero(chain.mppi_zeta))
     # the means cover J taxa and the pairs some sample included; a chain that
-    # selects balances keeps its predictor over M balances and N fitted
-    # values per sample
+    # selects balances keeps its predictor over M balances, N fitted values
+    # per sample and the N responses they were fitted to
     width = (0,) if mode == "dm_only" else chain.fits.shape[-1:]
     for name, want in (("alpha_mean", (J,)), ("phi_mean", (included,)),
                        ("predictor", (0 if mode == "dm_only" else M + 1,)),
-                       ("fits", (S, *width))):
+                       ("fits", (S, *width)), ("y", width)):
         shape = getattr(chain, name).shape
         if shape != want:
             raise ValueError(f"{rundir / (name + '.npy')} has shape {shape}, but this {mode} "

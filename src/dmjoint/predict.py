@@ -3,8 +3,9 @@
 Test compositions are estimated by shrinking observed test counts toward the
 posterior-mean concentrations of the training chain. A chain that selects
 balances (a joint chain, or stage two of a two-step fit) keeps its samples'
-fitted values and the sum of their linear predictors (``ChainOutput``), so
-``ridge_pass`` averages them with no per-sample loop. Test balances are
+fitted values, the sum of their linear predictors and the centred training
+response (``ChainOutput``), so ``ridge_pass`` averages them with no
+per-sample loop and no training data. Test balances are
 standardized with each sample's training column statistics, which the
 predictor holds, so no test information leaks into the scaling.
 """
@@ -16,7 +17,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import (
-    Dataset,
     Hyperparams,
     PartitionSpec,
     build_gamma,
@@ -85,14 +85,14 @@ def estimate_test_balances(counts_chain: ChainOutput, test: TestSet, contrast,
     return log_balances(psi_test, contrast, hyper.delta)
 
 
-def _a0_hat(chain: ChainOutput, Y, hyper: Hyperparams) -> float:
+def _a0_hat(chain: ChainOutput, hyper: Hyperparams) -> float:
     """Posterior mean of the response intercept, for a chain that selects balances."""
     if chain.config.mode == "dm_only":
         raise ValueError("a dm_only chain keeps no ridge fits")
-    return float(Y.sum() / (len(Y) + 1.0 / hyper.h_alpha0))
+    return float(chain.y.sum() / (len(chain.y) + 1.0 / hyper.h_alpha0))
 
 
-def ridge_pass(chain: ChainOutput, Y, hyper: Hyperparams, B_test=None):
+def ridge_pass(chain: ChainOutput, hyper: Hyperparams, B_test=None):
     """The fitted values and the test predictions (None without ``B_test``),
     averaged over the retained samples' ridge fits.
 
@@ -100,7 +100,7 @@ def ridge_pass(chain: ChainOutput, Y, hyper: Hyperparams, B_test=None):
     prediction at raw test balances ``B_test`` is ``B_test @ W - c``, with
     ``W`` and ``c`` the chain's ``predictor``.
     """
-    S, a0_hat = chain.n_samples, _a0_hat(chain, Y, hyper)
+    S, a0_hat = chain.n_samples, _a0_hat(chain, hyper)
     fitted = a0_hat + chain.fits.sum(axis=0) / S
     if B_test is None:
         return fitted, None
@@ -108,24 +108,19 @@ def ridge_pass(chain: ChainOutput, Y, hyper: Hyperparams, B_test=None):
     return fitted, a0_hat + (B_test @ W - c) / S
 
 
-def predict_y(
-    chain: ChainOutput,
-    data_train: Dataset,
-    test: TestSet,
-    spec: PartitionSpec,
-    hyper: Hyperparams,
-) -> np.ndarray:
+def predict_y(chain: ChainOutput, test: TestSet, spec: PartitionSpec,
+              hyper: Hyperparams) -> np.ndarray:
     """Posterior-averaged predictions for the test responses."""
     B_test = estimate_test_balances(chain, test, spec.contrast_matrix(), hyper)
-    return ridge_pass(chain, data_train.Y, hyper, B_test)[1]
+    return ridge_pass(chain, hyper, B_test)[1]
 
 
-def fitted_y(chain: ChainOutput, data_train: Dataset, hyper: Hyperparams) -> np.ndarray:
+def fitted_y(chain: ChainOutput, hyper: Hyperparams) -> np.ndarray:
     """In-sample analogue of predict_y: the samples' mean fitted values."""
-    return ridge_pass(chain, data_train.Y, hyper)[0]
+    return ridge_pass(chain, hyper)[0]
 
 
-def pointwise_loglik(chain: ChainOutput, data: Dataset, hyper: Hyperparams) -> np.ndarray:
+def pointwise_loglik(chain: ChainOutput, hyper: Hyperparams) -> np.ndarray:
     """N x S matrix of conditional normal log densities of each training response.
 
     Coefficients and the error variance are plugged in at their conditional
@@ -134,8 +129,8 @@ def pointwise_loglik(chain: ChainOutput, data: Dataset, hyper: Hyperparams) -> n
     mean and variance. It is not the likelihood importance-sampling
     leave-one-out needs.
     """
-    Y, n = data.Y, len(data.Y)
-    a0_hat = _a0_hat(chain, Y, hyper)
+    Y, n = chain.y, len(chain.y)
+    a0_hat = _a0_hat(chain, hyper)
     loglik = np.empty((n, chain.n_samples))
     for s, fit in enumerate(chain.fits):
         resid = Y - (a0_hat + fit)

@@ -128,6 +128,9 @@ class ChainOutput:
       selected columns and ``(mean / sd) @ beta`` into ``c = predictor[-1]``,
       so the samples' summed prediction at raw balances ``B`` is
       ``B @ W - c``. A ``dm_only`` chain keeps both empty.
+    - ``y``, in a chain that selects balances: the N centred training
+      responses it was fitted to, which the intercept's posterior mean and
+      the pointwise log-likelihood read; empty in ``dm_only``.
     - ``psi_mean``: in ``dm_only``, the mean of the retained compositions,
       held in memory only; no chain keeps composition samples.
     """
@@ -140,6 +143,7 @@ class ChainOutput:
     xi_shape: tuple  # (S, M); (S, 0) in dm_only
     predictor: np.ndarray  # W then c: M + 1, 0 in dm_only
     fits: np.ndarray  # S x N, S x 0 in dm_only
+    y: np.ndarray  # N, 0 in dm_only
     log_posterior: np.ndarray  # full pre-thinning trace, length iterations
     accept: dict  # per-move-type (accepted, proposed) counters
     config: SamplerConfig
@@ -156,11 +160,6 @@ class ChainOutput:
     @property
     def n_samples(self) -> int:
         return self.phi_shape[0]
-
-    @property
-    def n_subjects(self) -> int:
-        """N of a chain that selects balances: each sample keeps N fitted values."""
-        return self.fits.shape[1]
 
     @property
     def psi(self) -> np.ndarray:
@@ -581,6 +580,7 @@ def run_chain(
         xi_shape=(S, Mk),
         predictor=predictor,
         fits=out_fits,
+        y=data.Y[:0] if mode == "dm_only" else data.Y,
         log_posterior=log_post,
         accept={k: tuple(v) for k, v in accept.items()},
         config=config,

@@ -220,12 +220,12 @@ def test_criterion_a6_ridge_prediction_oracle():
         alpha_mean=np.zeros(J), zeta_changes=np.empty(0, dtype=np.int64),
         phi_mean=np.empty(0), phi_shape=(1, J, 2),
         xi_changes=np.array([0]), xi_shape=(1, 2),  # xi = [[1, 0]]
-        predictor=predictor, fits=fits,
+        predictor=predictor, fits=fits, y=Y,
         log_posterior=np.zeros(2), accept={}, config=cfg,
     )
     Z_test = rng.integers(0, 40, size=(4, J))
     X_test = rng.normal(size=(4, 2))
-    got = predict_y(chain, train, TestSet(Z_test=Z_test, X_test=X_test),
+    got = predict_y(chain, TestSet(Z_test=Z_test, X_test=X_test),
                     spec, hyper)
     V = spec.contrast_matrix()
     b = (np.log(zero_replace(psi, hyper.delta)) @ V)[:, 0]
@@ -278,8 +278,8 @@ def _joint_metrics(rep, b, b0, null=False):
     chain = run_chain(train, hyper, spec, cfg)
     cov = confusion(median_model(chain.mppi_zeta), truth.zeta_true)
     bal = confusion(median_model(chain.mppi_xi), truth.xi_true)
-    mse = squared_error(train.Y, fitted_y(chain, train, hyper))
-    pmse = squared_error(test.Y_test, predict_y(chain, train, test, spec, hyper))
+    mse = squared_error(train.Y, fitted_y(chain, hyper))
+    pmse = squared_error(test.Y_test, predict_y(chain, test, spec, hyper))
     return {
         "cov_selected": cov.n_selected, "cov_sens": cov.sensitivity,
         "cov_spec": cov.specificity, "cov_mcc": cov.mcc,
@@ -299,9 +299,9 @@ def _two_step_metrics(rep, b):
     two = run_two_step(train, hyper, spec, cfg)
     cov = confusion(median_model(two.stage1.mppi_zeta), truth.zeta_true)
     bal = confusion(median_model(two.stage2.mppi_xi), truth.xi_true)
-    mse = squared_error(train.Y, two_step_fitted_y(two, train, hyper))
+    mse = squared_error(train.Y, two_step_fitted_y(two, hyper))
     pmse = squared_error(
-        test.Y_test, two_step_predict_y(two, train, test, spec, hyper))
+        test.Y_test, two_step_predict_y(two, test, spec, hyper))
     return {
         "cov_selected": cov.n_selected, "cov_sens": cov.sensitivity,
         "cov_spec": cov.specificity, "cov_mcc": cov.mcc,

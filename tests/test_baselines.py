@@ -157,10 +157,11 @@ def test_two_step_structure_and_fits():
     assert two.stage2.xi.shape[1] == spec.M
     S = two.stage2.n_samples
     assert two.stage2.predictor.shape == (spec.M + 1,)
-    assert two.stage2.fits.shape == (S, train.n_subjects) == (S, two.stage2.n_subjects)
+    assert two.stage2.fits.shape == (S, train.n_subjects)
+    assert np.array_equal(two.stage2.y, train.Y) and two.stage1.y.shape == (0,)
 
-    fit = two_step_fitted_y(two, train, hyper)
-    pred = two_step_predict_y(two, train, test, spec, hyper)
+    fit = two_step_fitted_y(two, hyper)
+    pred = two_step_predict_y(two, test, spec, hyper)
     assert fit.shape == (train.n_subjects,)
     assert pred.shape == (test.X_test.shape[0],)
     assert np.all(np.isfinite(fit)) and np.all(np.isfinite(pred))
@@ -256,8 +257,8 @@ def test_two_step_outputs_match_one_sample_at_a_time():
                                        predictor=predictor, fits=fits))
     psi_test = estimate_psi_test(estimate_lambda_test(two.stage1, test.X_test), test.Z_test)
 
-    assert_matches_reference(two_step_fitted_y(two, train, hyper),
-                             two_step_predict_y(two, train, test, spec, hyper), None,
+    assert_matches_reference(two_step_fitted_y(two, hyper),
+                             two_step_predict_y(two, test, spec, hyper), None,
                              one_sample_at_a_time([psi_bar] * len(xi), xi, train.Y,
                                                   psi_test, spec, hyper))
 
@@ -283,7 +284,7 @@ def test_stage_two_keeps_the_ridge_fits_of_its_frozen_balances():
     assert stage2.fits.dtype == fits.dtype and stage2.fits.tobytes() == fits.tobytes()
 
     psi_test = estimate_psi_test(estimate_lambda_test(two.stage1, test.X_test), test.Z_test)
-    assert_matches_reference(two_step_fitted_y(two, train, hyper),
-                             two_step_predict_y(two, train, test, spec, hyper), None,
+    assert_matches_reference(two_step_fitted_y(two, hyper),
+                             two_step_predict_y(two, test, spec, hyper), None,
                              one_sample_at_a_time([psi_bar] * S, stage2.xi, train.Y,
                                                   psi_test, spec, hyper))

@@ -18,7 +18,7 @@ from dmjoint.cli import main
 from dmjoint.metrics import squared_error
 from dmjoint.model import Dataset, Hyperparams, PartitionSpec, sbp_pivot
 from dmjoint.predict import TestSet, predict_y
-from dmjoint.prep import preprocess
+from dmjoint.prep import preprocess, preprocess_test
 from dmjoint.sampler import SamplerConfig, run_chain
 from dmjoint.simulate import SimConfig, gen_replicate, replicate_rng
 from test_acceptance import _blas_threads
@@ -68,8 +68,24 @@ def test_replicate_round_trip(tmp_path):
     assert np.array_equal(btr.psi_star, truth.psi_star)
 
 
+def test_preprocess_test_applies_the_recorded_statistics():
+    # the statistics as fit records them in summary.json give bitwise the
+    # test set preprocess(train, test) gives
+    cfg = SimConfig(N=8, P=3, J=5, n_true_cov=2, n_true_bal=1,
+                    zdot_low=50, zdot_high=100)
+    train, test, _ = gen_replicate(cfg, replicate_rng(0, 0))
+    _, want, stats = preprocess(train, test)
+    recorded = json.loads(json.dumps(stats))
+    for given, expect in ((test, want), (replace(test, Y_test=None), replace(want, Y_test=None))):
+        got = preprocess_test(given, recorded)
+        for name in ("Z_test", "X_test", "Y_test"):
+            a, b = getattr(got, name), getattr(expect, name)
+            assert (a is None and b is None) or (
+                a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()), name
+
+
 CHAIN_BLOCKS = {"alpha_mean.npy", "zeta_changes.npy", "phi_mean.npy", "predictor.npy",
-                "fits.npy", "xi_changes.npy", "log_posterior.npy"}
+                "fits.npy", "y.npy", "xi_changes.npy", "log_posterior.npy"}
 
 
 def small_chains():
@@ -91,7 +107,7 @@ def small_chains():
 
 
 def test_chain_round_trip(tmp_path):
-    # every chain, the xi-only one included, is the same seven blocks
+    # every chain, the xi-only one included, is the same eight blocks
     for mode, chain in small_chains().items():
         rundir = tmp_path / mode
         dio.write_chain(rundir, chain, Hyperparams(), extra={"note": "test"})
@@ -137,7 +153,7 @@ def test_chains_hold_no_dense_phi(tmp_path):
 
 def assert_chains_equal(back, chain):
     for name in ("alpha_mean", "zeta_changes", "phi_mean", "xi_changes", "zeta", "xi", "psi",
-                 "predictor", "fits", "log_posterior", "mppi_zeta", "mppi_xi"):
+                 "predictor", "fits", "y", "log_posterior", "mppi_zeta", "mppi_xi"):
         a, b = getattr(back, name), getattr(chain, name)
         assert a.dtype == b.dtype and np.array_equal(a, b), name
     assert back.phi_shape == chain.phi_shape and back.xi_shape == chain.xi_shape
@@ -263,7 +279,7 @@ def test_cli_fit_two_step(sim_dir, tmp_path):
     config = SamplerConfig(iterations=200, burn_in=100, thin=10, seed=6,
                            between_moves_per_iter=5)
     two = run_two_step(train, Hyperparams(), sbp_pivot(5), config)
-    want = two_step_predict_y(two, train, test, sbp_pivot(5), Hyperparams())
+    want = two_step_predict_y(two, test, sbp_pivot(5), Hyperparams())
     assert np.array_equal(got, want + stats["y_mean"])
 
     eval_dir = tmp_path / "eval2"
@@ -409,66 +425,67 @@ def test_cli_fit_has_no_mode_flag(sim_dir, tmp_path):
     assert dio.read_manifest(out)["config"]["sampler"]["mode"] == "joint"
 
 
-def test_cli_predict_rejects_train_dir_of_other_size(sim_dir, tmp_path, capsys):
-    other, taller = tmp_path / "j6", tmp_path / "n13"
-    assert main(["simulate", "--out", str(other), "--seed", "3", "--n", "12",
-                 "--p", "3", "--j", "6", "--n-true-cov", "2", "--n-true-bal", "1"]) == 0
-    assert main(["simulate", "--out", str(taller), "--seed", "3", "--n", "13",
-                 "--p", "3", "--j", "5", "--n-true-cov", "2", "--n-true-bal", "1"]) == 0
-    fits = {"joint": ["--model", "joint"], "dmlm-bayes": ["--model", "dmlm-bayes"],
-            "joint-no-balances": ["--model", "joint", *NO_BALANCES]}
-    for name, flags in fits.items():
-        run = tmp_path / name
-        assert main(["fit", str(sim_dir / "rep000"), "--out", str(run), *flags,
-                     *FAST_FIT]) == 0
-        capsys.readouterr()
-        assert main(["predict", str(run), "--train-dir", str(other / "rep000")]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error:") and "J=5" in err and "J=6" in err
-        assert str(run) in err and str(other / "rep000") in err
-        # N comes from the S x N fits block of the joint chain or of stage 2,
-        # which keeps it when no sample selected a balance
-        assert main(["predict", str(run), "--train-dir", str(taller / "rep000")]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error:") and "N=12" in err and "N=13" in err
-    assert np.array_equal(np.load(tmp_path / "joint-no-balances" / "predictor.npy"),
-                          np.zeros(5))
-    assert np.load(tmp_path / "joint-no-balances" / "fits.npy").shape == (10, 12)
-
-    # a test set with another covariate count is caught before preprocessing
-    wide = tmp_path / "p4"
-    assert main(["simulate", "--out", str(wide), "--seed", "3", "--n", "12",
-                 "--p", "4", "--j", "5", "--n-true-cov", "2", "--n-true-bal", "1"]) == 0
-    assert main(["predict", str(tmp_path / "joint"), "--test-dir", str(wide / "rep000")]) == 1
-    assert "test dimensions (J=5, P=4)" in capsys.readouterr().err
-
-
-def test_cli_predict_rejects_other_training_data(sim_dir, tmp_path, capsys):
-    # a replicate of the same N, J and P is refused; a copy of the fit's own
-    # training data elsewhere predicts the same bytes
-    other, copy = tmp_path / "seed4", tmp_path / "copy"
-    assert main(["simulate", "--out", str(other), "--seed", "4", "--n", "12",
-                 "--p", "3", "--j", "5", "--n-true-cov", "2", "--n-true-bal", "1"]) == 0
-    shutil.copytree(sim_dir / "rep000", copy)
+def test_cli_predict_rejects_test_data_of_other_shape(sim_dir, tmp_path, capsys):
+    # the test set is checked against the fit's J and P, recorded in the
+    # chain's phi_shape and the partition; --train-dir is gone
+    sims = {"j6": ["--p", "3", "--j", "6"], "p4": ["--p", "4", "--j", "5"]}
+    for name, dims in sims.items():
+        assert main(["simulate", "--out", str(tmp_path / name), "--seed", "3", "--n", "12",
+                     *dims, "--n-true-cov", "2", "--n-true-bal", "1"]) == 0
     for model in ("joint", "dmlm-bayes"):
         run = tmp_path / model
         assert main(["fit", str(sim_dir / "rep000"), "--out", str(run), "--model", model,
                      *FAST_FIT]) == 0
         capsys.readouterr()
-        assert main(["predict", str(run), "--train-dir", str(other / "rep000"),
-                     "--test-dir", str(sim_dir / "rep000"), "--out", str(tmp_path / "x")]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and err.count("\n") == 1
-        assert str(other / "rep000") in err and str(run) in err and "differ" in err
-        assert not (tmp_path / "x").exists()
-        assert main(["predict", str(run)]) == 0
-        assert main(["predict", str(run), "--train-dir", str(copy),
-                     "--out", str(run / "copy")]) == 0
-        names = [p.name for p in (run / "predictions").glob("*.csv")]
-        assert "predictions.csv" in names
-        for name in names:
-            assert ((run / "copy" / name).read_bytes()
-                    == (run / "predictions" / name).read_bytes()), (model, name)
+        for name, dims in (("j6", "J=6, P=3"), ("p4", "J=5, P=4")):
+            assert main(["predict", str(run), "--test-dir",
+                         str(tmp_path / name / "rep000")]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and err.count("\n") == 1
+            assert f"test dimensions ({dims})" in err and "(J=5, P=3" in err
+            assert str(run) in err
+        assert not (run / "predictions").exists()
+        with pytest.raises(SystemExit) as e:
+            main(["predict", str(run), "--train-dir", str(sim_dir / "rep000")])
+        assert e.value.code == 2
+
+
+@pytest.mark.parametrize("model", ["joint", "dmlm-bayes"])
+def test_cli_predict_reads_no_training_data(sim_dir, tmp_path, model):
+    # fit records all predict needs of the training data, so predict gives the
+    # same bytes once the replicate's training files are gone
+    rep, run = tmp_path / "rep", tmp_path / "o"
+    shutil.copytree(sim_dir / "rep000", rep)
+    assert main(["fit", str(rep), "--out", str(run), "--model", model, *FAST_FIT]) == 0
+    assert main(["predict", str(run)]) == 0
+    for path in rep.glob("train_*.csv"):
+        path.unlink()
+    assert main(["predict", str(run), "--out", str(run / "again")]) == 0
+    names = sorted(p.name for p in (run / "predictions").glob("*.csv"))
+    assert names == (["loglik.csv", "predictions.csv"] if model == "joint"
+                     else ["predictions.csv"])
+    for name in names:
+        assert (run / "again" / name).read_bytes() == (run / "predictions" / name).read_bytes()
+
+
+def test_cli_evaluate_reads_recorded_paths_from_any_directory(sim_dir, tmp_path,
+                                                              monkeypatch):
+    # fit and predict given relative paths record them absolute, so evaluate
+    # run from another directory scores the same test set
+    shutil.copytree(sim_dir, tmp_path / "data")
+    (tmp_path / "elsewhere").mkdir()
+    monkeypatch.chdir(tmp_path)
+    assert main(["fit", "data/rep000", "--out", "fit", *FAST_FIT]) == 0
+    assert main(["predict", "fit", "--test-dir", "data/rep001"]) == 0
+    assert main(["evaluate", "fit", "--out", "eval"]) == 0
+    here = _csv_rows(tmp_path / "eval" / "report.csv")[0]
+    monkeypatch.chdir(tmp_path / "elsewhere")
+    assert main(["evaluate", str(tmp_path / "fit"), "--out", "eval"]) == 0
+    there = _csv_rows(tmp_path / "elsewhere" / "eval" / "report.csv")[0]
+    assert here["pmse_sum"] != "" and there["pmse_sum"] == here["pmse_sum"]
+    assert there["mse_sum"] == here["mse_sum"] != ""
+    assert dio.read_manifest(tmp_path / "fit")["config"]["dataset"] == str(
+        tmp_path.resolve() / "data" / "rep000")
 
 
 def test_cli_invalid_hyperparameter_is_runtime_error(sim_dir, tmp_path):
@@ -506,8 +523,8 @@ def test_cli_predict_uses_fitted_partition(sim_dir, tmp_path):
 
     chain, hyper, _ = dio.read_chain(run)
     train, test, stats = preprocess(dio.read_train(rep), dio.read_test(rep))
-    want = predict_y(chain, train, test, spec, hyper) + stats["y_mean"]
-    pivot = predict_y(chain, train, test, sbp_pivot(5), hyper) + stats["y_mean"]
+    want = predict_y(chain, test, spec, hyper) + stats["y_mean"]
+    pivot = predict_y(chain, test, sbp_pivot(5), hyper) + stats["y_mean"]
     assert np.array_equal(got, want)
     assert not np.allclose(got, pivot)
 
@@ -601,6 +618,15 @@ def _schema_9(run):
     (run / "summary.json").write_text(json.dumps(summary))
 
 
+def _schema_11(run):
+    # no y block; the summary counted the samples, named the model and held
+    # a digest of the training data predict read again
+    (run / "y.npy").unlink()
+    summary = json.loads((run / "summary.json").read_text())
+    summary.update(n_samples=10, model="joint", train_sha256="0" * 64)
+    (run / "summary.json").write_text(json.dumps(summary))
+
+
 @pytest.mark.parametrize("version, model, flags, plant", [
     (3, "joint", [], _schema_3),
     (6, "joint", [], _schema_6),
@@ -610,19 +636,23 @@ def _schema_9(run):
     (8, "dmlm-bayes", NO_BALANCES, _schema_8_two_step),
     (9, "joint", [], _schema_9),
     (10, "joint", ["--init-xi-frac", "0.5"], _ridge_in_place_of_predictor),
+    (11, "joint", [], _schema_11),
 ], ids=["3", "6-joint", "7", "8-joint", "8-two-step", "8-two-step-no-balances", "9",
-        "10-joint"])
+        "10-joint", "11-joint"])
 def test_cli_predict_refuses_a_run_of_an_older_schema(sim_dir, tmp_path, capsys, version,
                                                       model, flags, plant):
-    # each run as a writer of that schema left it: its chains record no
-    # schema_version, and its manifest records the old one
+    # each run as a writer of that schema left it: its chains record the
+    # schema_version from schema 11 on, and its manifest records the old one
     run = tmp_path / "o"
     assert main(["fit", str(sim_dir / "rep000"), "--out", str(run), "--model", model,
                  *flags, *FAST_FIT]) == 0
     plant(run)
     for path in run.glob("**/summary.json"):
         summary = json.loads(path.read_text())
-        del summary["schema_version"]
+        if version < 11:
+            del summary["schema_version"]
+        else:
+            summary["schema_version"] = version
         path.write_text(json.dumps(summary))
     manifest = dio.read_manifest(run)
     (run / "manifest.json").write_text(json.dumps({**manifest, "schema_version": version}))
@@ -630,7 +660,8 @@ def test_cli_predict_refuses_a_run_of_an_older_schema(sim_dir, tmp_path, capsys,
     assert main(["predict", str(run)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1 and str(run) in err
-    assert "chain schema 10 or older" in err and "reads schema 11" in err
+    assert f"chain schema {'10 or older' if version < 11 else version}" in err
+    assert "reads schema 12" in err
     assert "re-run fit" in err
     assert not (run / "predictions").exists()
 
@@ -640,12 +671,12 @@ def test_read_chain_refuses_any_other_schema_version(tmp_path):
     dio.write_chain(tmp_path, chain, Hyperparams())
     path = tmp_path / "summary.json"
     summary = json.loads(path.read_text())
-    assert summary["schema_version"] == 11
-    for version in (10, 12, "11", None):
+    assert summary["schema_version"] == 12
+    for version in (11, 13, "12", None):
         path.write_text(json.dumps({**summary, "schema_version": version}))
         with pytest.raises(ValueError, match=re.escape(
                 f"{path} is of chain schema {version}, but this version of dmjoint "
-                "reads schema 11; re-run fit")):
+                "reads schema 12; re-run fit")):
             dio.read_chain(tmp_path)
     path.write_text(json.dumps(summary))
     assert_chains_equal(dio.read_chain(tmp_path)[0], chain)
@@ -735,6 +766,8 @@ def test_cli_predict_without_selected_balances_is_a0_hat(sim_dir, tmp_path):
     assert main(["fit", str(rep), "--out", str(run), *NO_BALANCES, *FAST_FIT]) == 0
     assert main(["predict", str(run)]) == 0
     assert dio.read_chain(run)[0].xi.sum() == 0
+    assert np.array_equal(np.load(run / "predictor.npy"), np.zeros(5))
+    assert np.load(run / "fits.npy").shape == (10, 12)
     train, test, stats = preprocess(dio.read_train(rep), dio.read_test(rep))
     a0_hat = train.Y.sum() / (train.n_subjects + 1.0 / Hyperparams().h_alpha0)
     for path, n in ((run / "fitted_y.csv", train.n_subjects),
@@ -770,9 +803,11 @@ def test_cli_predict_chain_missing_a_block_exits_1(sim_dir, tmp_path, capsys):
 @pytest.mark.parametrize("damage, message", [
     (lambda summary: summary.pop("phi_shape"), "has no key 'phi_shape'"),
     (lambda summary: summary["hyperparams"].update(bogus=1.0), "'bogus'"),
-    (lambda summary: summary.pop("dataset"), "has no key 'dataset'; pass --train-dir"),
-    (lambda summary: summary.pop("train_sha256"), "has no key 'train_sha256'"),
-], ids=["no-phi-shape", "unknown-hyperparameter", "no-dataset", "no-train-digest"])
+    (lambda summary: summary.pop("dataset"), "has no key 'dataset'; pass --test-dir"),
+    (lambda summary: summary.pop("preprocess"), "has no key 'preprocess'"),
+    (lambda summary: summary["preprocess"].pop("x_sd"), "has no key 'x_sd'"),
+], ids=["no-phi-shape", "unknown-hyperparameter", "no-dataset", "no-preprocess",
+        "no-x-sd"])
 def test_cli_predict_malformed_summary_exits_1(sim_dir, tmp_path, capsys, model,
                                                damage, message):
     run = tmp_path / "o"

@@ -42,7 +42,8 @@ def indicator_blocks(phi, xi):
 def make_chain(alpha, phi, xi, psi=None, spec=None, hyper=None, Y=None):
     """A joint chain of the given samples. Its predictor and fits are those
     of the fits of ``Y`` on the balances of the compositions ``psi`` on
-    ``spec``, as the sampler fits them; without ``psi`` they are empty."""
+    ``spec``, as the sampler fits them, and it keeps ``Y``; without ``psi``
+    all three are empty."""
     alpha = np.asarray(alpha, dtype=float)
     xi = np.asarray(xi, dtype=np.uint8)
     cfg = SamplerConfig(iterations=2, burn_in=1, thin=1)
@@ -53,6 +54,7 @@ def make_chain(alpha, phi, xi, psi=None, spec=None, hyper=None, Y=None):
         **indicator_blocks(phi, xi),
         predictor=predictor,
         fits=fits,
+        y=np.empty(0) if psi is None else np.asarray(Y, dtype=float),
         log_posterior=np.zeros(2),
         accept={},
         config=cfg,
@@ -139,7 +141,7 @@ def test_predict_y_matches_scalar_ridge_oracle():
                        spec, hyper, Y=train.Y)
     Z_test = rng.integers(0, 40, size=(4, J))
     X_test = rng.normal(size=(4, 2))
-    got = predict_y(chain, train, TestSet(Z_test=Z_test, X_test=X_test),
+    got = predict_y(chain, TestSet(Z_test=Z_test, X_test=X_test),
                     spec, hyper)
 
     # oracle: scalar ridge with hand-rolled standardization
@@ -161,7 +163,7 @@ def test_predict_y_empty_model_is_constant():
     train, psi, spec, hyper = single_sample_fixture(rng)
     chain = make_chain(np.zeros((1, 3)), np.zeros((1, 3, 2)), np.array([[0, 0]]), psi,
                        spec, hyper, Y=train.Y)
-    got = predict_y(chain, train,
+    got = predict_y(chain,
                     TestSet(Z_test=rng.integers(0, 20, size=(5, 3)),
                             X_test=rng.normal(size=(5, 2))), spec, hyper)
     alpha0 = train.Y.sum() / (len(train.Y) + 1.0 / hyper.h_alpha0)
@@ -180,7 +182,7 @@ def test_fitted_y_recovers_noiseless_balance_response():
     chain = make_chain(np.zeros((1, J)), np.zeros((1, J, 1)),
                        np.array([[1, 0, 0]]),
                        psi[None, :, :], spec, hyper, Y=train.Y)
-    got = fitted_y(chain, train, hyper)
+    got = fitted_y(chain, hyper)
     assert np.allclose(got, Y, atol=1e-5)
 
 
@@ -208,8 +210,8 @@ def test_predictions_invariant_to_partition_choice_in_full_model():
                                    np.array([[1, 1, 1]]), psi[None, :, :], spec, hyper,
                                    Y=train.Y)
                         for spec in (spec_a, spec_b))
-    pa = predict_y(chain_a, train, test, spec_a, hyper)
-    pb = predict_y(chain_b, train, test, spec_b, hyper)
+    pa = predict_y(chain_a, test, spec_a, hyper)
+    pb = predict_y(chain_b, test, spec_b, hyper)
     assert np.allclose(pa, pb, atol=1e-6)
 
 
@@ -223,7 +225,7 @@ def test_pointwise_loglik_matches_normal_oracle():
     train, psi, spec, hyper = single_sample_fixture(rng, n=10)
     chain = make_chain(np.zeros((1, 3)), np.zeros((1, 3, 2)), np.array([[0, 0]]), psi,
                        spec, hyper, Y=train.Y)
-    ll = pointwise_loglik(chain, train, hyper)
+    ll = pointwise_loglik(chain, hyper)
     assert ll.shape == (10, 1)
     n = 10
     alpha0 = train.Y.sum() / (n + 1.0 / hyper.h_alpha0)
@@ -239,7 +241,7 @@ def test_pointwise_loglik_identical_samples_identical_columns():
     psi2 = np.repeat(psi, 3, axis=0)
     chain = make_chain(np.zeros((3, 3)), np.zeros((3, 3, 2)), np.tile([1, 0], (3, 1)),
                        psi2, spec, hyper, Y=train.Y)
-    ll = pointwise_loglik(chain, train, hyper)
+    ll = pointwise_loglik(chain, hyper)
     assert ll.shape == (8, 3)
     assert np.array_equal(ll[:, 0], ll[:, 1])
     assert np.array_equal(ll[:, 0], ll[:, 2])
@@ -265,11 +267,10 @@ def test_joint_outputs_match_one_sample_at_a_time():
     Y = rng.normal(size=n)
     Y -= Y.mean()
     chain = make_chain(alpha, phi, xi, psi, spec, hyper, Y=Y)
-    train = Dataset(Y=Y, Z=rng.integers(1, 30, size=(n, J)), X=rng.normal(size=(n, P)))
     test = TestSet(Z_test=rng.integers(0, 30, size=(4, J)), X_test=rng.normal(size=(4, P)))
     psi_test = estimate_psi_test(estimate_lambda_test(chain, test.X_test), test.Z_test)
 
-    assert_matches_reference(fitted_y(chain, train, hyper),
-                             predict_y(chain, train, test, spec, hyper),
-                             pointwise_loglik(chain, train, hyper),
+    assert_matches_reference(fitted_y(chain, hyper),
+                             predict_y(chain, test, spec, hyper),
+                             pointwise_loglik(chain, hyper),
                              one_sample_at_a_time(psi, xi, Y, psi_test, spec, hyper))

@@ -717,7 +717,8 @@ def test_run_chain_preserves_state_invariants():
     # balances, 0 at those no sample selected, then c
     assert out.psi.shape == (S, 0, 0) and out.psi_mean is None
     assert out.predictor.shape == (J,)
-    assert out.fits.shape == (S, train.n_subjects) == (S, out.n_subjects)
+    assert out.fits.shape == (S, train.n_subjects)
+    assert np.array_equal(out.y, train.Y)
     assert np.all(np.isfinite(out.predictor)) and np.all(np.isfinite(out.fits))
     assert np.array_equal(out.predictor[:-1] != 0, out.mppi_xi > 0)
     np.testing.assert_allclose(out.fits.mean(axis=1), 0.0, rtol=0, atol=1e-12)
@@ -726,7 +727,7 @@ def test_run_chain_preserves_state_invariants():
                    replace(cfg, mode="dm_only"))
     assert dm.psi.shape == (S, 0, 0)
     assert dm.psi_mean.shape == (train.n_subjects, train.n_taxa)
-    assert dm.predictor.shape == (0,) and dm.fits.shape == (S, 0)
+    assert dm.predictor.shape == (0,) and dm.fits.shape == (S, 0) and dm.y.shape == (0,)
     assert np.all(dm.psi_mean > 0)
     assert np.all(np.abs(dm.psi_mean.sum(axis=1) - 1.0) < 1e-10)
 
@@ -877,9 +878,9 @@ def test_joint_chain_keeps_the_ridge_fits_of_the_columns_the_sweep_built(monkeyp
     # the pass over the kept blocks against rebuilding every sample's
     # balances from its composition
     psi_test = estimate_psi_test(estimate_lambda_test(out, test.X_test), test.Z_test)
-    assert_matches_reference(fitted_y(out, train, hyper),
-                             predict_y(out, train, test, spec, hyper),
-                             pointwise_loglik(out, train, hyper),
+    assert_matches_reference(fitted_y(out, hyper),
+                             predict_y(out, test, spec, hyper),
+                             pointwise_loglik(out, hyper),
                              one_sample_at_a_time(psi, out.xi, train.Y, psi_test, spec, hyper))
 
 
@@ -1023,7 +1024,7 @@ def xi_chain(xi_changes, xi_shape):
     return ChainOutput(alpha_mean=np.empty(0), zeta_changes=np.empty(0, dtype=np.int64),
                        phi_mean=np.empty(0), phi_shape=(S, 0, 0), xi_changes=xi_changes,
                        xi_shape=xi_shape, predictor=np.empty(0), fits=np.empty((S, 0)),
-                       log_posterior=np.zeros(2), accept={},
+                       y=np.empty(0), log_posterior=np.zeros(2), accept={},
                        config=SamplerConfig(iterations=2, burn_in=1, thin=1))
 
 

@@ -2,10 +2,10 @@
 selection on balances frozen at the posterior-mean composition.
 
 Both stages run ``sampler.run_chain``, and stage two keeps its samples'
-fitted values and linear predictor as a joint chain does, so both prediction
-functions read them with ``predict.ridge_pass``. The comparator differs from
-the joint model only in freezing the composition: its balances are built
-once, from psi_bar."""
+fitted values and linear predictor as a joint chain does, so
+``predict.fitted_y`` and ``predict.predict_at_balances`` read it. The
+comparator differs from the joint model only in freezing the composition:
+its balances are built once, from psi_bar."""
 
 from __future__ import annotations
 
@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .model import Dataset, Hyperparams, PartitionSpec, log_balances
-from .predict import TestSet, estimate_test_balances, ridge_pass
+from .predict import TestSet, estimate_test_balances, fitted_y, predict_at_balances
 from .sampler import ChainOutput, SamplerConfig, run_chain
 
 __all__ = ["TwoStepOutput", "run_dm_only", "run_balance_selection", "run_two_step",
@@ -57,7 +57,7 @@ def run_two_step(data: Dataset, hyper: Hyperparams, spec: PartitionSpec,
 
 def two_step_fitted_y(two_step: TwoStepOutput, hyper: Hyperparams) -> np.ndarray:
     """In-sample estimates: the stage-two samples' mean fitted values."""
-    return ridge_pass(two_step.stage2, hyper)[0]
+    return fitted_y(two_step.stage2, hyper)
 
 
 def two_step_predict_y(two_step: TwoStepOutput, test: TestSet, spec: PartitionSpec,
@@ -65,4 +65,4 @@ def two_step_predict_y(two_step: TwoStepOutput, test: TestSet, spec: PartitionSp
     """Test predictions: test compositions from the stage-one chain, the linear
     predictor from the stage-two samples' ridge fits on the frozen balances."""
     B_test = estimate_test_balances(two_step.stage1, test, spec.contrast_matrix(), hyper)
-    return ridge_pass(two_step.stage2, hyper, B_test)[1]
+    return predict_at_balances(two_step.stage2, B_test, hyper)

@@ -106,7 +106,7 @@ def _fit_one(repdir: Path, outdir: Path, model: str, hyper: Hyperparams,
     _one_blas_thread()
     started = time.time()
     train_raw = dio.read_train(repdir)
-    train, _, prep_stats = preprocess(train_raw)
+    train, prep_stats = preprocess(train_raw)
     spec = (PartitionSpec.from_file(partition_file) if partition_file
             else sbp_pivot(train.n_taxa))
     outdir.mkdir(parents=True, exist_ok=True)

@@ -64,7 +64,6 @@ def write_manifest(outdir, command: str, config: dict, seed, inputs, started: fl
     with open(outdir / "manifest.json", "w") as f:
         json.dump(manifest, f, indent=2, sort_keys=True)
         f.write("\n")
-    return manifest
 
 
 def read_manifest(rundir) -> dict:

@@ -54,9 +54,9 @@ def squared_error(y, yhat) -> float:
     return float(np.sum((y - yhat) ** 2))
 
 
-def median_model(mppi, threshold: float = 0.5) -> np.ndarray:
-    """Median-probability model: indicators with MPPI >= threshold."""
+def median_model(mppi) -> np.ndarray:
+    """Median-probability model: indicators with MPPI >= 0.5."""
     arr = np.asarray(mppi, dtype=float)
     if np.any(arr < 0) or np.any(arr > 1):
         raise ValueError("MPPI values must lie in [0, 1]")
-    return (arr >= threshold).astype(np.uint8)
+    return (arr >= 0.5).astype(np.uint8)

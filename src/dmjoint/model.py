@@ -374,13 +374,11 @@ def ridge_fit(B_sel, Y, hyper: Hyperparams):
     return beta, B_sel @ beta
 
 
-def spike_slab_logprior(value, included: int, slab_var: float):
-    """Log prior of a coefficient (or an included array) under the spike-and-slab."""
+def spike_slab_logprior(value, slab_var: float):
+    """Log slab density of an included coefficient (or array of them)."""
     if slab_var <= 0:
         raise ValueError("slab variance must be positive")
-    if included:
-        return -0.5 * (np.log(2.0 * np.pi * slab_var) + value * value / slab_var)
-    return 0.0 if value == 0 else -np.inf
+    return -0.5 * (np.log(2.0 * np.pi * slab_var) + value * value / slab_var)
 
 
 def beta_binomial_logprior(included: int, a: float, b: float) -> float:

@@ -4,8 +4,8 @@ Test compositions are estimated by shrinking observed test counts toward the
 posterior-mean concentrations of the training chain. A chain that selects
 balances (a joint chain, or stage two of a two-step fit) keeps its samples'
 fitted values, the sum of their linear predictors and the centred training
-response (``ChainOutput``), so ``ridge_pass`` averages them with no
-per-sample loop and no training data. Test balances are
+response (``ChainOutput``), so ``fitted_y`` and ``predict_at_balances``
+average them with no per-sample loop and no training data. Test balances are
 standardized with each sample's training column statistics, which the
 predictor holds, so no test information leaks into the scaling.
 """
@@ -31,7 +31,7 @@ __all__ = [
     "estimate_lambda_test",
     "estimate_psi_test",
     "estimate_test_balances",
-    "ridge_pass",
+    "predict_at_balances",
     "predict_y",
     "fitted_y",
     "pointwise_loglik",
@@ -61,8 +61,6 @@ class TestSet:
 
 def estimate_lambda_test(chain: ChainOutput, X_test) -> np.ndarray:
     """Exponential of the posterior-mean linear predictor for test subjects."""
-    if chain.n_samples < 1:
-        raise ValueError("chain has no retained samples")
     phi_mean = np.zeros(chain.phi_shape[1:])
     phi_mean[chain.mppi_zeta > 0] = chain.phi_mean
     return build_gamma(chain.alpha_mean, phi_mean, X_test)[1]
@@ -92,32 +90,26 @@ def _a0_hat(chain: ChainOutput, hyper: Hyperparams) -> float:
     return float(chain.y.sum() / (len(chain.y) + 1.0 / hyper.h_alpha0))
 
 
-def ridge_pass(chain: ChainOutput, hyper: Hyperparams, B_test=None):
-    """The fitted values and the test predictions (None without ``B_test``),
-    averaged over the retained samples' ridge fits.
+def predict_at_balances(chain: ChainOutput, B_test, hyper: Hyperparams) -> np.ndarray:
+    """The retained samples' mean prediction at raw test balances ``B_test``.
 
-    The fitted values average the rows of ``chain.fits``. The samples' summed
-    prediction at raw test balances ``B_test`` is ``B_test @ W - c``, with
-    ``W`` and ``c`` the chain's ``predictor``.
+    Their summed prediction is ``B_test @ W - c``, with ``W`` and ``c`` the
+    chain's ``predictor``.
     """
-    S, a0_hat = chain.n_samples, _a0_hat(chain, hyper)
-    fitted = a0_hat + chain.fits.sum(axis=0) / S
-    if B_test is None:
-        return fitted, None
     W, c = chain.predictor[:-1], chain.predictor[-1]
-    return fitted, a0_hat + (B_test @ W - c) / S
+    return _a0_hat(chain, hyper) + (B_test @ W - c) / chain.n_samples
 
 
 def predict_y(chain: ChainOutput, test: TestSet, spec: PartitionSpec,
               hyper: Hyperparams) -> np.ndarray:
     """Posterior-averaged predictions for the test responses."""
     B_test = estimate_test_balances(chain, test, spec.contrast_matrix(), hyper)
-    return ridge_pass(chain, hyper, B_test)[1]
+    return predict_at_balances(chain, B_test, hyper)
 
 
 def fitted_y(chain: ChainOutput, hyper: Hyperparams) -> np.ndarray:
-    """In-sample analogue of predict_y: the samples' mean fitted values."""
-    return ridge_pass(chain, hyper)[0]
+    """In-sample analogue of predict_y: the mean of the rows of ``chain.fits``."""
+    return _a0_hat(chain, hyper) + chain.fits.sum(axis=0) / chain.n_samples
 
 
 def pointwise_loglik(chain: ChainOutput, hyper: Hyperparams) -> np.ndarray:

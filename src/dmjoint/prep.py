@@ -15,9 +15,9 @@ from .predict import TestSet
 __all__ = ["preprocess", "preprocess_test"]
 
 
-def preprocess(train: Dataset, test: TestSet | None = None):
-    """Return (train', test', stats) with Y centered and X columns scaled to
-    mean 0, sample variance 1 using training statistics only."""
+def preprocess(train: Dataset):
+    """Return (train', stats) with Y centered and X columns scaled to mean 0,
+    sample variance 1; ``preprocess_test`` applies ``stats`` to a test set."""
     y_mean = float(train.Y.mean())
     x_mean = train.X.mean(axis=0)
     x_sd = train.X.std(axis=0, ddof=1) if train.X.shape[0] > 1 else np.ones(train.X.shape[1])
@@ -26,8 +26,7 @@ def preprocess(train: Dataset, test: TestSet | None = None):
         raise ValueError(f"covariate column {col} has zero variance")
     train_p = Dataset(Y=train.Y - y_mean, Z=train.Z, X=(train.X - x_mean) / x_sd)
     stats = {"y_mean": y_mean, "x_mean": x_mean.tolist(), "x_sd": x_sd.tolist()}
-    test_p = None if test is None else preprocess_test(test, stats)
-    return train_p, test_p, stats
+    return train_p, stats
 
 
 def preprocess_test(test: TestSet, stats: dict) -> TestSet:

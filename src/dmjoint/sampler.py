@@ -258,8 +258,8 @@ def pair_log_mh_ratio(logc_col, gamma_col, lgam_col, lam_col, x_col, phi_old, ph
     """
     on_old, on_new = np.asarray(phi_old) != 0, np.asarray(phi_new) != 0
     # a within move adds log_odds_on * 0: its prior is the slab difference's bits
-    prior = (np.where(on_new, spike_slab_logprior(phi_new, 1, hyper.r2), 0.0)
-             - np.where(on_old, spike_slab_logprior(phi_old, 1, hyper.r2), 0.0)
+    prior = (np.where(on_new, spike_slab_logprior(phi_new, hyper.r2), 0.0)
+             - np.where(on_old, spike_slab_logprior(phi_old, hyper.r2), 0.0)
              + log_odds_on * np.subtract(on_new, on_old, dtype=float))
     lam_new = lam_col + np.asarray(phi_new - phi_old)[..., None] * x_col
     gamma_new = np.exp(lam_new)
@@ -511,7 +511,8 @@ def run_chain(
     # the count blocks are read only through their means: sum them in sample
     # order, as mean(axis=0) over the stacked samples adds them
     alpha_sum, phi_sum = np.zeros(Jk), np.zeros((Jk, Pk))
-    # the indicators are kept as their changes from the previous sample
+    # the indicators are kept as their changes from the previous sample; a
+    # sample that changes none appends nothing, since an empty array costs ~100 B
     on, sel = np.zeros((Jk, Pk), dtype=bool), np.zeros(Mk, dtype=bool)
     zeta_changes, xi_changes = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
     included = on.copy()  # pairs some sample included
@@ -559,12 +560,14 @@ def run_chain(
                 phi_sum += state.phi
                 on, was = state.phi != 0, on
                 included |= on
-                zeta_changes.append(indicator_changes(was, on, s))
+                if (changes := indicator_changes(was, on, s)).size:
+                    zeta_changes.append(changes)
             if mode == "dm_only":
                 psi_sum += state.psi
             else:
                 sel, was = state.xi == 1, sel
-                xi_changes.append(indicator_changes(was, sel, s))
+                if (changes := indicator_changes(was, sel, s)).size:
+                    xi_changes.append(changes)
                 beta, out_fits[s] = ridge_fit(B_std[:, sel], data.Y, hyper)
                 predictor[:-1][sel] += beta / sds[sel]
                 predictor[-1] += (means[sel] / sds[sel]) @ beta

@@ -42,7 +42,7 @@ from dmjoint.model import (
     zero_replace,
 )
 from dmjoint.predict import TestSet, fitted_y, predict_y
-from dmjoint.prep import preprocess
+from dmjoint.prep import preprocess, preprocess_test
 from dmjoint.sampler import (
     STREAM_VERSION,
     ChainState,
@@ -264,8 +264,8 @@ def _make_data(rep, null=False):
         cfg = SIM
         rng = replicate_rng(MASTER_SEED, rep)
     train, test, truth = gen_replicate(cfg, rng)
-    train, test, _ = preprocess(train, test)
-    return train, test, truth
+    train, stats = preprocess(train)
+    return train, preprocess_test(test, stats), truth
 
 
 def _joint_metrics(rep, b, b0, null=False):

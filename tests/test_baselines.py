@@ -20,7 +20,7 @@ from dmjoint.model import (
     sbp_pivot,
 )
 from dmjoint.predict import estimate_lambda_test, estimate_psi_test
-from dmjoint.prep import preprocess
+from dmjoint.prep import preprocess, preprocess_test
 from dmjoint.sampler import SamplerConfig, run_chain
 from dmjoint.simulate import SimConfig, gen_replicate, replicate_rng
 from oracles import (
@@ -37,8 +37,8 @@ def small_fixture(seed=0, **kw):
     base.update(kw)
     cfg = SimConfig(**base)
     train, test, truth = gen_replicate(cfg, replicate_rng(seed, 0))
-    train, test, _ = preprocess(train, test)
-    return train, test, truth
+    train, stats = preprocess(train)
+    return train, preprocess_test(test, stats), truth
 
 
 def standardized_design(rng, n, M):

@@ -69,14 +69,19 @@ def test_replicate_round_trip(tmp_path):
 
 
 def test_preprocess_test_applies_the_recorded_statistics():
-    # the statistics as fit records them in summary.json give bitwise the
-    # test set preprocess(train, test) gives
+    # the statistics as fit records them in summary.json transform a test set
+    # bitwise as the statistics preprocess returns do, and the training rows
+    # bitwise as preprocess itself does
     cfg = SimConfig(N=8, P=3, J=5, n_true_cov=2, n_true_bal=1,
                     zdot_low=50, zdot_high=100)
     train, test, _ = gen_replicate(cfg, replicate_rng(0, 0))
-    _, want, stats = preprocess(train, test)
+    train_p, stats = preprocess(train)
     recorded = json.loads(json.dumps(stats))
-    for given, expect in ((test, want), (replace(test, Y_test=None), replace(want, Y_test=None))):
+    rows = TestSet(Z_test=train.Z, X_test=train.X, Y_test=train.Y)
+    rows_p = TestSet(Z_test=train_p.Z, X_test=train_p.X, Y_test=train_p.Y)
+    pairs = [(test, preprocess_test(test, stats)), (rows, rows_p)]
+    pairs += [(replace(a, Y_test=None), replace(b, Y_test=None)) for a, b in pairs]
+    for given, expect in pairs:
         got = preprocess_test(given, recorded)
         for name in ("Z_test", "X_test", "Y_test"):
             a, b = getattr(got, name), getattr(expect, name)
@@ -93,7 +98,7 @@ def small_chains():
     cfg = SimConfig(N=10, P=3, J=5, n_true_cov=1, n_true_bal=1,
                     zdot_low=50, zdot_high=100)
     train, _, _ = gen_replicate(cfg, replicate_rng(1, 0))
-    train, _, _ = preprocess(train)
+    train, _ = preprocess(train)
     fit = SamplerConfig(iterations=40, burn_in=20, thin=2, seed=1)
     return {
         "joint": run_chain(train, Hyperparams(), sbp_pivot(5), fit),
@@ -275,7 +280,8 @@ def test_cli_fit_two_step(sim_dir, tmp_path):
 
     # the predictions of the same two-step run held in memory
     rep = sim_dir / "rep000"
-    train, test, stats = preprocess(dio.read_train(rep), dio.read_test(rep))
+    train, stats = preprocess(dio.read_train(rep))
+    test = preprocess_test(dio.read_test(rep), stats)
     config = SamplerConfig(iterations=200, burn_in=100, thin=10, seed=6,
                            between_moves_per_iter=5)
     two = run_two_step(train, Hyperparams(), sbp_pivot(5), config)
@@ -522,7 +528,8 @@ def test_cli_predict_uses_fitted_partition(sim_dir, tmp_path):
     got = dio.read_matrix(run / "predictions" / "predictions.csv").ravel()
 
     chain, hyper, _ = dio.read_chain(run)
-    train, test, stats = preprocess(dio.read_train(rep), dio.read_test(rep))
+    stats = preprocess(dio.read_train(rep))[1]
+    test = preprocess_test(dio.read_test(rep), stats)
     want = predict_y(chain, test, spec, hyper) + stats["y_mean"]
     pivot = predict_y(chain, test, sbp_pivot(5), hyper) + stats["y_mean"]
     assert np.array_equal(got, want)
@@ -689,7 +696,7 @@ def test_joint_chain_writes_one_predictor_size_at_any_sample_count(tmp_path):
     cfg = SimConfig(N=10, P=3, J=5, n_true_cov=1, n_true_bal=1,
                     zdot_low=50, zdot_high=100)
     train, _, _ = gen_replicate(cfg, replicate_rng(1, 0))
-    train, _, _ = preprocess(train)
+    train, _ = preprocess(train)
     hyper, sizes = Hyperparams(a_m=9.0, b_m=1.0), []
     for S in (10, 400):
         chain = run_chain(train, hyper, sbp_pivot(5),
@@ -768,7 +775,8 @@ def test_cli_predict_without_selected_balances_is_a0_hat(sim_dir, tmp_path):
     assert dio.read_chain(run)[0].xi.sum() == 0
     assert np.array_equal(np.load(run / "predictor.npy"), np.zeros(5))
     assert np.load(run / "fits.npy").shape == (10, 12)
-    train, test, stats = preprocess(dio.read_train(rep), dio.read_test(rep))
+    train, stats = preprocess(dio.read_train(rep))
+    test = preprocess_test(dio.read_test(rep), stats)
     a0_hat = train.Y.sum() / (train.n_subjects + 1.0 / Hyperparams().h_alpha0)
     for path, n in ((run / "fitted_y.csv", train.n_subjects),
                     (run / "predictions" / "predictions.csv", len(test.X_test))):

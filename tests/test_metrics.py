@@ -72,6 +72,5 @@ def test_median_model():
     assert got.tolist() == [0, 0, 1, 1, 1]
     assert got.dtype == np.uint8
     assert median_model(np.array([[0.6, 0.2]])).tolist() == [[1, 0]]
-    assert median_model(np.array([0.4, 0.6]), threshold=0.3).tolist() == [1, 1]
     with pytest.raises(ValueError):
         median_model(np.array([1.2]))

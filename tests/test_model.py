@@ -301,11 +301,11 @@ def test_gamma_identity_quadrature():
 
 
 def test_spike_slab_logprior():
-    assert spike_slab_logprior(0.0, 0, 10.0) == 0.0
-    assert spike_slab_logprior(1.5, 0, 10.0) == -np.inf
-    assert spike_slab_logprior(0.0, 1, 10.0) == pytest.approx(
+    assert spike_slab_logprior(0.0, 10.0) == pytest.approx(
         -0.5 * np.log(2 * np.pi * 10.0), abs=1e-10)
-    assert spike_slab_logprior(0.0, 1, 10.0) == pytest.approx(-2.07023, abs=1e-4)
+    assert spike_slab_logprior(0.0, 10.0) == pytest.approx(-2.07023, abs=1e-4)
+    with pytest.raises(ValueError, match="slab variance"):
+        spike_slab_logprior(0.0, 0.0)
 
 
 def test_beta_binomial_logprior():

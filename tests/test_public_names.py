@@ -1,4 +1,4 @@
-"""Dead-public-name gate for the package sources.
+"""Dead-public-name and dead-parameter gates for the package sources.
 
 Every name in the ``__all__`` of a module in ``src/dmjoint`` must be
 referenced by some module of the package or of the benchmark harness in
@@ -6,6 +6,11 @@ referenced by some module of the package or of the benchmark harness in
 the file binds at module level (by an import or a definition) that no
 enclosing function rebinds. A parameter or local that shares a public name
 is not a use of it. A name only the tests use belongs in the tests.
+
+Likewise every defaulted parameter of a public function must be passed by
+some call in those modules: by keyword, by position, or through an unpacked
+``*args`` or ``**kwargs``. A default only the tests override is a branch
+only the tests reach.
 """
 
 import ast
@@ -81,6 +86,56 @@ def dead_public_names(modules, users) -> list:
             if name not in used]
 
 
+def defaulted_parameters(path: Path) -> list:
+    """(function, parameter, position) for each defaulted parameter of a
+    function in the ``__all__`` of ``path``; position is None for a
+    keyword-only parameter."""
+    public, out = set(exported(path)), []
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, ast.FunctionDef) and node.name in public:
+            args = node.args
+            positional = [*args.posonlyargs, *args.args]
+            first = len(positional) - len(args.defaults)
+            out += [(node.name, a.arg, i) for i, a in enumerate(positional) if i >= first]
+            out += [(node.name, a.arg, None)
+                    for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+    return out
+
+
+def passed_slots(path: Path) -> set:
+    """(callee, slot) for each argument a call in ``path`` passes: an int for
+    a position, a str for a keyword, and ``"*"`` or ``"**"`` for an unpacked
+    sequence or mapping, which may fill any slot of its kind. The callee is a
+    called name or attribute, with ``from ... import f as g`` undone."""
+    tree = ast.parse(path.read_text())
+    aliases = {alias.asname: alias.name for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom) for alias in node.names if alias.asname}
+    slots = set()
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+        name = aliases.get(name, name)
+        slots.update((name, "*" if isinstance(arg, ast.Starred) else i)
+                     for i, arg in enumerate(node.args))
+        slots.update((name, kw.arg or "**") for kw in node.keywords)
+    return slots
+
+
+def unpassed_parameters(modules, users) -> list:
+    """``module: function.parameter`` for each defaulted parameter of a
+    function in the ``__all__`` of ``modules`` that no call in ``users``
+    passes."""
+    slots = set().union(*(passed_slots(path) for path in users))
+    unpassed = []
+    for path in modules:
+        for fn, param, pos in defaulted_parameters(path):
+            ways = [param, "**"] if pos is None else [param, "**", pos, "*"]
+            if not any((fn, way) in slots for way in ways):
+                unpassed.append(f"{path.name}: {fn}.{param}")
+    return unpassed
+
+
 def test_no_dead_public_names():
     modules = sorted(SRC.glob("*.py"))
     dead = dead_public_names(modules, modules + sorted(PERFBENCH.glob("*.py")))
@@ -107,3 +162,26 @@ def test_gate_does_not_count_a_parameter_or_local_of_the_same_name(tmp_path):
     # a is only a parameter in user, b only a local in user and a parameter in
     # lib, and c is imported
     assert dead_public_names([lib], [lib, user]) == ["lib.py: a", "lib.py: b"]
+
+
+def test_no_public_parameter_left_at_its_default():
+    modules = sorted(SRC.glob("*.py"))
+    unpassed = unpassed_parameters(modules, modules + sorted(PERFBENCH.glob("*.py")))
+    assert not unpassed, "defaulted parameters no call passes: " + ", ".join(unpassed)
+
+
+def test_gate_flags_a_parameter_no_call_passes(tmp_path):
+    lib, user = tmp_path / "lib.py", tmp_path / "user.py"
+    lib.write_text("__all__ = ['f', 'g', 'h']\n"
+                   "def f(a, b=1, c=2, *, d=3, e=4): pass\n"
+                   "def g(a, b=1): pass\n"
+                   "def h(a, *, k=1): pass\n"
+                   "def _p(a, b=1): pass\n")
+    user.write_text("import lib\nfrom lib import g as gg\n"
+                    "lib.f(0, 1, d=2)\ngg(*(0, 1))\nlib.h(0, **{'k': 2})\n")
+    # f's b is passed by position and d by keyword, g's b through *args
+    # under an alias and h's k through **kwargs; _p is not public
+    assert unpassed_parameters([lib], [user]) == ["lib.py: f.c", "lib.py: f.e"]
+    assert unpassed_parameters([lib], [lib]) == [
+        "lib.py: f.b", "lib.py: f.c", "lib.py: f.d", "lib.py: f.e", "lib.py: g.b",
+        "lib.py: h.k"]

@@ -34,7 +34,7 @@ from dmjoint.predict import (
     pointwise_loglik,
     predict_y,
 )
-from dmjoint.prep import preprocess
+from dmjoint.prep import preprocess, preprocess_test
 from dmjoint.sampler import (
     STREAM_VERSION,
     ChainOutput,
@@ -73,8 +73,8 @@ def small_fixture(seed=0, **kw):
     cfg = SimConfig(N=25, P=4, J=8, n_true_cov=2, n_true_bal=2,
                     zdot_low=200, zdot_high=400, seed=seed, **kw)
     train, test, truth = gen_replicate(cfg, replicate_rng(seed, 0))
-    train, test, _ = preprocess(train, test)
-    return train, test, truth
+    train, stats = preprocess(train)
+    return train, preprocess_test(test, stats), truth
 
 
 # ---------------------------------------------------------------------------
@@ -206,7 +206,7 @@ def test_pair_ratio_rows_match_one_pair_calls_bitwise():
     # the add, delete and within formulas of the spike-and-slab, bit for bit
     odds = log_odds_on(hyper)
     ratio = pair_log_mh_ratio(logc, gamma, lgam, lam, 0 * x, old, new, hyper, odds)[0]
-    slab_old, slab_new = (spike_slab_logprior(v, 1, hyper.r2) for v in (old, new))
+    slab_old, slab_new = (spike_slab_logprior(v, hyper.r2) for v in (old, new))
     want = np.where(add, odds + slab_new,
                     np.where(delete, -odds - slab_old, slab_new - slab_old))
     assert ratio.tobytes() == want.tobytes()
@@ -440,7 +440,7 @@ def test_pair_moves_match_sequential_scan_at_paper_scale():
     # included pairs, 10 taxa holding 4-8 of them; a few sweeps of 20
     # between-model moves, each continuing from the state the last one left
     train, _, _ = gen_replicate(SimConfig(), replicate_rng(7, 0))
-    train, _, _ = preprocess(train)
+    train, _ = preprocess(train)
     hyper = Hyperparams()
     rng = np.random.default_rng(16)
     J, P = train.n_taxa, train.n_covariates
@@ -773,7 +773,7 @@ def test_dm_only_chain_holds_no_composition_samples():
     cfg = SimConfig(N=40, P=3, J=12, n_true_cov=2, n_true_bal=2,
                     zdot_low=200, zdot_high=400, seed=0)
     train, _, _ = gen_replicate(cfg, replicate_rng(0, 0))
-    train, _, _ = preprocess(train)
+    train, _ = preprocess(train)
     hyper, spec = Hyperparams(), sbp_pivot(train.n_taxa)
     chain = SamplerConfig(iterations=410, burn_in=10, thin=1, seed=5, mode="dm_only")
     # a first short chain loads scipy and numpy's caches outside the trace
@@ -798,7 +798,7 @@ def test_chain_holds_no_count_samples():
     cfg = SimConfig(N=6, P=1, J=300, n_true_cov=1, n_true_bal=2,
                     zdot_low=200, zdot_high=400, seed=0)
     train, _, _ = gen_replicate(cfg, replicate_rng(0, 0))
-    train, _, _ = preprocess(train)
+    train, _ = preprocess(train)
     hyper, spec = Hyperparams(), sbp_pivot(train.n_taxa)
     chain = SamplerConfig(iterations=510, burn_in=10, thin=1, seed=5, mode="dm_only")
     # a first short chain loads scipy and numpy's caches outside the trace
@@ -823,7 +823,7 @@ def test_joint_chain_holds_no_balance_columns():
     cfg = SimConfig(N=40, P=3, J=30, n_true_cov=2, n_true_bal=6,
                     zdot_low=200, zdot_high=400, seed=0)
     train, _, _ = gen_replicate(cfg, replicate_rng(0, 0))
-    train, _, _ = preprocess(train)
+    train, _ = preprocess(train)
     hyper, spec = Hyperparams(a_m=9.0, b_m=1.0), sbp_pivot(train.n_taxa)
     chain = SamplerConfig(iterations=410, burn_in=10, thin=1, seed=5, init_xi_frac=0.5)
     # a first short chain loads scipy and numpy's caches outside the trace
@@ -954,7 +954,7 @@ def test_strong_covariate_signal_recovered():
     X = gen_covariates(cfg, rng)
     Z, _ = gen_dm_counts(X, truth, cfg, rng)
     data = Dataset(Y=np.zeros(cfg.N), Z=Z, X=X)
-    data, _, _ = preprocess(data)
+    data, _ = preprocess(data)
 
     hyper = Hyperparams()
     # oracle: Bayes factor with latent c fixed at z + 0.5, u at zdot/T

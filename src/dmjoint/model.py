@@ -15,7 +15,11 @@ exact:
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
+import sys
 from dataclasses import dataclass, field, fields
+from pathlib import Path
 
 import numpy as np
 
@@ -383,19 +387,38 @@ def spike_slab_logprior(value, slab_var: float):
 
 def beta_binomial_logprior(included: int, a: float, b: float) -> float:
     """Log marginal prior of one inclusion indicator after integrating its Beta mean."""
-    from scipy.special import betaln
-
+    betaln = _special_ufuncs().betaln
     if a <= 0 or b <= 0:
         raise ValueError("a and b must be positive")
     return float(betaln(included + a, 1 - included + b) - betaln(a, b))
 
 
 def gammaln(x):
-    """``scipy.special.gammaln(x)``, importing scipy on the first call.
+    """``scipy.special.gammaln(x)``, the ufunc itself. Only a fit calls it, so simulate,
+    predict and evaluate load no scipy, and a fit only ``_special_ufuncs`` below."""
+    return _special_ufuncs().gammaln(x)
 
-    Only a fit evaluates it, so simulate, predict and evaluate never load
-    scipy.
+
+_UFUNCS = "scipy.special._special_ufuncs"
+
+
+def _special_ufuncs():
+    """scipy's compiled module of ``gammaln`` and ``betaln``, loaded alone on first use.
+
+    ``scipy/special/__init__`` imports some 300 modules and maps scipy's own
+    OpenBLAS, none of which a fit runs. The extension is found without running
+    scipy's ``__init__`` and registered under its own name, so a later
+    ``import scipy.special`` reuses it, as this reuses the one that import made.
     """
-    from scipy.special import gammaln as scipy_gammaln
-
-    return scipy_gammaln(x)
+    module = sys.modules.get(_UFUNCS)
+    if module is None:
+        scipy = importlib.util.find_spec("scipy")
+        roots = scipy.submodule_search_locations if scipy else []
+        where = [str(Path(root, "special")) for root in roots]
+        spec = importlib.machinery.PathFinder.find_spec(_UFUNCS, where)
+        if spec is None:
+            raise RuntimeError(f"scipy's {_UFUNCS} extension not found in {where}")
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        sys.modules[_UFUNCS] = module
+    return module

@@ -36,7 +36,7 @@ from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
-# gammaln comes from .model, which imports scipy on its first call only.
+# gammaln comes from .model, which loads scipy's _special_ufuncs extension alone on its first call.
 from .model import (
     Dataset,
     Hyperparams,

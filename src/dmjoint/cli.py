@@ -110,20 +110,16 @@ def _fit_one(repdir: Path, outdir: Path, model: str, hyper: Hyperparams,
     spec = (PartitionSpec.from_file(partition_file) if partition_file
             else sbp_pivot(train.n_taxa))
     outdir.mkdir(parents=True, exist_ok=True)
-    # the fit facts predict reads, recorded once in the chain that holds the
-    # count blocks: the joint one, or stage 1
-    dataset = str(repdir.resolve())
-    extra = {"dataset": dataset, "preprocess": prep_stats}
     if model == "joint":
         chain = run_chain(train, hyper, spec, config)
-        dio.write_chain(outdir, chain, hyper, extra=extra)
+        dio.write_chain(outdir, chain)
         sel_zeta = median_model(chain.mppi_zeta)
         sel_xi = median_model(chain.mppi_xi)
         yhat = fitted_y(chain, hyper)
     else:  # dmlm-bayes
         two = run_two_step(train, hyper, spec, config)
-        dio.write_chain(outdir / "stage1", two.stage1, hyper, extra=extra)
-        dio.write_chain(outdir / "stage2", two.stage2, hyper)
+        dio.write_chain(outdir / "stage1", two.stage1)
+        dio.write_chain(outdir / "stage2", two.stage2)
         sel_zeta = median_model(two.stage1.mppi_zeta)
         sel_xi = median_model(two.stage2.mppi_xi)
         yhat = two_step_fitted_y(two, hyper)
@@ -131,10 +127,12 @@ def _fit_one(repdir: Path, outdir: Path, model: str, hyper: Hyperparams,
     dio.write_matrix(outdir / "selected_zeta.csv", sel_zeta, "zeta", integer=True)
     dio.write_matrix(outdir / "selected_xi.csv", sel_xi[:, None], "xi", integer=True)
     dio.write_matrix(outdir / "fitted_y.csv", yhat[:, None] + prep_stats["y_mean"], "yhat")
+    # the fit's facts, recorded once; each chain's summary records the mode it ran
     dio.write_manifest(
         outdir, "fit",
-        {"model": model, "dataset": dataset,
-         "hyperparams": asdict(hyper), "sampler": asdict(config)},
+        {"model": model, "dataset": str(repdir.resolve()), "hyperparams": asdict(hyper),
+         "sampler": {k: getattr(config, k) for k in SAMPLER_FLAGS},
+         "preprocess": prep_stats},
         config.seed, [repdir], started)
     n_cov = int(sel_zeta.sum())
     n_bal = int(sel_xi.sum())
@@ -182,22 +180,14 @@ def cmd_predict(args) -> int:
     _one_blas_thread()
     started = time.time()
     rundir = Path(args.chain)
-    two_step = (rundir / "stage1").exists()
-    # the chain that holds the count blocks, and the fit's settings and
-    # training statistics: the joint one, or stage 1
-    chain_dir = rundir / "stage1" if two_step else rundir
-    chain, hyper, summary = dio.read_chain(chain_dir)
+    fit = dio.read_fit(rundir)
+    hyper, prep_stats = fit["hyperparams"], fit["preprocess"]
+    two_step = fit["model"] == "dmlm-bayes"
+    # the chain that holds the count blocks: the joint one, or stage 1
+    chain = dio.read_chain(rundir / "stage1" if two_step else rundir)[0]
     stage2 = dio.read_chain(rundir / "stage2")[0] if two_step else None
-    if args.test_dir is None and "dataset" not in summary:
-        raise ValueError(f"{chain_dir / 'summary.json'} has no key 'dataset'; pass "
-                         "--test-dir, or re-run fit to rewrite it")
-    try:
-        prep_stats = {k: summary["preprocess"][k] for k in ("y_mean", "x_mean", "x_sd")}
-    except KeyError as e:
-        raise ValueError(f"{chain_dir / 'summary.json'} has no key {e}; "
-                         "re-run fit to rewrite it") from e
     spec = PartitionSpec.from_file(rundir / PARTITION_FILE)
-    test_dir = Path(args.test_dir or summary["dataset"]).resolve()
+    test_dir = Path(args.test_dir or fit["dataset"]).resolve()
     test_raw = dio.read_test(test_dir)
     j_fit, p_fit = chain.phi_shape[1:]
     n_taxa, n_cov = test_raw.Z_test.shape[1], test_raw.X_test.shape[1]
@@ -222,7 +212,7 @@ def cmd_predict(args) -> int:
         dio.write_matrix(out / "loglik.csv", loglik, "s")
     dio.write_manifest(out, "predict",
                        {"chain": str(rundir), "test_dir": str(test_dir)},
-                       summary["config"]["seed"], [rundir, test_dir], started)
+                       chain.config.seed, [rundir, test_dir], started)
     print(f"wrote predictions for {len(yhat)} subjects to {out}")
     return 0
 
@@ -233,10 +223,8 @@ def cmd_predict(args) -> int:
 
 
 def _evaluate_run(rundir: Path) -> dict:
-    manifest = dio.read_manifest(rundir)
-    cfg = manifest["config"]
-    hyper = cfg["hyperparams"]
-    repdir = Path(cfg["dataset"])
+    fit = dio.read_fit(rundir)
+    hyper, repdir = fit["hyperparams"], fit["dataset"]
     truth = dio.read_truth(repdir)
     sel_zeta = dio.read_matrix(rundir / "selected_zeta.csv", integer=True)
     sel_xi = dio.read_matrix(rundir / "selected_xi.csv", integer=True).ravel()
@@ -245,10 +233,8 @@ def _evaluate_run(rundir: Path) -> dict:
     row = {
         "run": str(rundir),
         "replicate": repdir.name,
-        "model": cfg["model"],
-        "a": hyper["a"], "b": hyper["b"],
-        "a_m": hyper["a_m"], "b_m": hyper["b_m"],
-        "b0": hyper["b0"],
+        "model": fit["model"],
+        "a": hyper.a, "b": hyper.b, "a_m": hyper.a_m, "b_m": hyper.b_m, "b0": hyper.b0,
         "cov_selected": cov.n_selected,
         "cov_sensitivity": cov.sensitivity,
         "cov_specificity": cov.specificity,
@@ -315,18 +301,7 @@ def _write_rows(path, rows):
 
 def cmd_evaluate(args) -> int:
     started = time.time()
-    rows = []
-    for rundir in args.runs:
-        rundir = Path(rundir)
-        if not (rundir / "manifest.json").exists():
-            print(f"error: {rundir} has no manifest", file=sys.stderr)
-            return 1
-        try:
-            rows.append(_evaluate_run(rundir))
-        except FileNotFoundError as e:
-            print(f"error: missing truth or selection file for {rundir}: {e}",
-                  file=sys.stderr)
-            return 1
+    rows = [_evaluate_run(Path(rundir)) for rundir in args.runs]
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     _write_rows(out / "report.csv", rows)

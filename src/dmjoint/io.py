@@ -1,17 +1,19 @@
-"""File persistence for datasets, chains, and reports.
+"""File persistence for datasets, fits, chains, and reports.
 
 Datasets, selections, predictions and reports are UTF-8 CSV with a header
 row; reals are written with 17 significant digits so write -> read -> write
-round-trips byte-wise, counts as plain integers. A chain is one raw ``.npy``
-file per block of ``_BLOCKS`` (see ``sampler.ChainOutput``), in its in-memory
-shape and dtype, so it round-trips bitwise; a block a mode does not keep is
-written empty. Settings, acceptance counts and the indicator shapes are in
-the chain's ``summary.json``; a fit's joint or stage-one chain also records
-there the dataset it read and the preprocessing statistics that ``predict``
-applies to a test set. Each chain records the ``schema_version`` it was
-written under, and ``read_chain`` refuses any other version, a missing
-block, a change block that is not strictly ascending indices, or a block of
-the wrong shape, asking for a re-fit.
+round-trips byte-wise, counts as plain integers. Every command leaves a
+``manifest.json``; a fit's records the fit's facts once (model, dataset,
+hyperparameters, sampler flags and the preprocessing statistics that
+``predict`` applies to a test set), and ``read_fit`` is their one reader. A
+chain is one raw ``.npy`` file per block of ``_BLOCKS`` (see
+``sampler.ChainOutput``), in its in-memory shape and dtype, so it round-trips
+bitwise; a block a mode does not keep is written empty. The chain's
+``summary.json`` holds only its own facts: the ``schema_version`` it was
+written under, its sampler settings, acceptance counts and indicator shapes.
+``read_chain`` refuses any other version, a missing key or block, a change
+block that is not strictly ascending indices, or a block of the wrong shape,
+asking for a re-fit.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from .sampler import ChainOutput, SamplerConfig
 from .simulate import GroundTruth
 
 FLOAT_FMT = "%.17g"
-SCHEMA_VERSION = 12  # of chains and manifests; bump on any change to a chain's files
+SCHEMA_VERSION = 13  # of chains and manifests; bump on any change to a chain's files
 
 
 def write_matrix(path, arr, prefix: str, integer: bool = False):
@@ -69,6 +71,27 @@ def write_manifest(outdir, command: str, config: dict, seed, inputs, started: fl
 def read_manifest(rundir) -> dict:
     with open(Path(rundir) / "manifest.json") as f:
         return json.load(f)
+
+
+def read_fit(rundir) -> dict:
+    """The facts ``fit`` recorded in ``rundir``'s manifest: ``model``,
+    ``dataset`` (a Path), ``hyperparams`` (a ``Hyperparams``) and the
+    ``preprocess`` statistics."""
+    path, manifest = Path(rundir) / "manifest.json", read_manifest(rundir)
+    if manifest.get("command") != "fit":
+        raise ValueError(f"{path} is the manifest of a {manifest.get('command')!r} run, "
+                         "not of a fit; pass a directory written by fit")
+    try:
+        config = manifest["config"]
+        return {"model": config["model"], "dataset": Path(config["dataset"]),
+                "hyperparams": Hyperparams(**config["hyperparams"]),
+                "preprocess": {k: config["preprocess"][k]
+                               for k in ("y_mean", "x_mean", "x_sd")}}
+    except KeyError as e:
+        raise ValueError(f"{path} has no key {e}; re-run fit to rewrite it") from e
+    except TypeError as e:
+        raise ValueError(f"{path} does not match this version of dmjoint ({e}); "
+                         "re-run fit to rewrite it") from e
 
 
 # ---------------------------------------------------------------------------
@@ -133,8 +156,9 @@ _BLOCKS = ("alpha_mean", "zeta_changes", "phi_mean", "predictor", "fits", "y",
            "xi_changes", "log_posterior")
 
 
-def write_chain(outdir, chain: ChainOutput, hyper: Hyperparams, extra: dict | None = None):
-    """One ``<block>.npy`` per chain block, plus a JSON summary."""
+def write_chain(outdir, chain: ChainOutput):
+    """One ``<block>.npy`` per chain block, plus a JSON summary of the chain's
+    own facts."""
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     for name in _BLOCKS:
@@ -142,15 +166,12 @@ def write_chain(outdir, chain: ChainOutput, hyper: Hyperparams, extra: dict | No
     summary = {
         "schema_version": SCHEMA_VERSION,
         "config": asdict(chain.config),
-        "hyperparams": asdict(hyper),
         "acceptance": {k: {"accepted": int(v[0]), "proposed": int(v[1]),
                            "rate": (v[0] / v[1]) if v[1] else None}
                        for k, v in chain.accept.items()},
         "phi_shape": list(chain.phi_shape),
         "xi_shape": list(chain.xi_shape),
     }
-    if extra:
-        summary.update(extra)
     with open(outdir / "summary.json", "w") as f:
         json.dump(summary, f, indent=2, sort_keys=True)
         f.write("\n")
@@ -168,12 +189,12 @@ def _check_changes(path, changes, shape):
                          "changes; re-run fit to rewrite it")
 
 
-def read_chain(rundir) -> tuple[ChainOutput, Hyperparams, dict]:
+def read_chain(rundir) -> tuple[ChainOutput, dict]:
     rundir = Path(rundir)
     path = rundir / "summary.json"
     with open(path) as f:
         summary = json.load(f)
-    version = summary.get("schema_version", "10 or older")
+    version = summary.get("schema_version", "10 or older (no key 'schema_version')")
     if version != SCHEMA_VERSION:
         raise ValueError(f"{path} is of chain schema {version}, but this version of dmjoint "
                          f"reads schema {SCHEMA_VERSION}; re-run fit to rewrite it")
@@ -192,7 +213,6 @@ def read_chain(rundir) -> tuple[ChainOutput, Hyperparams, dict]:
             _check_changes(rundir / f"{name}.npy", blocks[name], shape)
         chain = ChainOutput(**blocks, **shapes, accept=accept,
                             config=SamplerConfig(**summary["config"]))
-        hyper = Hyperparams(**summary["hyperparams"])
     except KeyError as e:
         raise ValueError(f"{path} has no key {e}; re-run fit to rewrite it") from e
     except TypeError as e:
@@ -213,4 +233,4 @@ def read_chain(rundir) -> tuple[ChainOutput, Hyperparams, dict]:
                              f"chain of {S} samples over {J} taxa and {M} balances, "
                              f"including {included} pairs, needs {want}; "
                              "re-run fit to rewrite it")
-    return chain, hyper, summary
+    return chain, summary

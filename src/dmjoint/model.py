@@ -1,6 +1,9 @@
 """Core mathematical kernel: likelihoods, priors, and balance geometry.
 
-Everything in this module is a pure function of its inputs. The sampler,
+The numerical functions return values computed from their arguments alone.
+Two things have effects: ``PartitionSpec.to_file`` writes a file, and the
+first ``gammaln`` or ``beta_binomial_logprior`` call loads scipy's compiled
+``_special_ufuncs`` module and registers it in ``sys.modules``. The sampler,
 prediction, and simulation modules are all consumers.
 
 Conventions fixed here so that Metropolis-Hastings ratios built on top are

@@ -14,7 +14,7 @@ import pytest
 import dmjoint
 from dmjoint import io as dio
 from dmjoint.baselines import run_two_step, two_step_predict_y
-from dmjoint.cli import main
+from dmjoint.cli import SAMPLER_FLAGS, main
 from dmjoint.metrics import squared_error
 from dmjoint.model import Dataset, Hyperparams, PartitionSpec, sbp_pivot
 from dmjoint.predict import TestSet, predict_y
@@ -69,7 +69,7 @@ def test_replicate_round_trip(tmp_path):
 
 
 def test_preprocess_test_applies_the_recorded_statistics():
-    # the statistics as fit records them in summary.json transform a test set
+    # the statistics as fit records them in manifest.json transform a test set
     # bitwise as the statistics preprocess returns do, and the training rows
     # bitwise as preprocess itself does
     cfg = SimConfig(N=8, P=3, J=5, n_true_cov=2, n_true_bal=1,
@@ -91,6 +91,8 @@ def test_preprocess_test_applies_the_recorded_statistics():
 
 CHAIN_BLOCKS = {"alpha_mean.npy", "zeta_changes.npy", "phi_mean.npy", "predictor.npy",
                 "fits.npy", "y.npy", "xi_changes.npy", "log_posterior.npy"}
+# a chain's own facts; the fit's are in the run root's manifest.json
+SUMMARY_KEYS = {"schema_version", "config", "acceptance", "phi_shape", "xi_shape"}
 
 
 def small_chains():
@@ -115,15 +117,14 @@ def test_chain_round_trip(tmp_path):
     # every chain, the xi-only one included, is the same eight blocks
     for mode, chain in small_chains().items():
         rundir = tmp_path / mode
-        dio.write_chain(rundir, chain, Hyperparams(), extra={"note": "test"})
+        dio.write_chain(rundir, chain)
         assert {p.name for p in rundir.glob("*.npy")} == CHAIN_BLOCKS
-        back, hyper, summary = dio.read_chain(rundir)
+        back, summary = dio.read_chain(rundir)
         assert_chains_equal(back, chain)
         assert back.zeta.dtype == back.xi.dtype == np.uint8
         assert back.zeta_changes.dtype == back.xi_changes.dtype == np.int64
         assert back.phi_mean.dtype == np.float64
-        assert hyper == Hyperparams()
-        assert summary["note"] == "test"
+        assert set(summary) == SUMMARY_KEYS
 
 
 def test_read_chain_ignores_derived_blocks_of_older_writers(tmp_path):
@@ -131,7 +132,7 @@ def test_read_chain_ignores_derived_blocks_of_older_writers(tmp_path):
     # now, before manifest schema 5 the u block and before schema 9 an empty
     # psi block, which nothing reads
     chain = small_chains()["joint"]
-    dio.write_chain(tmp_path, chain, Hyperparams())
+    dio.write_chain(tmp_path, chain)
     np.save(tmp_path / "zeta.npy", np.zeros_like(chain.zeta))
     np.save(tmp_path / "mppi_zeta.npy", np.ones_like(chain.mppi_zeta))
     np.save(tmp_path / "mppi_xi.npy", np.ones_like(chain.mppi_xi))
@@ -147,7 +148,7 @@ def test_chains_hold_no_dense_phi(tmp_path):
     # phi is kept as its inclusions' changes and mean, and xi as its changes:
     # no S x J x P or S x M block is held, in memory or read back
     for mode, chain in small_chains().items():
-        dio.write_chain(tmp_path / mode, chain, Hyperparams())
+        dio.write_chain(tmp_path / mode, chain)
         for held in (chain, dio.read_chain(tmp_path / mode)[0]):
             assert held.phi_shape[1:] != held.xi_shape[1:]  # the fixture tells them apart
             dense = [name for name, v in vars(held).items()
@@ -271,7 +272,8 @@ def test_cli_fit_two_step(sim_dir, tmp_path):
     assert not (fit_dir / "psi_bar.csv").exists()
     assert np.load(fit_dir / "stage2" / "predictor.npy").shape == (5,)
     assert np.load(fit_dir / "stage2" / "fits.npy").shape == (10, 12)
-    # the settings are recorded once, in the stage-one chain's summary
+    # the fit's facts are in the run root's manifest; each stage's summary
+    # holds only its own chain's
     assert not (fit_dir / "summary.json").exists()
     assert main(["predict", str(fit_dir),
                  "--test-dir", str(sim_dir / "rep000")]) == 0
@@ -428,7 +430,62 @@ def test_cli_fit_has_no_mode_flag(sim_dir, tmp_path):
     out = tmp_path / "ok"
     assert main(["fit", str(sim_dir / "rep000"), "--out", str(out), *FAST_FIT]) == 0
     assert json.loads((out / "summary.json").read_text())["config"]["mode"] == "joint"
-    assert dio.read_manifest(out)["config"]["sampler"]["mode"] == "joint"
+
+
+@pytest.mark.parametrize("model, modes", [("joint", {".": "joint"}),
+                                          ("dmlm-bayes", {"stage1": "dm_only",
+                                                          "stage2": "lm_only"})])
+def test_cli_fit_records_each_fact_in_one_file(sim_dir, tmp_path, model, modes):
+    # the fit's facts are in the run root's manifest, with the sampler flags
+    # but no mode, which differs between the stages; each chain's summary
+    # holds only its own facts, its mode and seed among them
+    run = tmp_path / "o"
+    assert main(["fit", str(sim_dir / "rep000"), "--out", str(run), "--model", model,
+                 "--seed", "5", *FAST_FIT]) == 0
+    config = dio.read_manifest(run)["config"]
+    assert set(config) == {"model", "dataset", "hyperparams", "sampler", "preprocess"}
+    assert config["model"] == model
+    assert set(config["sampler"]) == set(SAMPLER_FLAGS) and "mode" not in config["sampler"]
+    for k, (stage, mode) in enumerate(modes.items()):
+        summary = json.loads((run / stage / "summary.json").read_text())
+        assert set(summary) == SUMMARY_KEYS
+        assert (summary["config"]["mode"], summary["config"]["seed"]) == (mode, 5 + k)
+
+
+@pytest.mark.parametrize("model, stage", [("joint", "."), ("dmlm-bayes", "stage2")])
+def test_read_chain_needs_every_summary_key(sim_dir, tmp_path, model, stage):
+    run = tmp_path / "o"
+    assert main(["fit", str(sim_dir / "rep000"), "--out", str(run), "--model", model,
+                 *FAST_FIT]) == 0
+    path = run / stage / "summary.json"
+    summary = json.loads(path.read_text())
+    assert set(summary) == SUMMARY_KEYS
+    for key in summary:
+        path.write_text(json.dumps({k: v for k, v in summary.items() if k != key}))
+        with pytest.raises(ValueError) as e:
+            dio.read_chain(run / stage)
+        message = str(e.value)
+        assert "\n" not in message and str(path) in message, (key, message)
+        assert f"'{key}'" in message and "re-run fit" in message, (key, message)
+    path.write_text(json.dumps(summary))
+    dio.read_chain(run / stage)
+
+
+def test_cli_refuses_a_directory_fit_did_not_write(sim_dir, tmp_path, capsys):
+    # a predict output and a simulate root hold manifests, but not a fit's
+    run = tmp_path / "o"
+    assert main(["fit", str(sim_dir / "rep000"), "--out", str(run), *FAST_FIT]) == 0
+    assert main(["predict", str(run)]) == 0
+    for rundir, command in ((run / "predictions", "predict"), (sim_dir, "simulate")):
+        for argv in (["evaluate", str(rundir), "--out", str(tmp_path / "eval")],
+                     ["predict", str(rundir), "--out", str(tmp_path / "pred")]):
+            capsys.readouterr()
+            assert main(argv) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and err.count("\n") == 1, err
+            assert str(rundir / "manifest.json") in err, err
+            assert f"the manifest of a '{command}' run, not of a fit" in err, err
+    assert not (tmp_path / "eval").exists() and not (tmp_path / "pred").exists()
 
 
 def test_cli_predict_rejects_test_data_of_other_shape(sim_dir, tmp_path, capsys):
@@ -527,7 +584,7 @@ def test_cli_predict_uses_fitted_partition(sim_dir, tmp_path):
     assert main(["predict", str(run)]) == 0
     got = dio.read_matrix(run / "predictions" / "predictions.csv").ravel()
 
-    chain, hyper, _ = dio.read_chain(run)
+    chain, hyper = dio.read_chain(run)[0], dio.read_fit(run)["hyperparams"]
     stats = preprocess(dio.read_train(rep))[1]
     test = preprocess_test(dio.read_test(rep), stats)
     want = predict_y(chain, test, spec, hyper) + stats["y_mean"]
@@ -549,7 +606,7 @@ def test_cli_overflow_exits_1(sim_dir, tmp_path, monkeypatch, capsys):
 def test_cli_predict_old_csv_chain_exits_1(sim_dir, tmp_path, capsys):
     run = tmp_path / "o"
     assert main(["fit", str(sim_dir / "rep000"), "--out", str(run), *FAST_FIT]) == 0
-    chain, _, _ = dio.read_chain(run)
+    chain = dio.read_chain(run)[0]
     for block in run.glob("*.npy"):
         block.unlink()
     dio.write_matrix(run / "xi.csv", chain.xi, "xi", integer=True)
@@ -668,22 +725,22 @@ def test_cli_predict_refuses_a_run_of_an_older_schema(sim_dir, tmp_path, capsys,
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1 and str(run) in err
     assert f"chain schema {'10 or older' if version < 11 else version}" in err
-    assert "reads schema 12" in err
+    assert "reads schema 13" in err
     assert "re-run fit" in err
     assert not (run / "predictions").exists()
 
 
 def test_read_chain_refuses_any_other_schema_version(tmp_path):
     chain = small_chains()["joint"]
-    dio.write_chain(tmp_path, chain, Hyperparams())
+    dio.write_chain(tmp_path, chain)
     path = tmp_path / "summary.json"
     summary = json.loads(path.read_text())
-    assert summary["schema_version"] == 12
-    for version in (11, 13, "12", None):
+    assert summary["schema_version"] == 13
+    for version in (12, 14, "13", None):
         path.write_text(json.dumps({**summary, "schema_version": version}))
         with pytest.raises(ValueError, match=re.escape(
                 f"{path} is of chain schema {version}, but this version of dmjoint "
-                "reads schema 12; re-run fit")):
+                "reads schema 13; re-run fit")):
             dio.read_chain(tmp_path)
     path.write_text(json.dumps(summary))
     assert_chains_equal(dio.read_chain(tmp_path)[0], chain)
@@ -703,7 +760,7 @@ def test_joint_chain_writes_one_predictor_size_at_any_sample_count(tmp_path):
                           SamplerConfig(iterations=20 + S, burn_in=20, thin=1, seed=1,
                                         init_xi_frac=0.5))
         assert chain.n_samples == S and chain.xi.sum() >= 2 * S
-        dio.write_chain(tmp_path / str(S), chain, hyper)
+        dio.write_chain(tmp_path / str(S), chain)
         assert {p.name for p in (tmp_path / str(S)).glob("*.npy")} == CHAIN_BLOCKS
         sizes.append((tmp_path / str(S) / "predictor.npy").stat().st_size)
     assert sizes[0] == sizes[1]
@@ -808,23 +865,26 @@ def test_cli_predict_chain_missing_a_block_exits_1(sim_dir, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("model", ["joint", "dmlm-bayes"])
-@pytest.mark.parametrize("damage, message", [
-    (lambda summary: summary.pop("phi_shape"), "has no key 'phi_shape'"),
-    (lambda summary: summary["hyperparams"].update(bogus=1.0), "'bogus'"),
-    (lambda summary: summary.pop("dataset"), "has no key 'dataset'; pass --test-dir"),
-    (lambda summary: summary.pop("preprocess"), "has no key 'preprocess'"),
-    (lambda summary: summary["preprocess"].pop("x_sd"), "has no key 'x_sd'"),
+@pytest.mark.parametrize("record, damage, message", [
+    ("summary", lambda summary: summary.pop("phi_shape"), "has no key 'phi_shape'"),
+    # the fit's facts are in the run root's manifest, under config
+    ("manifest", lambda m: m["config"]["hyperparams"].update(bogus=1.0), "'bogus'"),
+    ("manifest", lambda m: m["config"].pop("dataset"), "has no key 'dataset'"),
+    ("manifest", lambda m: m["config"].pop("preprocess"), "has no key 'preprocess'"),
+    ("manifest", lambda m: m["config"]["preprocess"].pop("x_sd"), "has no key 'x_sd'"),
 ], ids=["no-phi-shape", "unknown-hyperparameter", "no-dataset", "no-preprocess",
         "no-x-sd"])
 def test_cli_predict_malformed_summary_exits_1(sim_dir, tmp_path, capsys, model,
-                                               damage, message):
+                                               record, damage, message):
     run = tmp_path / "o"
     assert main(["fit", str(sim_dir / "rep000"), "--out", str(run), "--model", model,
                  *FAST_FIT]) == 0
-    path = run / "stage1" / "summary.json" if model == "dmlm-bayes" else run / "summary.json"
-    summary = json.loads(path.read_text())
-    damage(summary)
-    path.write_text(json.dumps(summary))
+    path = (run / "manifest.json" if record == "manifest"
+            else run / "stage1" / "summary.json" if model == "dmlm-bayes"
+            else run / "summary.json")
+    recorded = json.loads(path.read_text())
+    damage(recorded)
+    path.write_text(json.dumps(recorded))
     capsys.readouterr()
     assert main(["predict", str(run)]) == 1
     err = capsys.readouterr().err

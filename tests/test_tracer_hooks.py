@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 from dmjoint import cli
+from dmjoint.sampler import ChainOutput
 
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 
@@ -48,3 +49,20 @@ def test_traced_cli_counts_every_fitted_sample(tmp_path, model, predict_calls):
     assert tracer.layer_metrics()["predict.samples_fitted"] == (predict_calls * samples,
                                                                 "count")
     assert tracer.calls("cli.predict") == 1
+
+
+@pytest.mark.parametrize("model, modes", [("joint", ["joint"]),
+                                          ("dmlm-bayes", ["dm_only", "lm_only"])])
+def test_capture_read_chain_keeps_each_chain_predict_reads(tmp_path, model, modes):
+    # the benchmark's check_fit reads the count side of the first chain kept
+    # and the balance side of the last, so predict must hand it one ChainOutput
+    # per chain it reads, in stage order
+    data, fit, chains = tmp_path / "data", tmp_path / "fit", []
+    assert cli.main(["simulate", "--out", str(data), "--seed", "2", "--n", "12",
+                     "--p", "3", "--j", "5", "--n-true-bal", "2"]) == 0
+    assert cli.main(["fit", str(data / "rep000"), "--out", str(fit), "--model", model,
+                     "--iterations", "40", "--burn-in", "20", "--thin", "2"]) == 0
+    with load_tracer().capture_read_chain(chains):
+        assert cli.main(["predict", str(fit)]) == 0
+    assert all(isinstance(chain, ChainOutput) for chain in chains)
+    assert [chain.config.mode for chain in chains] == modes

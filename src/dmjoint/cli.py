@@ -90,8 +90,7 @@ def cmd_simulate(args) -> int:
         train, test, truth = gen_replicate(base, rng)
         dio.write_replicate(out / f"rep{r:03d}", train, test, truth)
     flags = {k: v for k, v in vars(args).items() if k not in ("func", "command")}
-    dio.write_manifest(out, "simulate",
-                       {**flags, "out": str(out)}, args.seed, [], started)
+    dio.write_manifest(out, "simulate", {**flags, "out": str(out)}, started)
     print(f"wrote {args.replicates} replicates to {out}")
     return 0
 
@@ -128,12 +127,10 @@ def _fit_one(repdir: Path, outdir: Path, model: str, hyper: Hyperparams,
     dio.write_matrix(outdir / "selected_xi.csv", sel_xi[:, None], "xi", integer=True)
     dio.write_matrix(outdir / "fitted_y.csv", yhat[:, None] + prep_stats["y_mean"], "yhat")
     # the fit's facts, recorded once; each chain's summary records the mode it ran
-    dio.write_manifest(
-        outdir, "fit",
-        {"model": model, "dataset": str(repdir.resolve()), "hyperparams": asdict(hyper),
-         "sampler": {k: getattr(config, k) for k in SAMPLER_FLAGS},
-         "preprocess": prep_stats},
-        config.seed, [repdir], started)
+    dio.write_manifest(outdir, "fit", {
+        "model": model, "dataset": str(repdir.resolve()), "hyperparams": asdict(hyper),
+        "sampler": {k: getattr(config, k) for k in SAMPLER_FLAGS}, "preprocess": prep_stats},
+        started)
     n_cov = int(sel_zeta.sum())
     n_bal = int(sel_xi.sum())
     print(f"{outdir}: selected {n_cov} covariate-taxon pairs, {n_bal} balances")
@@ -210,9 +207,8 @@ def cmd_predict(args) -> int:
                      yhat[:, None] + prep_stats["y_mean"], "yhat")
     if loglik is not None:
         dio.write_matrix(out / "loglik.csv", loglik, "s")
-    dio.write_manifest(out, "predict",
-                       {"chain": str(rundir), "test_dir": str(test_dir)},
-                       chain.config.seed, [rundir, test_dir], started)
+    dio.write_manifest(out, "predict", {"chain": str(rundir), "test_dir": str(test_dir)},
+                       started)
     print(f"wrote predictions for {len(yhat)} subjects to {out}")
     return 0
 
@@ -307,8 +303,7 @@ def cmd_evaluate(args) -> int:
     _write_rows(out / "report.csv", rows)
     group = ["model", "a", "b", "a_m", "b_m", "b0"]
     _write_rows(out / "aggregate.csv", _aggregate(rows, group))
-    dio.write_manifest(out, "evaluate", {"runs": [str(r) for r in args.runs]},
-                       None, args.runs, started)
+    dio.write_manifest(out, "evaluate", {"runs": [str(r) for r in args.runs]}, started)
     print(f"evaluated {len(rows)} runs -> {out}")
     return 0
 
@@ -362,7 +357,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, FileNotFoundError, RuntimeError, FloatingPointError) as e:
+    except (ValueError, OSError, RuntimeError, FloatingPointError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

@@ -6,21 +6,21 @@ round-trips byte-wise, counts as plain integers. Every command leaves a
 ``manifest.json``; a fit's records the fit's facts once (model, dataset,
 hyperparameters, sampler flags and the preprocessing statistics that
 ``predict`` applies to a test set), and ``read_fit`` is their one reader. A
-chain is one raw ``.npy`` file per block of ``_BLOCKS`` (see
-``sampler.ChainOutput``), in its in-memory shape and dtype, so it round-trips
-bitwise; a block a mode does not keep is written empty. The chain's
+chain is one raw ``.npy`` file per block of ``sampler.ChainOutput.BLOCKS``, in
+its in-memory shape and dtype, so it round-trips bitwise. The chain's
 ``summary.json`` holds only its own facts: the ``schema_version`` it was
 written under, its sampler settings, acceptance counts and indicator shapes.
-``read_chain`` refuses any other version, a missing key or block, a change
-block that is not strictly ascending indices, or a block of the wrong shape,
-asking for a re-fit.
+``read_chain`` refuses any other version, a missing key, a block it cannot
+load, and, naming the chain directory, the blocks ``ChainOutput`` refuses as
+not of its mode and shapes. Hyperparameters and sampler settings must hold
+exactly their fields. Every refusal asks for a re-fit.
 """
 
 from __future__ import annotations
 
 import json
 import time
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -51,13 +51,11 @@ def read_matrix(path, integer: bool = False) -> np.ndarray:
     return require_finite(out, str(path))
 
 
-def write_manifest(outdir, command: str, config: dict, seed, inputs, started: float):
+def write_manifest(outdir, command: str, config: dict, started: float):
     outdir = Path(outdir)
     manifest = {
         "command": command,
         "config": config,
-        "seed": seed,
-        "inputs": [str(p) for p in inputs],
         "output": str(outdir),
         "duration_s": round(time.time() - started, 3),
         "version": __version__,
@@ -73,6 +71,15 @@ def read_manifest(rundir) -> dict:
         return json.load(f)
 
 
+def _config(cls, record: dict):
+    """``cls(**record)`` for a record of exactly ``cls``'s fields: a missing one,
+    which would take its default, is a KeyError, and an unknown one a TypeError."""
+    missing = [f.name for f in fields(cls) if f.name not in record]
+    if missing:
+        raise KeyError(missing[0])
+    return cls(**record)
+
+
 def read_fit(rundir) -> dict:
     """The facts ``fit`` recorded in ``rundir``'s manifest: ``model``,
     ``dataset`` (a Path), ``hyperparams`` (a ``Hyperparams``) and the
@@ -84,7 +91,7 @@ def read_fit(rundir) -> dict:
     try:
         config = manifest["config"]
         return {"model": config["model"], "dataset": Path(config["dataset"]),
-                "hyperparams": Hyperparams(**config["hyperparams"]),
+                "hyperparams": _config(Hyperparams, config["hyperparams"]),
                 "preprocess": {k: config["preprocess"][k]
                                for k in ("y_mean", "x_mean", "x_sd")}}
     except KeyError as e:
@@ -152,16 +159,12 @@ def read_truth(repdir) -> GroundTruth:
 # ---------------------------------------------------------------------------
 
 
-_BLOCKS = ("alpha_mean", "zeta_changes", "phi_mean", "predictor", "fits", "y",
-           "xi_changes", "log_posterior")
-
-
 def write_chain(outdir, chain: ChainOutput):
     """One ``<block>.npy`` per chain block, plus a JSON summary of the chain's
     own facts."""
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    for name in _BLOCKS:
+    for name in chain.BLOCKS:
         np.save(outdir / f"{name}.npy", getattr(chain, name))
     summary = {
         "schema_version": SCHEMA_VERSION,
@@ -177,18 +180,6 @@ def write_chain(outdir, chain: ChainOutput):
         f.write("\n")
 
 
-def _check_changes(path, changes, shape):
-    """Refuse a change block that is not strictly ascending flat indices into
-    the indicator block of ``shape``."""
-    size = int(np.prod(shape))
-    if (changes.ndim != 1 or changes.dtype != np.int64
-            or np.any(np.diff(changes) <= 0)
-            or (changes.size and not 0 <= changes[0] <= changes[-1] < size)):
-        raise ValueError(f"{path} is not a strictly ascending int64 block of indices in "
-                         f"[0, {size}), the {'x'.join(map(str, shape))} indicator block's "
-                         "changes; re-run fit to rewrite it")
-
-
 def read_chain(rundir) -> tuple[ChainOutput, dict]:
     rundir = Path(rundir)
     path = rundir / "summary.json"
@@ -198,39 +189,25 @@ def read_chain(rundir) -> tuple[ChainOutput, dict]:
     if version != SCHEMA_VERSION:
         raise ValueError(f"{path} is of chain schema {version}, but this version of dmjoint "
                          f"reads schema {SCHEMA_VERSION}; re-run fit to rewrite it")
-    missing = [name for name in _BLOCKS if not (rundir / f"{name}.npy").exists()]
-    if missing:
-        raise ValueError(f"{rundir} is missing the chain block {missing[0]}.npy; "
-                         "re-run fit to rewrite it")
-    blocks = {name: np.load(rundir / f"{name}.npy", allow_pickle=False)
-              for name in _BLOCKS}
     try:
         accept = {k: (v["accepted"], v["proposed"])
                   for k, v in summary["acceptance"].items()}
         shapes = {k: tuple(summary[k]) for k in ("phi_shape", "xi_shape")}
-        for name, shape in (("zeta_changes", shapes["phi_shape"]),
-                            ("xi_changes", shapes["xi_shape"])):
-            _check_changes(rundir / f"{name}.npy", blocks[name], shape)
-        chain = ChainOutput(**blocks, **shapes, accept=accept,
-                            config=SamplerConfig(**summary["config"]))
+        config = _config(SamplerConfig, summary["config"])
     except KeyError as e:
         raise ValueError(f"{path} has no key {e}; re-run fit to rewrite it") from e
     except TypeError as e:
         raise ValueError(f"{path} does not match this version of dmjoint ({e}); "
                          "re-run fit to rewrite it") from e
-    mode, (S, J, _), M = chain.config.mode, chain.phi_shape, chain.xi_shape[1]
-    included = int(np.count_nonzero(chain.mppi_zeta))
-    # the means cover J taxa and the pairs some sample included; a chain that
-    # selects balances keeps its predictor over M balances, N fitted values
-    # per sample and the N responses they were fitted to
-    width = (0,) if mode == "dm_only" else chain.fits.shape[-1:]
-    for name, want in (("alpha_mean", (J,)), ("phi_mean", (included,)),
-                       ("predictor", (0 if mode == "dm_only" else M + 1,)),
-                       ("fits", (S, *width)), ("y", width)):
-        shape = getattr(chain, name).shape
-        if shape != want:
-            raise ValueError(f"{rundir / (name + '.npy')} has shape {shape}, but this {mode} "
-                             f"chain of {S} samples over {J} taxa and {M} balances, "
-                             f"including {included} pairs, needs {want}; "
-                             "re-run fit to rewrite it")
+    blocks = {}
+    try:
+        for name in ChainOutput.BLOCKS:
+            try:
+                blocks[name] = np.load(rundir / f"{name}.npy", allow_pickle=False)
+            except (OSError, EOFError, ValueError) as e:  # an empty file is an EOFError
+                raise ValueError(f"the block {name} cannot be loaded ({e})") from e
+        chain = ChainOutput(**blocks, **shapes, accept=accept, config=config)
+    except ValueError as e:
+        raise ValueError(f"{rundir} holds a malformed chain: {e}; "
+                         "re-run fit to rewrite it") from e
     return chain, summary

@@ -133,7 +133,15 @@ class ChainOutput:
       the pointwise log-likelihood read; empty in ``dm_only``.
     - ``psi_mean``: in ``dm_only``, the mean of the retained compositions,
       held in memory only; no chain keeps composition samples.
+
+    Every mode keeps all of ``BLOCKS``, those it does not fill empty; a change
+    block that is not ascending indices into its indicator block, or a block
+    of another shape than the mode, S, J, M and included pairs give, is refused.
     """
+
+    # not annotated, so a class attribute and not a field
+    BLOCKS = ("alpha_mean", "zeta_changes", "phi_mean", "predictor", "fits", "y",
+              "xi_changes", "log_posterior")
 
     alpha_mean: np.ndarray  # J
     zeta_changes: np.ndarray  # int64 changes of the S x J x P zeta
@@ -154,8 +162,27 @@ class ChainOutput:
     def __post_init__(self):
         if self.n_samples < 1:
             raise ValueError("need at least one retained sample")
+        for name, shape in (("zeta_changes", self.phi_shape), ("xi_changes", self.xi_shape)):
+            changes, size = getattr(self, name), int(np.prod(shape))
+            if (changes.ndim != 1 or changes.dtype != np.int64
+                    or np.any(np.diff(changes, prepend=-1, append=size) <= 0)):
+                raise ValueError(f"the block {name} is not strictly ascending int64 indices "
+                                 f"in [0, {size}) into the {shape} indicator block")
         self.mppi_zeta = change_counts(self.zeta_changes, self.phi_shape) / self.n_samples
         self.mppi_xi = change_counts(self.xi_changes, self.xi_shape) / self.n_samples
+        mode, (S, J, _), M = self.config.mode, self.phi_shape, self.xi_shape[1]
+        included = int(np.count_nonzero(self.mppi_zeta))
+        # means over J taxa and the included pairs; a chain that selects balances keeps
+        # its predictor over M balances, N fitted values a sample and the N responses
+        shapes = {name: getattr(self, name).shape for name in self.BLOCKS}
+        width = (0,) if mode == "dm_only" else shapes["fits"][-1:]
+        for name, want in (("alpha_mean", (J,)), ("phi_mean", (included,)),
+                           ("predictor", (0 if mode == "dm_only" else M + 1,)),
+                           ("fits", (S, *width)), ("y", width)):
+            if shapes[name] != want:
+                raise ValueError(f"the block {name} has shape {shapes[name]}, but this {mode} "
+                                 f"chain of {S} samples over {J} taxa and {M} balances, "
+                                 f"including {included} pairs, needs {want}")
 
     @property
     def n_samples(self) -> int:

@@ -219,7 +219,7 @@ def test_criterion_a6_ridge_prediction_oracle():
     chain = ChainOutput(
         alpha_mean=np.zeros(J), zeta_changes=np.empty(0, dtype=np.int64),
         phi_mean=np.empty(0), phi_shape=(1, J, 2),
-        xi_changes=np.array([0]), xi_shape=(1, 2),  # xi = [[1, 0]]
+        xi_changes=np.array([0], dtype=np.int64), xi_shape=(1, 2),  # xi = [[1, 0]]
         predictor=predictor, fits=fits, y=Y,
         log_posterior=np.zeros(2), accept={}, config=cfg,
     )

@@ -93,6 +93,7 @@ CHAIN_BLOCKS = {"alpha_mean.npy", "zeta_changes.npy", "phi_mean.npy", "predictor
                 "fits.npy", "y.npy", "xi_changes.npy", "log_posterior.npy"}
 # a chain's own facts; the fit's are in the run root's manifest.json
 SUMMARY_KEYS = {"schema_version", "config", "acceptance", "phi_shape", "xi_shape"}
+MANIFEST_KEYS = {"command", "config", "output", "duration_s", "version", "schema_version"}
 
 
 def small_chains():
@@ -168,11 +169,12 @@ def assert_chains_equal(back, chain):
 
 
 def test_manifest_round_trip(tmp_path):
-    dio.write_manifest(tmp_path, "simulate", {"x": 1}, 7, ["a", "b"], 0.0)
+    dio.write_manifest(tmp_path, "simulate", {"x": 1, "seed": 7}, 0.0)
     m = dio.read_manifest(tmp_path)
     assert m["command"] == "simulate"
-    assert m["config"] == {"x": 1}
-    assert m["seed"] == 7
+    assert m["config"] == {"x": 1, "seed": 7}
+    # the seed and the inputs are in config, and nowhere else
+    assert set(m) == MANIFEST_KEYS
 
 
 # ---------------------------------------------------------------------------
@@ -442,7 +444,9 @@ def test_cli_fit_records_each_fact_in_one_file(sim_dir, tmp_path, model, modes):
     run = tmp_path / "o"
     assert main(["fit", str(sim_dir / "rep000"), "--out", str(run), "--model", model,
                  "--seed", "5", *FAST_FIT]) == 0
-    config = dio.read_manifest(run)["config"]
+    manifest = dio.read_manifest(run)
+    assert set(manifest) == MANIFEST_KEYS  # no seed or inputs beside config's
+    config = manifest["config"]
     assert set(config) == {"model", "dataset", "hyperparams", "sampler", "preprocess"}
     assert config["model"] == model
     assert set(config["sampler"]) == set(SAMPLER_FLAGS) and "mode" not in config["sampler"]
@@ -450,6 +454,9 @@ def test_cli_fit_records_each_fact_in_one_file(sim_dir, tmp_path, model, modes):
         summary = json.loads((run / stage / "summary.json").read_text())
         assert set(summary) == SUMMARY_KEYS
         assert (summary["config"]["mode"], summary["config"]["seed"]) == (mode, 5 + k)
+    # predict draws nothing, so its manifest records no seed
+    assert main(["predict", str(run)]) == 0
+    assert set(dio.read_manifest(run / "predictions")) == MANIFEST_KEYS
 
 
 @pytest.mark.parametrize("model, stage", [("joint", "."), ("dmlm-bayes", "stage2")])
@@ -766,20 +773,32 @@ def test_joint_chain_writes_one_predictor_size_at_any_sample_count(tmp_path):
     assert sizes[0] == sizes[1]
 
 
+def assert_read_refuses(run, name):
+    """``read_chain`` refuses ``run`` for its block ``name`` in one line that
+    names the chain directory and asks for a re-fit."""
+    with pytest.raises(ValueError) as e:
+        dio.read_chain(run)
+    message = str(e.value)
+    assert "\n" not in message, message
+    assert message.startswith(f"{run} holds a malformed chain: the block {name} "), message
+    assert message.endswith("re-run fit to rewrite it"), message
+
+
 def test_read_chain_rejects_count_means_that_disagree_with_the_samples(sim_dir, tmp_path):
     run = tmp_path / "o"
     assert main(["fit", str(sim_dir / "rep000"), "--out", str(run), *FAST_FIT]) == 0
-    good = {name: np.load(run / f"{name}.npy") for name in ("alpha_mean", "phi_mean")}
     chain = dio.read_chain(run)[0]
+    good = {name: getattr(chain, name) for name in ("alpha_mean", "phi_mean")}
     assert good["alpha_mean"].shape == (5,)
     assert good["phi_mean"].shape == (np.count_nonzero(chain.mppi_zeta),) != (0,)
     # a mean other than one per taxon, or one per pair some sample included
     for name, block in good.items():
         for bad in (block[1:], np.append(block, 1.0), block[:, None]):
-            np.save(run / f"{name}.npy", bad)
-            with pytest.raises(ValueError, match=re.escape(str(run / f"{name}.npy"))):
-                dio.read_chain(run)
-        np.save(run / f"{name}.npy", block)
+            with pytest.raises(ValueError, match=f"^the block {name} has shape"):
+                replace(chain, **{name: bad})
+    np.save(run / "phi_mean.npy", good["phi_mean"][1:])
+    assert_read_refuses(run, "phi_mean")
+    np.save(run / "phi_mean.npy", good["phi_mean"])
     dio.read_chain(run)
 
 
@@ -787,8 +806,8 @@ def test_read_chain_rejects_change_blocks_that_are_not_ascending_indices(sim_dir
     run = tmp_path / "o"
     assert main(["fit", str(sim_dir / "rep000"), "--out", str(run),
                  "--init-xi-frac", "0.5", *FAST_FIT]) == 0
-    good = {name: np.load(run / f"{name}.npy") for name in ("zeta_changes", "xi_changes")}
     chain = dio.read_chain(run)[0]
+    good = {name: getattr(chain, name) for name in ("zeta_changes", "xi_changes")}
     sizes = {"zeta_changes": chain.zeta.size, "xi_changes": chain.xi.size}
     for name, block in good.items():
         assert block.size > 1 and block[-1] < sizes[name]
@@ -796,10 +815,11 @@ def test_read_chain_rejects_change_blocks_that_are_not_ascending_indices(sim_dir
         for bad in (block[::-1], np.sort(np.append(block, block[0])),
                     np.append(block, sizes[name]), np.append(-1, block),
                     block.astype(float), block[:, None]):
-            np.save(run / f"{name}.npy", bad)
-            with pytest.raises(ValueError, match=re.escape(str(run / f"{name}.npy"))):
-                dio.read_chain(run)
-        np.save(run / f"{name}.npy", block)
+            with pytest.raises(ValueError, match=f"^the block {name} is not strictly"):
+                replace(chain, **{name: bad})
+    np.save(run / "xi_changes.npy", good["xi_changes"][::-1])
+    assert_read_refuses(run, "xi_changes")
+    np.save(run / "xi_changes.npy", good["xi_changes"])
     dio.read_chain(run)
 
 
@@ -809,18 +829,41 @@ def test_read_chain_rejects_ridge_blocks_that_disagree_with_the_samples(sim_dir,
     run = tmp_path / "o"
     assert main(["fit", str(sim_dir / "rep000"), "--out", str(run),
                  "--init-xi-frac", "0.5", *FAST_FIT]) == 0
-    good = {name: np.load(run / f"{name}.npy") for name in ("predictor", "fits")}
-    assert dio.read_chain(run)[0].xi.sum() > 0
+    chain = dio.read_chain(run)[0]
+    good = {name: getattr(chain, name) for name in ("predictor", "fits")}
+    assert chain.xi.sum() > 0
     assert good["predictor"].shape == (5,) and np.any(good["predictor"] != 0)
     assert good["fits"].shape == (10, 12)
     # a row short, a row over, or an extra axis
     for name, block in good.items():
         for bad in (block[1:], np.concatenate([block, block[:1]]), block[None]):
-            np.save(run / f"{name}.npy", bad)
-            with pytest.raises(ValueError, match=re.escape(str(run / f"{name}.npy"))):
-                dio.read_chain(run)
-        np.save(run / f"{name}.npy", block)
+            with pytest.raises(ValueError, match=f"^the block {name} has shape"):
+                replace(chain, **{name: bad})
+    np.save(run / "fits.npy", good["fits"][None])
+    assert_read_refuses(run, "fits")
+    np.save(run / "fits.npy", good["fits"])
     dio.read_chain(run)
+
+
+@pytest.mark.parametrize("mode", ["joint", "dm_only", "lm_only"])
+def test_chain_output_checks_its_blocks_in_memory(mode):
+    # run_chain's chains pass the check in every mode; a block of the wrong
+    # shape for the mode, or a change block out of order or out of range, is
+    # refused at construction, with no file involved
+    chain = small_chains()[mode]
+    assert chain.config.mode == mode
+    assert_chains_equal(replace(chain), chain)
+    for name in ("alpha_mean", "phi_mean", "predictor", "fits", "y"):
+        block = getattr(chain, name)
+        bad = np.zeros((block.shape[0] + 1, *block.shape[1:]))
+        with pytest.raises(ValueError, match=f"^the block {name} has shape .* this {mode} "):
+            replace(chain, **{name: bad})
+    for name, shape in (("zeta_changes", chain.phi_shape), ("xi_changes", chain.xi_shape)):
+        block, size = getattr(chain, name), int(np.prod(shape))
+        unordered = np.append(block, block[-1]) if block.size else np.array([0, 0])
+        for bad in (unordered, np.append(block, size)):
+            with pytest.raises(ValueError, match=f"^the block {name} is not strictly"):
+                replace(chain, **{name: bad})
 
 
 def test_cli_predict_without_selected_balances_is_a0_hat(sim_dir, tmp_path):
@@ -841,15 +884,72 @@ def test_cli_predict_without_selected_balances_is_a0_hat(sim_dir, tmp_path):
                               np.full(n, a0_hat + stats["y_mean"]))
 
 
-def test_cli_predict_manifest_records_fit_seed(sim_dir, tmp_path):
-    for model in ("joint", "dmlm-bayes"):
-        run = tmp_path / model
-        assert main(["fit", str(sim_dir / "rep000"), "--out", str(run),
-                     "--model", model, "--seed", "5", *FAST_FIT]) == 0
-        assert main(["predict", str(run)]) == 0
-        assert dio.read_manifest(run / "predictions")["seed"] == 5
-        chain_dir = run / "stage1" if model == "dmlm-bayes" else run
-        assert "seed" not in json.loads((chain_dir / "summary.json").read_text())
+def assert_one_error_line(capsys, *fragments):
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    for fragment in fragments:
+        assert fragment in err, (fragment, err)
+
+
+EXACT_FIELDS = pytest.mark.parametrize("damage, message", [
+    (dict.pop, "has no key '{}'"),
+    (lambda record, key: record.update({"bogus": 1.0}), "argument 'bogus'"),
+], ids=["missing", "unknown"])
+
+
+@EXACT_FIELDS
+def test_cli_predict_needs_exactly_the_recorded_hyperparameters(sim_dir, tmp_path, capsys,
+                                                                damage, message):
+    # a missing hyperparameter must not take its default: this fit's delta is
+    # not the default one
+    run = tmp_path / "o"
+    assert main(["fit", str(sim_dir / "rep000"), "--out", str(run), "--delta", "0.01",
+                 *FAST_FIT]) == 0
+    path = run / "manifest.json"
+    manifest = json.loads(path.read_text())
+    damage(manifest["config"]["hyperparams"], "delta")
+    path.write_text(json.dumps(manifest))
+    capsys.readouterr()
+    assert main(["predict", str(run)]) == 1
+    assert_one_error_line(capsys, str(path), message.format("delta"), "re-run fit")
+    assert not (run / "predictions").exists()
+
+
+@EXACT_FIELDS
+def test_cli_predict_needs_exactly_the_recorded_sampler_settings(sim_dir, tmp_path, capsys,
+                                                                 damage, message):
+    # a missing mode must not take its default: stage 1 is not a joint chain
+    run = tmp_path / "o"
+    assert main(["fit", str(sim_dir / "rep000"), "--out", str(run), "--model", "dmlm-bayes",
+                 *FAST_FIT]) == 0
+    path = run / "stage1" / "summary.json"
+    summary = json.loads(path.read_text())
+    damage(summary["config"], "mode")
+    path.write_text(json.dumps(summary))
+    capsys.readouterr()
+    assert main(["predict", str(run)]) == 1
+    assert_one_error_line(capsys, str(path), message.format("mode"), "re-run fit")
+
+
+@pytest.mark.parametrize("case", ["predict-a-file", "evaluate-a-file", "fit-out-a-file",
+                                  "empty-block"])
+def test_cli_file_errors_print_one_line(sim_dir, tmp_path, capsys, case):
+    a_file, run = tmp_path / "a_file", tmp_path / "o"
+    a_file.write_text("not a directory\n")
+    argv, named = {
+        "predict-a-file": (["predict", str(a_file)], a_file),
+        "evaluate-a-file": (["evaluate", str(a_file), "--out", str(tmp_path / "e")], a_file),
+        "fit-out-a-file": (["fit", str(sim_dir / "rep000"), "--out", str(a_file),
+                            *FAST_FIT], a_file),
+        "empty-block": (["predict", str(run)], run),
+    }[case]
+    if case == "empty-block":
+        assert main(["fit", str(sim_dir / "rep000"), "--out", str(run), *FAST_FIT]) == 0
+        (run / "fits.npy").write_bytes(b"")
+    capsys.readouterr()
+    assert main(argv) == 1
+    assert_one_error_line(capsys, str(named))
+    assert a_file.read_text() == "not a directory\n"
 
 
 def test_cli_predict_chain_missing_a_block_exits_1(sim_dir, tmp_path, capsys):

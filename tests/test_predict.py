@@ -40,13 +40,15 @@ def indicator_blocks(phi, xi):
 
 
 def make_chain(alpha, phi, xi, psi=None, spec=None, hyper=None, Y=None):
-    """A joint chain of the given samples. Its predictor and fits are those
-    of the fits of ``Y`` on the balances of the compositions ``psi`` on
-    ``spec``, as the sampler fits them, and it keeps ``Y``; without ``psi``
-    all three are empty."""
+    """A chain of the given samples. With ``psi`` it is a joint chain whose
+    predictor and fits are those of the fits of ``Y`` on the balances of the
+    compositions ``psi`` on ``spec``, as the sampler fits them, and it keeps
+    ``Y``. Without ``psi`` it is a ``dm_only`` chain, which keeps all three
+    empty; its ``xi`` must then be S x 0."""
     alpha = np.asarray(alpha, dtype=float)
     xi = np.asarray(xi, dtype=np.uint8)
-    cfg = SamplerConfig(iterations=2, burn_in=1, thin=1)
+    cfg = SamplerConfig(iterations=2, burn_in=1, thin=1,
+                        mode="dm_only" if psi is None else "joint")
     predictor, fits = ((np.empty(0), np.empty((len(alpha), 0))) if psi is None
                        else predictor_blocks(psi, xi, Y, spec, hyper or Hyperparams()))
     return ChainOutput(
@@ -73,7 +75,7 @@ def random_simplex(rng, n, J):
 
 def test_lambda_test_zero_chain_is_one():
     S, J, P = 3, 4, 2
-    chain = make_chain(np.zeros((S, J)), np.zeros((S, J, P)), np.zeros((S, J - 1)))
+    chain = make_chain(np.zeros((S, J)), np.zeros((S, J, P)), np.zeros((S, 0)))
     lam = estimate_lambda_test(chain, np.random.default_rng(0).normal(size=(6, P)))
     assert np.allclose(lam, 1.0)
 
@@ -82,13 +84,13 @@ def test_lambda_test_averages_before_exponentiating():
     # two samples with intercepts 0 and log(4): posterior-mean lambda is
     # exp(log(2)) = 2, not the mean of (1, 4)
     chain = make_chain(np.log(np.array([[1.0, 1.0], [4.0, 4.0]])),
-                       np.zeros((2, 2, 1)), np.zeros((2, 1)))
+                       np.zeros((2, 2, 1)), np.zeros((2, 0)))
     lam = estimate_lambda_test(chain, np.zeros((4, 1)))
     assert np.allclose(lam, 2.0)
 
 
 def test_lambda_test_overflow_raises_without_warning():
-    chain = make_chain(np.array([[1e4, 0.0]]), np.zeros((1, 2, 1)), np.zeros((1, 1)))
+    chain = make_chain(np.array([[1e4, 0.0]]), np.zeros((1, 2, 1)), np.zeros((1, 0)))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(FloatingPointError, match="taxon 0"):

@@ -1019,13 +1019,14 @@ def test_xi_selection_matches_enumeration_oracle():
 
 
 def xi_chain(xi_changes, xi_shape):
-    """An ``lm_only``-shaped chain with the given xi change block and no fits."""
-    S = xi_shape[0]
+    """An ``lm_only`` chain with the given xi change block, a zero predictor
+    and no fits."""
+    S, M = xi_shape
     return ChainOutput(alpha_mean=np.empty(0), zeta_changes=np.empty(0, dtype=np.int64),
                        phi_mean=np.empty(0), phi_shape=(S, 0, 0), xi_changes=xi_changes,
-                       xi_shape=xi_shape, predictor=np.empty(0), fits=np.empty((S, 0)),
+                       xi_shape=xi_shape, predictor=np.zeros(M + 1), fits=np.empty((S, 0)),
                        y=np.empty(0), log_posterior=np.zeros(2), accept={},
-                       config=SamplerConfig(iterations=2, burn_in=1, thin=1))
+                       config=SamplerConfig(iterations=2, burn_in=1, thin=1, mode="lm_only"))
 
 
 def test_mppi_arithmetic():

@@ -104,8 +104,7 @@ def _fit_one(repdir: Path, outdir: Path, model: str, hyper: Hyperparams,
              config: SamplerConfig, partition_file: str | None):
     _one_blas_thread()
     started = time.time()
-    train_raw = dio.read_train(repdir)
-    train, prep_stats = preprocess(train_raw)
+    train, prep_stats = preprocess(dio.read_train(repdir))
     spec = (PartitionSpec.from_file(partition_file) if partition_file
             else sbp_pivot(train.n_taxa))
     outdir.mkdir(parents=True, exist_ok=True)
@@ -131,16 +130,12 @@ def _fit_one(repdir: Path, outdir: Path, model: str, hyper: Hyperparams,
         "model": model, "dataset": str(repdir.resolve()), "hyperparams": asdict(hyper),
         "sampler": {k: getattr(config, k) for k in SAMPLER_FLAGS}, "preprocess": prep_stats},
         started)
-    n_cov = int(sel_zeta.sum())
-    n_bal = int(sel_xi.sum())
-    print(f"{outdir}: selected {n_cov} covariate-taxon pairs, {n_bal} balances")
+    print(f"{outdir}: selected {int(sel_zeta.sum())} covariate-taxon pairs, "
+          f"{int(sel_xi.sum())} balances")
 
 
 def cmd_fit(args) -> int:
     repdir = Path(args.dataset)
-    if not repdir.exists():
-        print(f"error: dataset directory {repdir} not found", file=sys.stderr)
-        return 1
     hyper = Hyperparams(**{k: getattr(args, k) for k in HYPER_FLAGS})
     config = SamplerConfig(**{k: getattr(args, k) for k in SAMPLER_FLAGS})
     out = Path(args.out)
@@ -150,8 +145,7 @@ def cmd_fit(args) -> int:
     reps = sorted(d for d in repdir.iterdir()
                   if d.is_dir() and (d / "train_y.csv").exists())
     if not reps:
-        print(f"error: no replicate directories under {repdir}", file=sys.stderr)
-        return 1
+        raise ValueError(f"no replicate directories under {repdir}")
     tasks = [
         (rep, out / rep.name, args.model, hyper,
          replace(config, seed=_derived_seed(args.seed, r)), args.partition_file)
@@ -189,10 +183,12 @@ def cmd_predict(args) -> int:
     j_fit, p_fit = chain.phi_shape[1:]
     n_taxa, n_cov = test_raw.Z_test.shape[1], test_raw.X_test.shape[1]
     if (n_taxa, n_cov) != (j_fit, p_fit) or spec.n_taxa != j_fit:
-        print(f"error: test dimensions (J={n_taxa}, P={n_cov}) do not match the fit "
-              f"in {rundir} (J={j_fit}, P={p_fit}, partition of J={spec.n_taxa})",
-              file=sys.stderr)
-        return 1
+        raise ValueError(f"test dimensions (J={n_taxa}, P={n_cov}) do not match the fit "
+                         f"in {rundir} (J={j_fit}, P={p_fit}, partition of J={spec.n_taxa})")
+    if any(prep_stats[k].shape != (p_fit,) for k in ("x_mean", "x_sd")):
+        raise ValueError(f"{rundir / 'manifest.json'} records x_mean and x_sd of shapes "
+                         f"{prep_stats['x_mean'].shape} and {prep_stats['x_sd'].shape}, "
+                         f"not the fit's ({p_fit},); re-run fit to rewrite it")
     test = preprocess_test(test_raw, prep_stats)
     if two_step:
         two = TwoStepOutput(stage1=chain, stage2=stage2)
@@ -203,8 +199,7 @@ def cmd_predict(args) -> int:
         loglik = pointwise_loglik(chain, hyper)
     out = Path(args.out or rundir / "predictions")
     out.mkdir(parents=True, exist_ok=True)
-    dio.write_matrix(out / "predictions.csv",
-                     yhat[:, None] + prep_stats["y_mean"], "yhat")
+    dio.write_matrix(out / "predictions.csv", yhat[:, None] + prep_stats["y_mean"], "yhat")
     if loglik is not None:
         dio.write_matrix(out / "loglik.csv", loglik, "s")
     dio.write_manifest(out, "predict", {"chain": str(rundir), "test_dir": str(test_dir)},
@@ -218,93 +213,74 @@ def cmd_predict(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _evaluate_run(rundir: Path) -> dict:
+def _squared_errors(name: str, yhat: Path, y: Path | None) -> dict:
+    """``<name>_sum`` and ``<name>_mean`` of the predictions in ``yhat`` against
+    the responses in ``y``, blank where either file is missing."""
+    if y is None or not (yhat.exists() and y.exists()):
+        return {name + "_sum": "", name + "_mean": ""}
+    observed = dio.read_matrix(y)
+    total = squared_error(observed, dio.read_matrix(yhat))
+    return {name + "_sum": total, name + "_mean": total / len(observed)}
+
+
+def _evaluate_run(rundir: Path) -> tuple[dict, dict]:
+    """The run's recorded settings, after its directory and replicate, and its
+    scores against the replicate's truth and responses."""
     fit = dio.read_fit(rundir)
-    hyper, repdir = fit["hyperparams"], fit["dataset"]
+    repdir = fit["dataset"]
+    settings = {"run": str(rundir), "replicate": repdir.name, "model": fit["model"],
+                **asdict(fit["hyperparams"]), **fit["sampler"]}
     truth = dio.read_truth(repdir)
-    sel_zeta = dio.read_matrix(rundir / "selected_zeta.csv", integer=True)
-    sel_xi = dio.read_matrix(rundir / "selected_xi.csv", integer=True).ravel()
-    cov = confusion(sel_zeta, truth.zeta_true)
-    bal = confusion(sel_xi, truth.xi_true)
-    row = {
-        "run": str(rundir),
-        "replicate": repdir.name,
-        "model": fit["model"],
-        "a": hyper.a, "b": hyper.b, "a_m": hyper.a_m, "b_m": hyper.b_m, "b0": hyper.b0,
-        "cov_selected": cov.n_selected,
-        "cov_sensitivity": cov.sensitivity,
-        "cov_specificity": cov.specificity,
-        "cov_mcc": cov.mcc,
-        "bal_selected": bal.n_selected,
-        "bal_sensitivity": bal.sensitivity,
-        "bal_specificity": bal.specificity,
-        "bal_mcc": bal.mcc,
-        "mse_sum": "", "mse_mean": "", "pmse_sum": "", "pmse_mean": "",
-    }
-    fitted = rundir / "fitted_y.csv"
-    if fitted.exists():
-        yhat = dio.read_matrix(fitted).ravel()
-        y = dio.read_matrix(repdir / "train_y.csv").ravel()
-        row["mse_sum"] = squared_error(y, yhat)
-        row["mse_mean"] = row["mse_sum"] / len(y)
+    scores = {}
+    for name, block, true in (("cov", "zeta", truth.zeta_true), ("bal", "xi", truth.xi_true)):
+        c = confusion(dio.read_matrix(rundir / f"selected_{block}.csv", integer=True), true)
+        scores.update({f"{name}_selected": c.n_selected, f"{name}_sensitivity": c.sensitivity,
+                       f"{name}_specificity": c.specificity, f"{name}_mcc": c.mcc})
+    scores.update(_squared_errors("mse", rundir / "fitted_y.csv", repdir / "train_y.csv"))
     pred = rundir / "predictions"
-    if (pred / "predictions.csv").exists():
-        # the test set predict read, which --test-dir may have set
-        test_y = Path(dio.read_manifest(pred)["config"]["test_dir"]) / "test_y.csv"
-        if test_y.exists():
-            yhat = dio.read_matrix(pred / "predictions.csv").ravel()
-            y = dio.read_matrix(test_y).ravel()
-            row["pmse_sum"] = squared_error(y, yhat)
-            row["pmse_mean"] = row["pmse_sum"] / len(y)
-    return row
+    # the test set predict read, which --test-dir may have set
+    test_y = (dio.read_test_dir(pred) / "test_y.csv"
+              if (pred / "predictions.csv").exists() else None)
+    scores.update(_squared_errors("pmse", pred / "predictions.csv", test_y))
+    return settings, scores
 
 
-_METRIC_COLS = ["cov_selected", "cov_sensitivity", "cov_specificity", "cov_mcc",
-                "bal_selected", "bal_sensitivity", "bal_specificity", "bal_mcc",
-                "mse_sum", "mse_mean", "pmse_sum", "pmse_mean"]
-
-
-def _aggregate(rows, group_keys):
+def _aggregate(runs):
+    """Means and sds of the scores of the runs that share every setting but
+    their directory, replicate and seed."""
     groups = {}
-    for row in rows:
-        key = tuple(row[k] for k in group_keys)
-        groups.setdefault(key, []).append(row)
+    for settings, scores in runs:
+        key = tuple((k, v) for k, v in settings.items()
+                    if k not in ("run", "replicate", "seed"))
+        groups.setdefault(key, []).append(scores)
     out = []
-    for key, members in sorted(groups.items(), key=lambda kv: [str(x) for x in kv[0]]):
-        agg = dict(zip(group_keys, key))
-        agg["n_replicates"] = len(members)
-        for col in _METRIC_COLS:
+    for key, members in sorted(groups.items()):
+        agg = {**dict(key), "n_replicates": len(members)}
+        for col in members[0]:
             vals = [m[col] for m in members if m[col] != ""]
-            if vals:
-                agg[col + "_mean"] = float(np.mean(vals))
-                agg[col + "_sd"] = float(np.std(vals, ddof=1)) if len(vals) > 1 else 0.0
-            else:
-                agg[col + "_mean"] = ""
-                agg[col + "_sd"] = ""
+            agg[col + "_mean"] = float(np.mean(vals)) if vals else ""
+            agg[col + "_sd"] = (float(np.std(vals, ddof=1)) if len(vals) > 1
+                                else 0.0 if vals else "")
         out.append(agg)
     return out
 
 
 def _write_rows(path, rows):
-    if not rows:
-        return
-    cols = list(rows[0].keys())
     with open(path, "w", newline="") as f:
-        writer = csv.DictWriter(f, fieldnames=cols)
+        writer = csv.DictWriter(f, fieldnames=list(rows[0]))
         writer.writeheader()
         writer.writerows(rows)
 
 
 def cmd_evaluate(args) -> int:
     started = time.time()
-    rows = [_evaluate_run(Path(rundir)) for rundir in args.runs]
+    runs = [_evaluate_run(Path(rundir)) for rundir in args.runs]
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    _write_rows(out / "report.csv", rows)
-    group = ["model", "a", "b", "a_m", "b_m", "b0"]
-    _write_rows(out / "aggregate.csv", _aggregate(rows, group))
+    _write_rows(out / "report.csv", [{**settings, **scores} for settings, scores in runs])
+    _write_rows(out / "aggregate.csv", _aggregate(runs))
     dio.write_manifest(out, "evaluate", {"runs": [str(r) for r in args.runs]}, started)
-    print(f"evaluated {len(rows)} runs -> {out}")
+    print(f"evaluated {len(runs)} runs -> {out}")
     return 0
 
 

@@ -10,16 +10,19 @@ chain is one raw ``.npy`` file per block of ``sampler.ChainOutput.BLOCKS``, in
 its in-memory shape and dtype, so it round-trips bitwise. The chain's
 ``summary.json`` holds only its own facts: the ``schema_version`` it was
 written under, its sampler settings, acceptance counts and indicator shapes.
-``read_chain`` refuses any other version, a missing key, a block it cannot
-load, and, naming the chain directory, the blocks ``ChainOutput`` refuses as
-not of its mode and shapes. Hyperparameters and sampler settings must hold
-exactly their fields. Every refusal asks for a re-fit.
+``read_chain`` refuses any other version, a block it cannot load, and, naming
+the chain directory, the blocks ``ChainOutput`` refuses as not of its mode and
+shapes. Each JSON record (a fit's manifest, a chain's summary, predict's
+manifest) is parsed under one guard, which refuses a missing key, a value of
+the wrong type or out of range, and a config record that does not hold exactly
+its dataclass's fields, naming the file and asking for a re-fit.
 """
 
 from __future__ import annotations
 
 import json
 import time
+from contextlib import contextmanager
 from dataclasses import asdict, fields
 from pathlib import Path
 
@@ -66,39 +69,67 @@ def write_manifest(outdir, command: str, config: dict, started: float):
         f.write("\n")
 
 
+@contextmanager
+def _record(path):
+    """Reading and parsing the JSON record at ``path``: a missing key, and a
+    value of the wrong type or out of range, become one ValueError naming it."""
+    try:
+        yield
+    except KeyError as e:
+        raise ValueError(f"{path} has no key {e}; re-run fit to rewrite it") from e
+    except (TypeError, AttributeError, ValueError) as e:
+        raise ValueError(f"{path} holds an invalid record ({e}); "
+                         "re-run fit to rewrite it") from e
+
+
+def _read_json(path) -> dict:
+    with open(path) as f, _record(path):
+        record = json.load(f)
+        if not isinstance(record, dict):
+            raise TypeError(f"a JSON {type(record).__name__}, not an object")
+    return record
+
+
 def read_manifest(rundir) -> dict:
-    with open(Path(rundir) / "manifest.json") as f:
-        return json.load(f)
+    return _read_json(Path(rundir) / "manifest.json")
 
 
-def _config(cls, record: dict):
-    """``cls(**record)`` for a record of exactly ``cls``'s fields: a missing one,
-    which would take its default, is a KeyError, and an unknown one a TypeError."""
-    missing = [f.name for f in fields(cls) if f.name not in record]
+def _config(cls, record: dict, **fixed):
+    """``cls(**record, **fixed)`` for a record of exactly ``cls``'s fields but
+    ``fixed``'s: a missing one is a KeyError, and an unknown one a TypeError."""
+    missing = [f.name for f in fields(cls) if f.name not in record and f.name not in fixed]
     if missing:
         raise KeyError(missing[0])
-    return cls(**record)
+    return cls(**record, **fixed)
 
 
 def read_fit(rundir) -> dict:
     """The facts ``fit`` recorded in ``rundir``'s manifest: ``model``,
-    ``dataset`` (a Path), ``hyperparams`` (a ``Hyperparams``) and the
-    ``preprocess`` statistics."""
+    ``dataset`` (a Path), ``hyperparams`` (a ``Hyperparams``), the ``sampler``
+    flags (every ``SamplerConfig`` field but the mode, which each chain's
+    summary records; checked with the default mode) and the ``preprocess``
+    statistics, ``x_mean`` and ``x_sd`` as float arrays."""
     path, manifest = Path(rundir) / "manifest.json", read_manifest(rundir)
     if manifest.get("command") != "fit":
         raise ValueError(f"{path} is the manifest of a {manifest.get('command')!r} run, "
                          "not of a fit; pass a directory written by fit")
-    try:
+    with _record(path):
         config = manifest["config"]
+        sampler = asdict(_config(SamplerConfig, config["sampler"], mode=SamplerConfig.mode))
+        del sampler["mode"]
+        prep = config["preprocess"]
         return {"model": config["model"], "dataset": Path(config["dataset"]),
-                "hyperparams": _config(Hyperparams, config["hyperparams"]),
-                "preprocess": {k: config["preprocess"][k]
-                               for k in ("y_mean", "x_mean", "x_sd")}}
-    except KeyError as e:
-        raise ValueError(f"{path} has no key {e}; re-run fit to rewrite it") from e
-    except TypeError as e:
-        raise ValueError(f"{path} does not match this version of dmjoint ({e}); "
-                         "re-run fit to rewrite it") from e
+                "hyperparams": _config(Hyperparams, config["hyperparams"]), "sampler": sampler,
+                "preprocess": {"y_mean": float(prep["y_mean"]),
+                               **{k: require_finite(np.asarray(prep[k], dtype=float), k)
+                                  for k in ("x_mean", "x_sd")}}}
+
+
+def read_test_dir(preddir) -> Path:
+    """The test directory ``predict`` recorded in ``preddir``'s manifest."""
+    manifest = read_manifest(preddir)
+    with _record(Path(preddir) / "manifest.json"):
+        return Path(manifest["config"]["test_dir"])
 
 
 # ---------------------------------------------------------------------------
@@ -183,22 +214,16 @@ def write_chain(outdir, chain: ChainOutput):
 def read_chain(rundir) -> tuple[ChainOutput, dict]:
     rundir = Path(rundir)
     path = rundir / "summary.json"
-    with open(path) as f:
-        summary = json.load(f)
+    summary = _read_json(path)
     version = summary.get("schema_version", "10 or older (no key 'schema_version')")
     if version != SCHEMA_VERSION:
         raise ValueError(f"{path} is of chain schema {version}, but this version of dmjoint "
                          f"reads schema {SCHEMA_VERSION}; re-run fit to rewrite it")
-    try:
+    with _record(path):
         accept = {k: (v["accepted"], v["proposed"])
                   for k, v in summary["acceptance"].items()}
         shapes = {k: tuple(summary[k]) for k in ("phi_shape", "xi_shape")}
         config = _config(SamplerConfig, summary["config"])
-    except KeyError as e:
-        raise ValueError(f"{path} has no key {e}; re-run fit to rewrite it") from e
-    except TypeError as e:
-        raise ValueError(f"{path} does not match this version of dmjoint ({e}); "
-                         "re-run fit to rewrite it") from e
     blocks = {}
     try:
         for name in ChainOutput.BLOCKS:

@@ -189,16 +189,19 @@ class PartitionSpec:
         parts = []
         with open(path) as f:
             for ln, line in enumerate(f, start=1):
-                line = line.strip()
-                if not line:
-                    continue
-                if "|" not in line:
-                    raise ValueError(f"{path}:{ln}: expected 'plus | minus'")
-                left, right = line.split("|", 1)
-                plus = [int(t) - 1 for t in left.split(",") if t.strip()]
-                minus = [int(t) - 1 for t in right.split(",") if t.strip()]
-                parts.append((plus, minus))
-        return cls(parts)
+                left, bar, right = line.partition("|")
+                try:
+                    if bar:
+                        parts.append([[int(t) - 1 for t in side.split(",") if t.strip()]
+                                      for side in (left, right)])
+                    elif line.strip():
+                        raise ValueError("expected 'plus | minus'")
+                except ValueError as e:
+                    raise ValueError(f"{path}:{ln}: {e}") from e
+        try:
+            return cls(parts)
+        except ValueError as e:
+            raise ValueError(f"{path}: {e}") from e
 
 
 # ---------------------------------------------------------------------------
@@ -259,10 +262,10 @@ def log_balances(psi, contrast, delta: float) -> np.ndarray:
     return np.log(zero_replace(psi, delta)) @ contrast
 
 
-def standardize_columns(B):
+def standardize_columns(B, noun: str):
     """Center and scale columns to mean 0 and sample variance 1.
 
-    Returns (standardized, means, sds). Raises on a zero-variance column.
+    Returns (standardized, means, sds). Raises on a zero-variance ``noun`` column.
     """
     B = np.asarray(B, dtype=float)
     means = B.mean(axis=0)
@@ -273,7 +276,7 @@ def standardize_columns(B):
            else np.zeros(B.shape[1]))
     if np.any(sds <= 0):
         col = int(np.argmin(sds))
-        raise ValueError(f"balance column {col} has zero variance; cannot standardize")
+        raise ValueError(f"{noun} column {col} has zero variance; cannot standardize")
     return dev / sds, means, sds
 
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .model import Dataset
+from .model import Dataset, standardize_columns
 from .predict import TestSet
 
 __all__ = ["preprocess", "preprocess_test"]
@@ -19,14 +19,9 @@ def preprocess(train: Dataset):
     """Return (train', stats) with Y centered and X columns scaled to mean 0,
     sample variance 1; ``preprocess_test`` applies ``stats`` to a test set."""
     y_mean = float(train.Y.mean())
-    x_mean = train.X.mean(axis=0)
-    x_sd = train.X.std(axis=0, ddof=1) if train.X.shape[0] > 1 else np.ones(train.X.shape[1])
-    if np.any(x_sd <= 0):
-        col = int(np.argmin(x_sd))
-        raise ValueError(f"covariate column {col} has zero variance")
-    train_p = Dataset(Y=train.Y - y_mean, Z=train.Z, X=(train.X - x_mean) / x_sd)
-    stats = {"y_mean": y_mean, "x_mean": x_mean.tolist(), "x_sd": x_sd.tolist()}
-    return train_p, stats
+    X, x_mean, x_sd = standardize_columns(train.X, "covariate")
+    return (Dataset(Y=train.Y - y_mean, Z=train.Z, X=X),
+            {"y_mean": y_mean, "x_mean": x_mean.tolist(), "x_sd": x_sd.tolist()})
 
 
 def preprocess_test(test: TestSet, stats: dict) -> TestSet:

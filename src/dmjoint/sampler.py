@@ -557,7 +557,7 @@ def run_chain(
     zeta_prior = [beta_binomial_logprior(v, hyper.a, hyper.b) for v in (1, 0)]  # in, out
     xi_prior = [beta_binomial_logprior(v, hyper.a_m, hyper.b_m) for v in (1, 0)]
     if balances is not None:
-        B_std, means, sds = standardize_columns(balances)
+        B_std, means, sds = standardize_columns(balances, "balance")
     n_moves = config.between_moves_per_iter
     for it in range(config.iterations):
         if mode != "lm_only":
@@ -569,7 +569,7 @@ def run_chain(
         if mode != "dm_only":
             if balances is None:
                 B_std, means, sds = standardize_columns(
-                    log_balances(state.psi, contrast, hyper.delta))
+                    log_balances(state.psi, contrast, hyper.delta), "balance")
             if balances is None or it == 0:  # fixed balances: the scores carry over
                 state.gram = marginal_gram(data.Y, B_std, hyper)
                 state.logml, state.flips = flip_log_marginals(state.gram, state.xi, hyper)

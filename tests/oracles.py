@@ -67,7 +67,7 @@ def balance_matrix(Psi, spec: PartitionSpec, standardize: bool = False) -> np.nd
         raise ValueError("balance matrix requires strictly positive compositions")
     B = np.log(Psi) @ spec.contrast_matrix()
     if standardize:
-        B, _, _ = standardize_columns(B)
+        B, _, _ = standardize_columns(B, "balance")
     return B
 
 
@@ -88,7 +88,8 @@ def predictor_blocks(psi, xi, Y, spec: PartitionSpec, hyper):
     contrast = spec.contrast_matrix()
     predictor, fits = np.zeros(spec.M + 1), np.empty((len(xi), len(Y)))
     for s, (psi_s, xi_s) in enumerate(zip(psi, xi)):
-        B_std, means, sds = standardize_columns(log_balances(psi_s, contrast, hyper.delta))
+        B = log_balances(psi_s, contrast, hyper.delta)
+        B_std, means, sds = standardize_columns(B, "balance")
         sel = np.asarray(xi_s) == 1
         beta, fits[s] = ridge_fit(B_std[:, sel], Y, hyper)
         predictor[:-1][sel] += beta / sds[sel]

@@ -1,3 +1,4 @@
+import ast
 import csv
 import json
 import os
@@ -12,9 +13,10 @@ import numpy as np
 import pytest
 
 import dmjoint
+from dmjoint import cli
 from dmjoint import io as dio
 from dmjoint.baselines import run_two_step, two_step_predict_y
-from dmjoint.cli import SAMPLER_FLAGS, main
+from dmjoint.cli import HYPER_FLAGS, SAMPLER_FLAGS, main
 from dmjoint.metrics import squared_error
 from dmjoint.model import Dataset, Hyperparams, PartitionSpec, sbp_pivot
 from dmjoint.predict import TestSet, predict_y
@@ -339,6 +341,38 @@ def test_cli_evaluate_aggregates_one_row_per_b0(sim_dir, tmp_path):
         main(["evaluate", *map(str, runs), "--out", str(tmp_path / "o"),
               "--sweep-b0", "1.0"])
     assert e.value.code == 2
+
+
+METRIC_COLUMNS = ["cov_selected", "cov_sensitivity", "cov_specificity", "cov_mcc",
+                  "bal_selected", "bal_sensitivity", "bal_specificity", "bal_mcc",
+                  "mse_sum", "mse_mean", "pmse_sum", "pmse_mean"]
+
+
+def test_cli_evaluate_groups_runs_by_every_recorded_setting(sim_dir, tmp_path):
+    # fits of one replicate that differ in any recorded setting but the seed
+    # are aggregated apart; fits that differ only in the seed share a row
+    def fit(name, *flags):
+        run = tmp_path / name
+        assert main(["fit", str(sim_dir / "rep000"), "--out", str(run), "--seed", "5",
+                     *FAST_FIT, *flags]) == 0
+        return str(run)
+
+    base = fit("base")
+    for other, flags, groups in (("r2", ["--r2", "100"], [1, 1]),
+                                 ("iterations", ["--iterations", "400"], [1, 1]),
+                                 ("seed", ["--seed", "9"], [2])):
+        out = tmp_path / f"eval_{other}"
+        assert main(["evaluate", base, fit(other, *flags), "--out", str(out)]) == 0
+        report = _csv_rows(out / "report.csv")
+        assert list(report[0]) == ["run", "replicate", "model", *HYPER_FLAGS, *SAMPLER_FLAGS,
+                                   *METRIC_COLUMNS]
+        aggregate = _csv_rows(out / "aggregate.csv")
+        assert [int(row["n_replicates"]) for row in aggregate] == groups
+        assert list(aggregate[0]) == [
+            "model", *HYPER_FLAGS, *(f for f in SAMPLER_FLAGS if f != "seed"),
+            "n_replicates", *(c + s for c in METRIC_COLUMNS for s in ("_mean", "_sd"))]
+    assert [row["r2"] for row in _csv_rows(tmp_path / "eval_r2" / "aggregate.csv")] == [
+        "10.0", "100.0"]
 
 
 def test_cli_fit_pooled_matches_serial(sim_dir, tmp_path):
@@ -950,6 +984,101 @@ def test_cli_file_errors_print_one_line(sim_dir, tmp_path, capsys, case):
     assert main(argv) == 1
     assert_one_error_line(capsys, str(named))
     assert a_file.read_text() == "not a directory\n"
+
+
+@pytest.mark.parametrize("case", ["b0", "mode", "acceptance", "not-an-object", "x-sd",
+                                  "no-test-dir"])
+def test_cli_damaged_record_prints_one_line(sim_dir, tmp_path, capsys, case):
+    # each JSON record is parsed under one guard: an invalid value, a value
+    # of the wrong type and a record that is not an object are one error line
+    # naming the file, never a traceback
+    run = tmp_path / "o"
+    assert main(["fit", str(sim_dir / "rep000"), "--out", str(run), *FAST_FIT]) == 0
+    assert main(["predict", str(run)]) == 0
+    path, damage, commands = {
+        "b0": ("manifest.json", lambda m: m["config"]["hyperparams"].update(b0=-1.0),
+               ["predict", "evaluate"]),
+        "mode": ("summary.json", lambda s: s["config"].update(mode="bogus"), ["predict"]),
+        "acceptance": ("summary.json", lambda s: s.update(acceptance=[1, 2]), ["predict"]),
+        "not-an-object": ("manifest.json", None, ["predict", "evaluate"]),
+        "x-sd": ("manifest.json", lambda m: m["config"]["preprocess"].update(x_sd=["a"] * 3),
+                 ["predict", "evaluate"]),
+        "no-test-dir": ("predictions/manifest.json", lambda m: m["config"].pop("test_dir"),
+                        ["evaluate"]),
+    }[case]
+    path = run / path
+    record = json.loads(path.read_text())
+    if damage is None:
+        record = []
+    else:
+        damage(record)
+    path.write_text(json.dumps(record))
+    for command in commands:
+        argv = {"predict": ["predict", str(run), "--out", str(tmp_path / "p")],
+                "evaluate": ["evaluate", str(run), "--out", str(tmp_path / "e")]}[command]
+        capsys.readouterr()
+        assert main(argv) == 1, command
+        assert_one_error_line(capsys, str(path), "re-run fit")
+    assert not (tmp_path / "p").exists() and not (tmp_path / "e").exists()
+
+
+def test_cli_predict_refuses_statistics_of_another_p(sim_dir, tmp_path, capsys):
+    # a P=3 fit whose manifest records one covariate's statistics
+    run = tmp_path / "o"
+    assert main(["fit", str(sim_dir / "rep000"), "--out", str(run), *FAST_FIT]) == 0
+    path = run / "manifest.json"
+    manifest = json.loads(path.read_text())
+    manifest["config"]["preprocess"]["x_sd"] = [1.0]
+    path.write_text(json.dumps(manifest))
+    capsys.readouterr()
+    assert main(["predict", str(run)]) == 1
+    assert_one_error_line(capsys, str(path), "x_mean and x_sd of shapes (3,) and (1,), "
+                          "not the fit's (3,)", "re-run fit")
+    assert not (run / "predictions").exists()
+
+
+def test_partition_files_name_themselves(sim_dir, tmp_path, capsys):
+    # a line that does not parse names the file and line; a file whose
+    # partitions PartitionSpec refuses names the file
+    unparsed, refused = tmp_path / "unparsed.txt", tmp_path / "refused.txt"
+    unparsed.write_text("1,2,3 | 4,5\na | b\n")
+    refused.write_text("1,2 | 3\n1 | 1\n")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(unparsed))}:2: invalid literal"):
+        PartitionSpec.from_file(unparsed)
+    with pytest.raises(ValueError, match=f"^{re.escape(str(refused))}: partition 1: overlap"):
+        PartitionSpec.from_file(refused)
+    for pfile in (unparsed, refused):
+        capsys.readouterr()
+        assert main(["fit", str(sim_dir / "rep000"), "--out", str(tmp_path / "o"),
+                     "--partition-file", str(pfile), *FAST_FIT]) == 1
+        assert_one_error_line(capsys, str(pfile))
+    # predict reads the partition the fit wrote
+    run = tmp_path / "fit"
+    assert main(["fit", str(sim_dir / "rep000"), "--out", str(run), *FAST_FIT]) == 0
+    (run / "partition.txt").write_text("a | b\n")
+    capsys.readouterr()
+    assert main(["predict", str(run)]) == 1
+    assert_one_error_line(capsys, f"{run / 'partition.txt'}:1: ")
+
+
+def cli_tree():
+    return ast.parse(Path(cli.__file__).read_text())
+
+
+def test_cli_keeps_no_copy_of_the_recorded_fields():
+    # cli takes a fit's settings whole from io.read_fit: it reads no
+    # hyperparameter by name and parses no manifest itself
+    tree = cli_tree()
+    attrs = {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+    assert not attrs & set(HYPER_FLAGS), attrs & set(HYPER_FLAGS)
+    assert "read_manifest" not in attrs
+
+
+def test_only_main_writes_to_stderr():
+    # commands raise; cli.main prints the one error line
+    writers = {fn.name for fn in ast.walk(cli_tree()) if isinstance(fn, ast.FunctionDef)
+               for n in ast.walk(fn) if isinstance(n, ast.Attribute) and n.attr == "stderr"}
+    assert writers == {"main"}
 
 
 def test_cli_predict_chain_missing_a_block_exits_1(sim_dir, tmp_path, capsys):

@@ -336,13 +336,17 @@ def test_hyperparams_validation():
 def test_standardize_columns():
     rng = np.random.default_rng(8)
     B = rng.normal(size=(10, 3)) * 5 + 2
-    Bs, means, sds = standardize_columns(B)
+    Bs, means, sds = standardize_columns(B, "balance")
     assert np.allclose(Bs.mean(axis=0), 0, atol=1e-12)
     assert np.allclose(Bs.std(axis=0, ddof=1), 1, atol=1e-12)
     assert np.allclose(Bs * sds + means, B, atol=1e-12)
     # the same bits as numpy's own mean and sample sd, at paper scale too
     for C in (B, rng.normal(size=(50, 149)) * 3 - 1):
-        Cs, means, sds = standardize_columns(C)
+        Cs, means, sds = standardize_columns(C, "balance")
         assert np.array_equal(means, C.mean(axis=0))
         assert np.array_equal(sds, C.std(axis=0, ddof=1))
         assert np.array_equal(Cs, (C - C.mean(axis=0)) / C.std(axis=0, ddof=1))
+    # the message names the caller's columns; one row has no sample variance
+    for noun, C, col in (("balance", B * [1, 1, 0], 2), ("covariate", B[:1], 0)):
+        with pytest.raises(ValueError, match=f"^{noun} column {col} has zero variance"):
+            standardize_columns(C, noun)

@@ -178,7 +178,7 @@ def test_fitted_y_recovers_noiseless_balance_response():
     psi = random_simplex(rng, n, J)
     spec = sbp_pivot(J)
     hyper = Hyperparams(h_beta=1e8, h_alpha0=1e8)
-    B_std, _, _ = standardize_columns(np.log(psi) @ spec.contrast_matrix())
+    B_std, _, _ = standardize_columns(np.log(psi) @ spec.contrast_matrix(), "balance")
     Y = 2.0 * B_std[:, 0]
     train = Dataset(Y=Y, Z=np.ones((n, J), dtype=int), X=np.zeros((n, 1)))
     chain = make_chain(np.zeros((1, J)), np.zeros((1, J, 1)),

@@ -853,8 +853,8 @@ def test_joint_chain_keeps_the_ridge_fits_of_the_columns_the_sweep_built(monkeyp
         psi.append(p.copy())
         return model_log_balances(p, *args)
 
-    def standardize_columns(B):
-        built.append(model_standardize_columns(B))
+    def standardize_columns(B, noun):
+        built.append(model_standardize_columns(B, noun))
         return built[-1]
 
     monkeypatch.setattr(sampler, "log_balances", log_balances)
